@@ -1,10 +1,11 @@
 """Post-run analytics: gap metrics, parallel speedup, rank statistics.
 
 Gap metrics compare a tuned configuration against the standard-defaults
-reference run. Speedup/efficiency summarize scaling benchmarks. The
-nonparametric tests (Friedman, Wilcoxon signed-rank, Kruskal-Wallis,
-Kolmogorov-Smirnov normality check) are the ones a multi-run comparison
-of stochastic optimizer results calls for.
+reference run; compare_against_reference and validation_report run the
+simulations they summarize. Speedup/efficiency summarize scaling
+benchmarks. The nonparametric tests (Friedman, Wilcoxon signed-rank,
+Kruskal-Wallis, Kolmogorov-Smirnov normality check) are the ones a
+multi-run comparison of stochastic optimizer results calls for.
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
+from . import sim
 from .errors import DomainError
+from .olsr import OlsrConfig, rfc_default
+from .scenario import Scenario
 
 __all__ = [
     "BenchResult",
     "RankTestResult",
     "gap_energy",
     "gap_pdr",
+    "compare_against_reference",
     "speedup",
     "efficiency",
     "bench_result",
@@ -31,6 +36,7 @@ __all__ = [
     "wilcoxon_signed_rank",
     "kruskal_wallis",
     "ks_normality",
+    "ValidationReport",
     "validation_report",
     "report_csv",
     "report_text",
@@ -50,6 +56,20 @@ def gap_pdr(pdr: float, pdr_rfc: float) -> float:
     """PDR gap in fractional points, (reference - observed)/100; positive
     means delivery loss. Reports negate it for display."""
     return (pdr_rfc - pdr) / 100.0
+
+
+def compare_against_reference(
+    scenario: Scenario, config: OlsrConfig, nic: sim.NicProfile, seed: int
+) -> tuple:
+    """Run `config` and the standard defaults with the same seed; returns
+    (metrics for config, reference metrics, (energy gap %, pdr gap))."""
+    m_cfg = sim.run_simulation(scenario, config, nic, seed)
+    m_rfc = sim.run_simulation(scenario, rfc_default(), nic, seed)
+    gaps = (
+        gap_energy(m_cfg.energy.e_total, m_rfc.energy.e_total),
+        gap_pdr(m_cfg.pdr, m_rfc.pdr),
+    )
+    return m_cfg, m_rfc, gaps
 
 
 def speedup(mean_t1: float, mean_tm: float) -> float:
@@ -228,13 +248,18 @@ def ks_normality(sample) -> RankTestResult:
     fitted to the sample (mean, sd with n-1). Descriptive: no p-value.
 
     Raises DomainError for fewer than 2 observations, a non-finite value,
-    or a constant sample.
+    a sample whose mean or sd overflows float64, or a constant sample.
     """
     xs = _finite_floats(sample)
     if len(xs) < 2:
         raise DomainError("need at least 2 observations")
-    mean = float(np.mean(xs))
-    sd = float(np.std(xs, ddof=1))
+    # a spread beyond the float64 range overflows to inf: raise DomainError
+    # below instead of letting NumPy emit a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(xs))
+        sd = float(np.std(xs, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise DomainError("sample mean or spread overflows float64")
     if sd == 0:
         raise DomainError("constant sample")
     d = float(sps.kstest(xs, "norm", args=(mean, sd)).statistic)
@@ -275,8 +300,6 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
     size). Emits one section per class plus an overall section; the best
     cell per column within each section is flagged.
     """
-    from .sim import metrics_to_json, run_simulation
-
     if not configs or not scenarios:
         raise DomainError("need at least one config and one scenario")
     labeled = []
@@ -300,14 +323,14 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
             for seed in seeds:
                 runs += 1
                 try:
-                    m = run_simulation(scn, config, nic, seed)
+                    m = sim.run_simulation(scn, config, nic, seed)
                 except Exception:
                     failures += 1
                     log.warning(
                         "run failed: config=%s class=%s seed=%s", name, label, seed, exc_info=True
                     )
                     continue
-                doc = metrics_to_json(m)
+                doc = sim.metrics_to_json(m)
                 for key in (label, "overall"):
                     bucket = cells.setdefault((key, name), {})
                     for col, _dir in _REPORT_COLS:

@@ -140,7 +140,7 @@ def _load_config_arg(path_str: str, manifest: _Manifest):
     manifest.input_file(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, too many digits
         raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     return olsr.config_from_dict(doc), path.stem
 
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
     rows = []
     doc: dict = {}
     if args.compare_rfc:
-        m_cfg, m_rfc, gaps = sim.compare_against_reference(scenario, config, nic, args.seed)
+        m_cfg, m_rfc, gaps = analysis.compare_against_reference(scenario, config, nic, args.seed)
         rows.append(sim.metrics_row(m_cfg, scenario_id, config_id, args.seed))
         rows.append(sim.metrics_row(m_rfc, scenario_id, "rfc_default", args.seed))
         doc = {

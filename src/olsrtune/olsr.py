@@ -7,8 +7,13 @@ messages with duplicate suppression, and minimum-hop routing-table
 calculation. Behaviour is parameterized by the eight standard knobs in
 OlsrConfig.
 
-Nodes are single-interface, so no MID messages are generated;
-mid_hold_time stays in the genome but has no protocol effect.
+The parameters' names, bounds, defaults and integer flag are defined
+once, in PARAMS; GENE_NAMES, the config checks, the search space, the
+genome codec and the JSON config codec all derive from it.
+
+Nodes are single-interface, so no MID messages are generated and
+mid_hold_time is inert: it has no protocol effect. It stays in the
+genome so that the eight tuned parameters match the paper's.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 
 __all__ = [
+    "Param",
+    "PARAMS",
     "OlsrConfig",
     "ParamSpace",
     "OlsrNodeState",
@@ -66,65 +74,65 @@ HELLO_ENTRY_BYTES = 8
 TC_HEADER_BYTES = 20
 TC_ENTRY_BYTES = 4
 
-# genome layout: willingness (index 3) is the only integer gene, and
-# mid_hold precedes top_hold
-GENE_NAMES = (
-    "hello_interval",
-    "refresh_interval",
-    "tc_interval",
-    "willingness",
-    "neighb_hold_time",
-    "mid_hold_time",
-    "top_hold_time",
-    "dup_hold_time",
+
+class Param(NamedTuple):
+    """One tunable parameter: its name, search bounds, RFC 3626 default,
+    and whether it takes integer values."""
+
+    name: str
+    lo: float
+    hi: float
+    rfc: float
+    integer: bool = False
+
+
+# The single definition of the eight parameters, one row per gene in
+# genome order. Every bound, default and integer flag below derives from it.
+PARAMS = (
+    Param("hello_interval", 2.0, 15.0, 2.0),
+    Param("refresh_interval", 2.0, 15.0, 2.0),
+    Param("tc_interval", 4.0, 35.0, 5.0),
+    Param("willingness", 0.0, 7.0, 3.0, integer=True),
+    Param("neighb_hold_time", 5.5, 45.0, 6.0),
+    Param("mid_hold_time", 10.5, 90.0, 15.0),
+    Param("top_hold_time", 10.5, 90.0, 15.0),
+    Param("dup_hold_time", 10.5, 90.0, 30.0),
 )
+
+GENE_NAMES = tuple(p.name for p in PARAMS)
 
 
 @dataclass(frozen=True)
 class OlsrConfig:
-    """The eight tunable OLSR parameters, each within its standard range."""
+    """The eight tunable OLSR parameters, each within its standard range.
+
+    Fields are declared in genome order (GENE_NAMES); bounds come from PARAMS.
+    """
 
     hello_interval: float
     refresh_interval: float
     tc_interval: float
     willingness: int
     neighb_hold_time: float
-    top_hold_time: float
     mid_hold_time: float
+    top_hold_time: float
     dup_hold_time: float
 
     def __post_init__(self):
-        checks = (
-            ("hello_interval", self.hello_interval, 2.0, 15.0),
-            ("refresh_interval", self.refresh_interval, 2.0, 15.0),
-            ("tc_interval", self.tc_interval, 4.0, 35.0),
-            ("willingness", self.willingness, 0, 7),
-            ("neighb_hold_time", self.neighb_hold_time, 5.5, 45.0),
-            ("top_hold_time", self.top_hold_time, 10.5, 90.0),
-            ("mid_hold_time", self.mid_hold_time, 10.5, 90.0),
-            ("dup_hold_time", self.dup_hold_time, 10.5, 90.0),
-        )
-        for name, value, lo, hi in checks:
+        for p in PARAMS:
+            value = getattr(self, p.name)
             if not math.isfinite(value):
-                raise ConfigurationError(f"{name} is not finite")
-            if not lo <= value <= hi:
-                raise ConfigurationError(f"{name}={value} outside [{lo}, {hi}]")
-        if not isinstance(self.willingness, int):
-            raise ConfigurationError("willingness must be an integer")
+                raise ConfigurationError(f"{p.name} is not finite")
+            if not p.lo <= value <= p.hi:
+                raise ConfigurationError(f"{p.name}={value} outside [{p.lo}, {p.hi}]")
+            if p.integer and not isinstance(value, int):
+                raise ConfigurationError(f"{p.name} must be an integer")
 
 
 def rfc_default() -> OlsrConfig:
     """Standard parameter values: hold times are 3x their message interval."""
-    return OlsrConfig(
-        hello_interval=2.0,
-        refresh_interval=2.0,
-        tc_interval=5.0,
-        willingness=3,
-        neighb_hold_time=6.0,
-        top_hold_time=15.0,
-        mid_hold_time=15.0,
-        dup_hold_time=30.0,
-    )
+    space = default_param_space()
+    return decode_genome(space.rfc, space)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ class ParamSpace:
 
     bounds: tuple  # of (z_min, z_max), one per gene
     rfc: tuple  # reference value per gene
-    integer_genes: tuple = (3,)
+    integer_genes: tuple = tuple(k for k, p in enumerate(PARAMS) if p.integer)
 
     def __post_init__(self):
         if len(self.bounds) != len(self.rfc):
@@ -155,43 +163,23 @@ class ParamSpace:
 
 def default_param_space() -> ParamSpace:
     return ParamSpace(
-        bounds=(
-            (2.0, 15.0),  # hello_interval
-            (2.0, 15.0),  # refresh_interval
-            (4.0, 35.0),  # tc_interval
-            (0.0, 7.0),  # willingness
-            (5.5, 45.0),  # neighb_hold_time
-            (10.5, 90.0),  # mid_hold_time
-            (10.5, 90.0),  # top_hold_time
-            (10.5, 90.0),  # dup_hold_time
-        ),
-        rfc=(2.0, 2.0, 5.0, 3.0, 6.0, 15.0, 15.0, 30.0),
+        bounds=tuple((p.lo, p.hi) for p in PARAMS), rfc=tuple(p.rfc for p in PARAMS)
     )
 
 
 def decode_genome(genes, space: ParamSpace) -> OlsrConfig:
-    """Map an 8-gene vector to a valid config (clamp, round willingness)."""
+    """Map an 8-gene vector to a valid config: clamp every gene to its
+    bounds and round the integer genes half up."""
     if len(genes) != space.n_genes:
         raise ConfigurationError(f"expected {space.n_genes} genes, got {len(genes)}")
-    vals = []
-    for k, g in enumerate(genes):
+    values = {}
+    for k, (p, g, (lo, hi)) in enumerate(zip(PARAMS, genes, space.bounds)):
         g = float(g)
         if not math.isfinite(g):
             raise ConfigurationError(f"gene {k} is not finite")
-        lo, hi = space.bounds[k]
-        vals.append(min(max(g, lo), hi))
-    will = int(math.floor(vals[3] + 0.5))
-    will = min(max(will, 0), 7)
-    return OlsrConfig(
-        hello_interval=vals[0],
-        refresh_interval=vals[1],
-        tc_interval=vals[2],
-        willingness=will,
-        neighb_hold_time=vals[4],
-        mid_hold_time=vals[5],
-        top_hold_time=vals[6],
-        dup_hold_time=vals[7],
-    )
+        g = min(max(g, lo), hi)
+        values[p.name] = int(math.floor(g + 0.5)) if p.integer else g
+    return OlsrConfig(**values)
 
 
 def encode_config(config: OlsrConfig) -> tuple:
@@ -205,32 +193,35 @@ def hello_emission_interval(config: OlsrConfig) -> float:
 
 
 def config_to_dict(config: OlsrConfig) -> dict:
-    return {
-        "hello_interval": config.hello_interval,
-        "refresh_interval": config.refresh_interval,
-        "tc_interval": config.tc_interval,
-        "willingness": config.willingness,
-        "neighb_hold_time": config.neighb_hold_time,
-        "top_hold_time": config.top_hold_time,
-        "mid_hold_time": config.mid_hold_time,
-        "dup_hold_time": config.dup_hold_time,
-    }
+    return {name: getattr(config, name) for name in GENE_NAMES}
 
 
-def config_from_dict(doc: dict) -> OlsrConfig:
-    try:
-        return OlsrConfig(
-            hello_interval=float(doc["hello_interval"]),
-            refresh_interval=float(doc["refresh_interval"]),
-            tc_interval=float(doc["tc_interval"]),
-            willingness=int(doc["willingness"]),
-            neighb_hold_time=float(doc["neighb_hold_time"]),
-            top_hold_time=float(doc["top_hold_time"]),
-            mid_hold_time=float(doc["mid_hold_time"]),
-            dup_hold_time=float(doc["dup_hold_time"]),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"config document missing field {exc}") from None
+def config_from_dict(doc) -> OlsrConfig:
+    """Read a config document: a JSON object holding every PARAMS name.
+
+    Raises InputError for a document that is not an object, a value that
+    is not a JSON number (strings and booleans included) or exceeds the
+    float range, or a non-whole value for an integer parameter;
+    ConfigurationError for a missing field or a value that is not finite
+    or lies out of range.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"config document must be a JSON object, not {type(doc).__name__}")
+    values = {}
+    for p in PARAMS:
+        if p.name not in doc:
+            raise ConfigurationError(f"config document missing field {p.name!r}")
+        v = doc[p.name]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputError(f"config field {p.name} must be a number, got {v!r}")
+        try:
+            x = float(v)
+        except OverflowError:
+            raise InputError(f"config field {p.name} exceeds the float range") from None
+        if p.integer and not x.is_integer():
+            raise InputError(f"config field {p.name} must be an integer, got {v!r}")
+        values[p.name] = int(x) if p.integer else x
+    return OlsrConfig(**values)
 
 
 @dataclass(frozen=True)

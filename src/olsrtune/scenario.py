@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -414,10 +415,37 @@ def _loss_to_json(model: LossModel) -> dict:
     return out
 
 
-def _loss_from_json(doc) -> LossModel:
+def _is_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_area(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _field(doc: dict, key: str, ok, what: str, where: str):
+    """doc[key] if the field is present and ok(value) holds, else InputError."""
+    if key not in doc:
+        raise InputError(f"{where}: missing field {key!r}")
+    value = doc[key]
+    if not ok(value):
+        raise InputError(f"{where}: field {key!r} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _loss_from_json(doc, where: str) -> LossModel:
     if isinstance(doc, str):
         return LossModel(kind=doc)
-    return LossModel(kind=doc["kind"], p_at_max_range=float(doc.get("p_at_max_range", 0.0)))
+    kind = _field(doc, "kind", lambda v: isinstance(v, str), "a string", where)
+    p = doc.get("p_at_max_range", 0.0)
+    if not _is_number(p):
+        raise InputError(f"{where}: field 'p_at_max_range' must be a finite number")
+    return LossModel(kind=kind, p_at_max_range=float(p))
 
 
 def save_scenario(scenario: Scenario, json_path, trace_filename: str | None = None) -> list:
@@ -452,38 +480,58 @@ def save_scenario(scenario: Scenario, json_path, trace_filename: str | None = No
 
 
 def load_scenario(json_path) -> Scenario:
-    """Read a scenario JSON; trace_file paths resolve against the JSON's directory."""
+    """Read a scenario JSON; trace_file paths resolve against the JSON's directory.
+
+    Raises InputError for a file that is not a JSON object with a
+    trace_file field, or a field that is missing or of the wrong type.
+    """
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, too many digits
         raise InputError(f"{json_path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "trace_file" not in doc:
         raise InputError(f"{json_path} is not a scenario file (no trace_file field)")
-    trace_ref = Path(doc["trace_file"])
+    where = str(json_path)
+    trace_ref = Path(_field(doc, "trace_file", lambda v: isinstance(v, str), "a string", where))
+    area = _field(doc, "area", _is_area, "[width, height]", where)
+    radio_range = _field(doc, "radio_range_m", _is_number, "a finite number", where)
+    bandwidth = _field(doc, "bandwidth_bps", _is_number, "a finite number", where)
+    duration = _field(doc, "duration_s", _is_number, "a finite number", where)
+    loss = _field(
+        doc, "loss_model", lambda v: isinstance(v, (str, dict)), "a string or an object", where
+    )
+    flow_docs = _field(doc, "flows", lambda v: isinstance(v, list), "a list", where)
+    if not all(isinstance(f, dict) for f in flow_docs):
+        raise InputError(f"{where}: every entry of 'flows' must be an object")
+    names = ("source", "destination", "packet_size", "rate", "start", "duration")
+    flow_values = [
+        [_field(f, name, _is_number, "a finite number", f"{where}: flow {k}") for name in names]
+        for k, f in enumerate(flow_docs)
+    ]
     if not trace_ref.is_absolute():
         trace_ref = json_path.parent / trace_ref
     with open(trace_ref, encoding="utf-8") as fh:
         trace = load_trace(fh)
     flows = tuple(
         CbrFlow(
-            source=int(f["source"]),
-            destination=int(f["destination"]),
-            packet_size=int(f["packet_size"]),
-            rate=float(f["rate"]),
-            start=float(f["start"]),
-            duration=float(f["duration"]),
+            source=int(src),
+            destination=int(dst),
+            packet_size=int(size),
+            rate=float(rate),
+            start=float(start),
+            duration=float(dur),
         )
-        for f in doc["flows"]
+        for src, dst, size, rate, start, dur in flow_values
     )
     return Scenario(
-        area=(float(doc["area"][0]), float(doc["area"][1])),
+        area=(float(area[0]), float(area[1])),
         trace=trace,
         flows=flows,
-        radio_range=float(doc["radio_range_m"]),
-        bandwidth=float(doc["bandwidth_bps"]),
-        sim_duration=float(doc["duration_s"]),
-        loss_model=_loss_from_json(doc["loss_model"]),
+        radio_range=float(radio_range),
+        bandwidth=float(bandwidth),
+        sim_duration=float(duration),
+        loss_model=_loss_from_json(loss, where),
     )
 
 

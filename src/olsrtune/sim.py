@@ -12,10 +12,10 @@ nic, seed) and independent of host scheduling.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,10 +34,8 @@ __all__ = [
     "energy_send",
     "energy_recv",
     "broadcast_energy",
-    "neighbors_in_range",
     "run_simulation",
     "routing_snapshot",
-    "compare_against_reference",
     "METRICS_COLUMNS",
     "metrics_row",
     "metrics_to_json",
@@ -99,21 +97,6 @@ def broadcast_energy(nic: NicProfile, size_bits: float, receivers: int) -> float
     return energy_send(nic, size_bits) + receivers * energy_recv(nic, size_bits)
 
 
-def neighbors_in_range(
-    trace: MobilityTrace, node: int, t: float, radio_range: float
-) -> set:
-    """All other nodes within Euclidean `radio_range` of `node` at time t."""
-    x, y = position_at(trace, node, t)
-    out = set()
-    for other in trace.node_ids:
-        if other == node:
-            continue
-        ox, oy = position_at(trace, other, t)
-        if (ox - x) ** 2 + (oy - y) ** 2 <= radio_range**2:
-            out.add(other)
-    return out
-
-
 @dataclass(frozen=True)
 class EnergyLedger:
     """Per-node and global energy accumulators, in millijoules."""
@@ -153,61 +136,41 @@ class SimMetrics:
     control_tx: int
 
 
-METRICS_COLUMNS = (
-    "scenario_id",
-    "config_id",
-    "seed",
-    "pdr",
-    "e2ed_ms",
-    "nrl",
-    "hops",
-    "e_sent_mj",
-    "e_recv_mj",
-    "e_total_mj",
-    "e_total_per_vehicle_mj",
-    "data_sent",
-    "data_delivered",
-    "control_tx",
+# One entry per metric, in column order: (name, getter, optional). An
+# optional metric is None when undefined and its CSV cell is then empty.
+_METRIC_FIELDS = tuple(
+    (name, attrgetter(path), optional)
+    for name, path, optional in (
+        ("pdr", "pdr", True),
+        ("e2ed_ms", "e2ed_ms", True),
+        ("nrl", "nrl", True),
+        ("hops", "hops", True),
+        ("e_sent_mj", "energy.e_sent", False),
+        ("e_recv_mj", "energy.e_recv", False),
+        ("e_total_mj", "energy.e_total", False),
+        ("e_total_per_vehicle_mj", "energy.e_total_per_vehicle", False),
+        ("data_sent", "data_sent", False),
+        ("data_delivered", "data_delivered", False),
+        ("control_tx", "control_tx", False),
+    )
 )
 
+METRICS_COLUMNS = ("scenario_id", "config_id", "seed") + tuple(f[0] for f in _METRIC_FIELDS)
 
-def _fmt_opt(v) -> str:
-    return "" if v is None else repr(float(v))
+
+def _cell(value, optional: bool) -> str:
+    if optional:
+        return "" if value is None else repr(float(value))
+    return repr(value)
 
 
 def metrics_row(metrics: SimMetrics, scenario_id: str, config_id: str, seed: int) -> list:
-    return [
-        scenario_id,
-        config_id,
-        str(seed),
-        _fmt_opt(metrics.pdr),
-        _fmt_opt(metrics.e2ed_ms),
-        _fmt_opt(metrics.nrl),
-        _fmt_opt(metrics.hops),
-        repr(metrics.energy.e_sent),
-        repr(metrics.energy.e_recv),
-        repr(metrics.energy.e_total),
-        repr(metrics.energy.e_total_per_vehicle),
-        str(metrics.data_sent),
-        str(metrics.data_delivered),
-        str(metrics.control_tx),
-    ]
+    cells = [_cell(get(metrics), optional) for _name, get, optional in _METRIC_FIELDS]
+    return [scenario_id, config_id, str(seed)] + cells
 
 
 def metrics_to_json(metrics: SimMetrics) -> dict:
-    return {
-        "pdr": metrics.pdr,
-        "e2ed_ms": metrics.e2ed_ms,
-        "nrl": metrics.nrl,
-        "hops": metrics.hops,
-        "e_sent_mj": metrics.energy.e_sent,
-        "e_recv_mj": metrics.energy.e_recv,
-        "e_total_mj": metrics.energy.e_total,
-        "e_total_per_vehicle_mj": metrics.energy.e_total_per_vehicle,
-        "data_sent": metrics.data_sent,
-        "data_delivered": metrics.data_delivered,
-        "control_tx": metrics.control_tx,
-    }
+    return {name: get(metrics) for name, get, _optional in _METRIC_FIELDS}
 
 
 class _PositionIndex:
@@ -502,26 +465,3 @@ def routing_snapshot(
         olsr.expire(state, scenario.sim_duration)
         tables[node] = dict(olsr.ensure_routes(state))
     return tables
-
-
-def compare_against_reference(
-    scenario: Scenario, config: OlsrConfig, nic: NicProfile, seed: int
-) -> tuple:
-    """Run `config` and the standard defaults with the same seed; returns
-    (metrics for config, reference metrics, (energy gap %, pdr gap))."""
-    from .analysis import gap_energy, gap_pdr
-
-    m_cfg = run_simulation(scenario, config, nic, seed)
-    m_rfc = run_simulation(scenario, olsr.rfc_default(), nic, seed)
-    gaps = (
-        gap_energy(m_cfg.energy.e_total, m_rfc.energy.e_total),
-        gap_pdr(m_cfg.pdr, m_rfc.pdr),
-    )
-    return m_cfg, m_rfc, gaps
-
-
-def save_metrics_json(metrics: SimMetrics, path) -> None:
-    doc = metrics_to_json(metrics)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

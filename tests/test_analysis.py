@@ -232,6 +232,13 @@ class TestKsNormality:
     def test_p_value_omitted(self):
         assert ks_normality([-1.0, 0.0, 2.0]).p_value is None
 
+    def test_overflowing_spread_rejected_without_warning(self):
+        # finite values whose sd overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError):
+                ks_normality([1e308, -1e308, 0.0])
+
 
 class TestValidationReport:
     def scenarios(self):

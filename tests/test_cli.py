@@ -135,6 +135,70 @@ class TestSimulate:
         assert main(argv) == 2
 
 
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+        return doc
+
+    return mutate
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+        return doc
+
+    return mutate
+
+
+def _drop_flow_rate(doc):
+    del doc["flows"][0]["rate"]
+    return doc
+
+
+# (file, mutation, exit code): 2 for malformed input, 3 for a domain error;
+# a mutation returns the new document, or the file's text as a string
+MALFORMED_FILES = {
+    "config-list": ("config", lambda doc: list(doc.values()), 2),
+    "config-word": ("config", _set("hello_interval", "fast"), 2),
+    "config-numeric-string": ("config", _set("willingness", "3"), 2),
+    "config-bool": ("config", _set("willingness", True), 2),
+    "config-fractional-int": ("config", _set("willingness", 3.7), 2),
+    "config-nan": ("config", _set("hello_interval", float("nan")), 3),
+    "config-beyond-float": ("config", _set("hello_interval", 10**400), 2),
+    "config-too-many-digits": ("config", lambda doc: '{"tc_interval": 1%s}' % ("0" * 5000), 2),
+    "config-missing-field": ("config", _drop("tc_interval"), 3),
+    "scenario-list": ("scenario", lambda doc: [doc], 2),
+    "scenario-missing-range": ("scenario", _drop("radio_range_m"), 2),
+    "scenario-flows-string": ("scenario", _set("flows", "x"), 2),
+    "scenario-area-string": ("scenario", _set("area", "x"), 2),
+    "scenario-flow-missing-rate": ("scenario", _drop_flow_rate, 2),
+    "scenario-loss-number": ("scenario", _set("loss_model", 5), 2),
+    "scenario-infinite-range": ("scenario", _set("radio_range_m", float("inf")), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_gives_one_error_line(tmp_path, capsys, case):
+    which, mutate, code = MALFORMED_FILES[case]
+    scn = run_gen(tmp_path)
+    if which == "config":
+        path = tmp_path / "bad.json"
+        doc = mutate(config_to_dict(rfc_default()))
+        argv = ["simulate", "--scenario", str(scn), "--config", str(path)]
+    else:
+        path = scn
+        doc = mutate(json.loads(scn.read_text()))
+        argv = ["simulate", "--scenario", str(scn), "--rfc"]
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestTune:
     def tune_argv(self, scn, out, **kw):
         argv = ["tune", "--scenario", str(scn), "--pop", "4", "--gens", "1",

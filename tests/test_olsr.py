@@ -1,6 +1,7 @@
 """Protocol-state machinery: configs, messages, MPRs, topology, routes."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -52,6 +53,7 @@ class TestConfig:
             "top_hold_time",
             "dup_hold_time",
         )
+        assert tuple(f.name for f in fields(OlsrConfig)) == GENE_NAMES
 
     @pytest.mark.parametrize(
         "field,value",

@@ -1,8 +1,16 @@
 """End-to-end simulator behaviour on small controlled scenarios."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import olsrtune
+
 from conftest import make_static_scenario, line_positions
+from olsrtune.analysis import compare_against_reference
 from olsrtune.errors import ConfigurationError
 from olsrtune.olsr import rfc_default
 from olsrtune.scenario import (
@@ -15,11 +23,9 @@ from olsrtune.scenario import (
 )
 from olsrtune.sim import (
     broadcast_energy,
-    compare_against_reference,
     default_nic,
     metrics_row,
     metrics_to_json,
-    neighbors_in_range,
     routing_snapshot,
     run_simulation,
 )
@@ -194,14 +200,30 @@ class TestRoutingSnapshot:
         assert tables[0] == {1: (1, 1)}
 
 
+def first_receivers(scn, node=0):
+    """Nodes that hear `node`'s first broadcast, as the simulator charges them."""
+    heard = []
+
+    def on_transmit(sender, _size_bits, receivers, _t):
+        if sender == node and not heard:
+            heard.append(set(receivers))
+
+    run_simulation(scn, CFG, NIC, seed=1, allow_no_flows=True, on_transmit=on_transmit)
+    return heard[0]
+
+
 class TestNeighborsInRange:
     def test_inclusive_at_edge(self):
-        scn = make_static_scenario({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (100.1, 50.0)})
-        assert neighbors_in_range(scn.trace, 0, 0.0, 100.0) == {1}
+        scn = make_static_scenario(
+            {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (100.1, 50.0)}, duration=5.0, radio_range=100.0
+        )
+        assert first_receivers(scn) == {1}
 
     def test_excludes_self(self):
-        scn = make_static_scenario({0: (0.0, 0.0), 1: (10.0, 0.0)})
-        assert 0 not in neighbors_in_range(scn.trace, 0, 0.0, 100.0)
+        scn = make_static_scenario(
+            {0: (0.0, 0.0), 1: (10.0, 0.0)}, duration=5.0, radio_range=100.0
+        )
+        assert first_receivers(scn) == {1}
 
 
 class TestMetricsSerialization:
@@ -225,3 +247,12 @@ def test_compare_against_reference_self_is_zero_gap(pair_flow):
     m_cfg, m_rfc, gaps = compare_against_reference(pair_flow, CFG, NIC, seed=2)
     assert m_cfg == m_rfc
     assert gaps == (0.0, 0.0)
+
+
+def test_importing_sim_does_not_load_analysis():
+    # analysis builds on sim, never the other way round
+    src = str(Path(olsrtune.__file__).resolve().parent.parent)
+    code = "import sys, olsrtune.sim; sys.exit('olsrtune.analysis' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert out.returncode == 0
