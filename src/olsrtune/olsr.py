@@ -14,6 +14,24 @@ genome codec and the JSON config codec all derive from it.
 Nodes are single-interface, so no MID messages are generated and
 mid_hold_time is inert: it has no protocol effect. It stays in the
 genome so that the eight tuned parameters match the paper's.
+
+The MPR set and the routing table are caches of the pure functions
+select_mprs(state) and compute_routes(state), recomputed only when read
+after an input changed:
+
+- MPRs are marked dirty when process_hello adds a link, turns one
+  symmetric, sees a new willingness or learns a new two-hop entry, and
+  when expire drops a link or a two-hop entry;
+- routes are marked dirty when process_hello adds a link or turns one
+  symmetric, when process_tc sees a new sequence number or destination,
+  and when expire drops a link or a topology entry;
+- a lapsed duplicate or MPR-selector entry marks neither.
+
+mpr_set and routing_table are valid only while clean, so readers go
+through ensure_mprs and ensure_routes.
+
+expire opens only the two-hop hoods and topology records whose stored
+minimum expiry (two_hop_min, topology_min) has passed.
 """
 
 from __future__ import annotations
@@ -49,6 +67,7 @@ __all__ = [
     "make_tc",
     "process_hello",
     "select_mprs",
+    "ensure_mprs",
     "process_tc",
     "should_forward",
     "compute_routes",
@@ -249,13 +268,19 @@ class OlsrNodeState:
     links: dict = field(default_factory=dict)
     # neighbor -> last advertised willingness
     nbr_will: dict = field(default_factory=dict)
-    # neighbor -> {two-hop node -> expiry}
+    # neighbor -> {two-hop node -> expiry}; hoods are never empty
     two_hop: dict = field(default_factory=dict)
+    # neighbor -> min(two_hop[neighbor].values()), same keys as two_hop
+    two_hop_min: dict = field(default_factory=dict)
     mpr_set: set = field(default_factory=set)
+    mprs_dirty: bool = False
     # neighbor that selected us as MPR -> expiry
     mpr_selectors: dict = field(default_factory=dict)
     # originator (last hop) -> [seq_no, {dest -> expiry}]
     topology: dict = field(default_factory=dict)
+    # originator -> min of its dest expiries (-inf while it has none),
+    # same keys as topology
+    topology_min: dict = field(default_factory=dict)
     # (originator, seq_no) -> expiry
     duplicates: dict = field(default_factory=dict)
     # dest -> (next_hop, hop_count)
@@ -277,10 +302,11 @@ class OlsrNodeState:
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
     """Build this node's next HELLO, advertising all current links."""
+    mprs = ensure_mprs(state)
     entries = []
     for nbr in sorted(state.links):
         sym, _exp = state.links[nbr]
-        if sym and nbr in state.mpr_set:
+        if sym and nbr in mprs:
             status = LINK_MPR
         elif sym:
             status = LINK_SYM
@@ -316,45 +342,44 @@ def process_hello(
     state: OlsrNodeState, msg: ControlMessage, now: float, config: OlsrConfig
 ) -> OlsrNodeState:
     """Apply a received HELLO: link sensing, two-hop discovery, MPR
-    bookkeeping. The link turns symmetric once the sender lists us."""
+    bookkeeping. The link turns symmetric once the sender lists us.
+    Marks MPRs and routes dirty as the module docstring sets out."""
     sender = msg.sender
-    if sender == state.node_id:
+    me = state.node_id
+    if sender == me:
         return state
     own_will, entries = msg.payload
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
-    listed = False
-    listed_as_mpr = False
+    # one pass: spot ourselves in the list, refresh the sender's hood
+    listed = listed_as_mpr = False
+    hood = state.two_hop.get(sender, {})
+    known = len(hood)
     for nbr, status, _w in entries:
-        if nbr == state.node_id:
+        if nbr == me:
             listed = True
             if status == LINK_MPR:
                 listed_as_mpr = True
+        elif status != LINK_ASYM:
+            hood[nbr] = expiry
+    if hood:
+        state.two_hop[sender] = hood
+        state.two_hop_min[sender] = min(hood.values())
 
     prev = state.links.get(sender)
     sym = listed or (prev is not None and prev[0])
     state.links[sender] = (sym, expiry)
     link_changed = prev is None or prev[0] != sym
 
-    nbhd_changed = link_changed
-    if state.nbr_will.get(sender) != own_will:
-        state.nbr_will[sender] = own_will
-        nbhd_changed = True
-
-    hood = state.two_hop.setdefault(sender, {})
-    for nbr, status, _w in entries:
-        if nbr == state.node_id or status == LINK_ASYM:
-            continue
-        if nbr not in hood:
-            nbhd_changed = True
-        hood[nbr] = expiry
-
     if listed_as_mpr:
         state.mpr_selectors[sender] = expiry
 
-    if nbhd_changed:
-        select_mprs(state)
+    if state.nbr_will.get(sender) != own_will:
+        state.nbr_will[sender] = own_will
+        state.mprs_dirty = True
+    if link_changed or len(hood) > known:
+        state.mprs_dirty = True
     if link_changed:
         state.routes_dirty = True
     return state
@@ -432,7 +457,14 @@ def select_mprs(state: OlsrNodeState) -> set:
         uncovered -= cover[best]
 
     state.mpr_set = mprs
+    state.mprs_dirty = False
     return mprs
+
+
+def ensure_mprs(state: OlsrNodeState) -> set:
+    if state.mprs_dirty:
+        return select_mprs(state)
+    return state.mpr_set
 
 
 def process_tc(
@@ -459,6 +491,8 @@ def process_tc(
         if dest not in dests:
             state.routes_dirty = True
         dests[dest] = expiry
+    # -inf opens an empty record at the next slow expire, which drops it
+    state.topology_min[orig] = min(dests.values(), default=-math.inf)
     return state
 
 
@@ -521,61 +555,62 @@ def ensure_routes(state: OlsrNodeState) -> dict:
 
 
 def expire(state: OlsrNodeState, now: float) -> OlsrNodeState:
-    """Drop every entry whose expiry is <= now; recompute MPRs and routes
-    if anything went. O(1) when the earliest stored expiry is still ahead."""
+    """Drop every entry whose expiry is <= now and mark MPRs or routes
+    dirty if an input of theirs went. O(1) when the earliest stored
+    expiry is still ahead; otherwise opens only the hoods and topology
+    records whose minimum has passed."""
     if now < state.next_expiry:
         return state
 
-    removed = False
-    bound = math.inf
+    links = state.links
+    dead_links = [n for n, (_s, exp) in links.items() if exp <= now]
+    if dead_links:
+        for n in dead_links:
+            del links[n]
+            state.nbr_will.pop(n, None)
+            state.two_hop.pop(n, None)
+            state.two_hop_min.pop(n, None)
+        state.mprs_dirty = True
+        state.routes_dirty = True
+    bound = min((exp for _s, exp in links.values()), default=math.inf)
 
-    dead_links = [n for n, (_s, exp) in state.links.items() if exp <= now]
-    for n in dead_links:
-        del state.links[n]
-        state.nbr_will.pop(n, None)
-        state.two_hop.pop(n, None)
-        removed = True
-    for _n, (_s, exp) in state.links.items():
-        bound = min(bound, exp)
-
-    for n in list(state.two_hop):
+    hood_min = state.two_hop_min
+    for n in [n for n, m in hood_min.items() if m <= now]:
         hood = state.two_hop[n]
-        dead = [t for t, exp in hood.items() if exp <= now]
-        for t in dead:
+        for t in [t for t, exp in hood.items() if exp <= now]:
             del hood[t]
-            removed = True
-        if not hood:
-            del state.two_hop[n]
+        if hood:
+            hood_min[n] = min(hood.values())
         else:
-            bound = min(bound, min(hood.values()))
+            del state.two_hop[n]
+            del hood_min[n]
+        state.mprs_dirty = True
+    bound = min(bound, min(hood_min.values(), default=math.inf))
 
-    dead_sel = [n for n, exp in state.mpr_selectors.items() if exp <= now]
-    for n in dead_sel:
-        del state.mpr_selectors[n]
-        removed = True
-    if state.mpr_selectors:
-        bound = min(bound, min(state.mpr_selectors.values()))
+    selectors = state.mpr_selectors
+    for n in [n for n, exp in selectors.items() if exp <= now]:
+        del selectors[n]
+    bound = min(bound, min(selectors.values(), default=math.inf))
 
-    for orig in list(state.topology):
+    topo_min = state.topology_min
+    for orig in [o for o, m in topo_min.items() if m <= now]:
         dests = state.topology[orig][1]
         dead = [d for d, exp in dests.items() if exp <= now]
-        for d in dead:
-            del dests[d]
-            removed = True
-        if not dests:
-            del state.topology[orig]
+        if dead:
+            for d in dead:
+                del dests[d]
+            state.routes_dirty = True
+        if dests:
+            topo_min[orig] = min(dests.values())
         else:
-            bound = min(bound, min(dests.values()))
+            del state.topology[orig]
+            del topo_min[orig]
+    bound = min(bound, min(topo_min.values(), default=math.inf))
 
-    dead_dup = [k for k, exp in state.duplicates.items() if exp <= now]
-    for k in dead_dup:
-        del state.duplicates[k]
-        removed = True
-    if state.duplicates:
-        bound = min(bound, min(state.duplicates.values()))
+    dups = state.duplicates
+    for k in [k for k, exp in dups.items() if exp <= now]:
+        del dups[k]
+    bound = min(bound, min(dups.values(), default=math.inf))
 
     state.next_expiry = bound
-    if removed:
-        select_mprs(state)
-        compute_routes(state)
     return state

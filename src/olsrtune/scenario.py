@@ -424,6 +424,11 @@ def _is_number(value) -> bool:
     )
 
 
+def _is_whole(value) -> bool:
+    """A JSON number with no fractional part: 512 and 512.0, not 100.9."""
+    return _is_number(value) and float(value).is_integer()
+
+
 def _is_area(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
 
@@ -483,7 +488,9 @@ def load_scenario(json_path) -> Scenario:
     """Read a scenario JSON; trace_file paths resolve against the JSON's directory.
 
     Raises InputError for a file that is not a JSON object with a
-    trace_file field, or a field that is missing or of the wrong type.
+    trace_file field, a field that is missing or of the wrong type, a
+    flow source, destination or packet_size that is not a whole number,
+    or a trace file that is not UTF-8 text.
     """
     json_path = Path(json_path)
     try:
@@ -504,15 +511,26 @@ def load_scenario(json_path) -> Scenario:
     flow_docs = _field(doc, "flows", lambda v: isinstance(v, list), "a list", where)
     if not all(isinstance(f, dict) for f in flow_docs):
         raise InputError(f"{where}: every entry of 'flows' must be an object")
-    names = ("source", "destination", "packet_size", "rate", "start", "duration")
+    whole, finite = (_is_whole, "a whole number"), (_is_number, "a finite number")
+    flow_fields = (
+        ("source", whole),
+        ("destination", whole),
+        ("packet_size", whole),
+        ("rate", finite),
+        ("start", finite),
+        ("duration", finite),
+    )
     flow_values = [
-        [_field(f, name, _is_number, "a finite number", f"{where}: flow {k}") for name in names]
+        [_field(f, name, ok, what, f"{where}: flow {k}") for name, (ok, what) in flow_fields]
         for k, f in enumerate(flow_docs)
     ]
     if not trace_ref.is_absolute():
         trace_ref = json_path.parent / trace_ref
-    with open(trace_ref, encoding="utf-8") as fh:
-        trace = load_trace(fh)
+    try:
+        with open(trace_ref, encoding="utf-8") as fh:
+            trace = load_trace(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"trace file {trace_ref} is not UTF-8 text: {exc}") from None
     flows = tuple(
         CbrFlow(
             source=int(src),

@@ -156,8 +156,17 @@ def _drop_flow_rate(doc):
     return doc
 
 
+def _set_flow(key, value):
+    def mutate(doc):
+        doc["flows"][0][key] = value
+        return doc
+
+    return mutate
+
+
 # (file, mutation, exit code): 2 for malformed input, 3 for a domain error;
-# a mutation returns the new document, or the file's text as a string
+# a mutation returns the new document, or the file's text as a string;
+# a "trace" mutation maps the scenario's trace file bytes to new bytes
 MALFORMED_FILES = {
     "config-list": ("config", lambda doc: list(doc.values()), 2),
     "config-word": ("config", _set("hello_interval", "fast"), 2),
@@ -175,6 +184,9 @@ MALFORMED_FILES = {
     "scenario-flow-missing-rate": ("scenario", _drop_flow_rate, 2),
     "scenario-loss-number": ("scenario", _set("loss_model", 5), 2),
     "scenario-infinite-range": ("scenario", _set("radio_range_m", float("inf")), 2),
+    "scenario-fractional-source": ("scenario", _set_flow("source", 1.5), 2),
+    "scenario-fractional-size": ("scenario", _set_flow("packet_size", 100.9), 2),
+    "scenario-trace-not-utf8": ("trace", lambda data: b"\xff\xfe" + data, 2),
 }
 
 
@@ -182,15 +194,21 @@ MALFORMED_FILES = {
 def test_malformed_file_gives_one_error_line(tmp_path, capsys, case):
     which, mutate, code = MALFORMED_FILES[case]
     scn = run_gen(tmp_path)
+    argv = ["simulate", "--scenario", str(scn), "--rfc"]
     if which == "config":
         path = tmp_path / "bad.json"
         doc = mutate(config_to_dict(rfc_default()))
         argv = ["simulate", "--scenario", str(scn), "--config", str(path)]
-    else:
+    elif which == "scenario":
         path = scn
         doc = mutate(json.loads(scn.read_text()))
-        argv = ["simulate", "--scenario", str(scn), "--rfc"]
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    else:
+        path = scn.parent / json.loads(scn.read_text())["trace_file"]
+        doc = mutate(path.read_bytes())
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err

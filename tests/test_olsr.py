@@ -1,7 +1,9 @@
 """Protocol-state machinery: configs, messages, MPRs, topology, routes."""
 
+import copy
 import math
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,6 +26,8 @@ from olsrtune.olsr import (
     decode_genome,
     default_param_space,
     encode_config,
+    ensure_mprs,
+    ensure_routes,
     expire,
     hello_emission_interval,
     make_hello,
@@ -190,7 +194,13 @@ class TestLinkSensing:
             CFG,
         )
         assert 2 in a.two_hop[1]
-        assert a.mpr_set == {1}
+        assert ensure_mprs(a) == {1}
+
+    def test_asym_entries_are_not_two_hop(self):
+        a = OlsrNodeState(node_id=0)
+        entries = ((0, LINK_SYM, 3), (2, LINK_ASYM, 3), (3, LINK_SYM, 3))
+        process_hello(a, ControlMessage("HELLO", 1, 1, 1, (3, entries), 48), 0.0, CFG)
+        assert set(a.two_hop[1]) == {3}
 
     def test_mpr_selector_recorded(self):
         b = OlsrNodeState(node_id=1)
@@ -315,11 +325,11 @@ class TestExpire:
         s = OlsrNodeState(node_id=0)
         msg = ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3), (2, LINK_SYM, 3))), 40)
         process_hello(s, msg, 0.0, CFG)
-        assert s.mpr_set == {1}
+        assert ensure_mprs(s) == {1}
         expire(s, CFG.neighb_hold_time + 0.01)
         assert s.links == {}
         assert s.two_hop == {}
-        assert s.mpr_set == set()
+        assert ensure_mprs(s) == set()
         assert compute_routes(s) == {}
 
     def test_before_expiry_nothing_happens(self):
@@ -333,3 +343,109 @@ class TestExpire:
         process_tc(s, ControlMessage("TC", 5, 5, 1, (6,), 24), 0.0, CFG)
         expire(s, CFG.top_hold_time + 0.01)
         assert s.topology == {}
+
+
+def stored_expiries(s):
+    out = [exp for _sym, exp in s.links.values()]
+    out += [exp for hood in s.two_hop.values() for exp in hood.values()]
+    out += list(s.mpr_selectors.values())
+    out += [exp for _seq, dests in s.topology.values() for exp in dests.values()]
+    out += list(s.duplicates.values())
+    return out
+
+
+def reference_expire(s, now):
+    """Full-scan expiry with no MPR or route work: the reference for what
+    expire drops and the next_expiry it leaves."""
+    if now < s.next_expiry:
+        return
+    for n in [n for n, (_sym, exp) in s.links.items() if exp <= now]:
+        del s.links[n]
+        s.nbr_will.pop(n, None)
+        s.two_hop.pop(n, None)
+    dest_tables = [dests for _seq, dests in s.topology.values()]
+    for table in [*s.two_hop.values(), s.mpr_selectors, *dest_tables, s.duplicates]:
+        for k in [k for k, exp in table.items() if exp <= now]:
+            del table[k]
+    s.two_hop = {n: hood for n, hood in s.two_hop.items() if hood}
+    s.topology = {o: rec for o, rec in s.topology.items() if rec[1]}
+    s.next_expiry = min(stored_expiries(s), default=math.inf)
+
+
+class TestLazyEqualsEager:
+    """The cached MPR set and routing table equal a fresh evaluation after
+    any sequence of calls, and the expiry bounds stay exact."""
+
+    IDS = range(12)
+    TABLES = ("links", "nbr_will", "two_hop", "mpr_selectors", "topology", "duplicates")
+
+    def random_hello(self, rng, will):
+        sender = rng.randint(1, 8)
+        entries = tuple(
+            (n, rng.choice((LINK_ASYM, LINK_SYM, LINK_MPR)), rng.choice((0, 3, 7)))
+            for n in self.IDS
+            if n != sender and rng.random() < 0.4
+        )
+        own = will if rng.random() < 0.5 else rng.choice((0, 3, 7))
+        return ControlMessage("HELLO", sender, sender, 1, (own, entries), 24)
+
+    def random_tc(self, rng, last_seq):
+        orig = rng.randint(1, 10)
+        seq = max(1, last_seq.get(orig, 1) + rng.randint(-1, 1))
+        last_seq[orig] = max(seq, last_seq.get(orig, 1))
+        dests = tuple(n for n in self.IDS if rng.random() < 0.3)
+        sender = orig if rng.random() < 0.5 else rng.randint(1, 8)
+        return ControlMessage("TC", orig, sender, seq, dests, 28)
+
+    def check(self, s, ref):
+        """Caches equal fresh evaluations, tables equal those of the
+        full-scan reference, and the per-table minima are exact."""
+        assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
+        assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
+        for name in self.TABLES:
+            assert getattr(s, name) == getattr(ref, name), name
+        assert s.next_expiry == ref.next_expiry
+        assert all(s.next_expiry <= exp for exp in stored_expiries(s))
+        assert s.two_hop_min == {n: min(hood.values()) for n, hood in s.two_hop.items()}
+        assert s.topology_min == {
+            o: min(dests.values(), default=-math.inf) for o, (_seq, dests) in s.topology.items()
+        }
+
+    @pytest.mark.parametrize("will", (0, 3, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_call_sequences(self, seed, will):
+        rng = random.Random(100 * seed + will)
+        cfg = replace(
+            CFG,
+            willingness=will,
+            neighb_hold_time=rng.uniform(5.5, 12.0),
+            top_hold_time=rng.uniform(10.5, 20.0),
+            dup_hold_time=rng.uniform(10.5, 20.0),
+        )
+        s, ref = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
+        last_seq = {}
+        now = 0.0
+        for _step in range(400):
+            # a step is a burst of calls, so dirty flags can pile up between reads
+            for _call in range(rng.randint(1, 3)):
+                due = [exp for exp in stored_expiries(s) if exp > now]
+                if due and rng.random() < 0.1:
+                    now = min(due)  # land exactly on an expiry: it lapses at <= now
+                else:
+                    now += rng.uniform(0.0, 1.5) if rng.random() < 0.95 else rng.uniform(5.0, 15.0)
+                op = rng.random()
+                if op < 0.45:
+                    msg = self.random_hello(rng, will)
+                    process_hello(s, msg, now, cfg)
+                    process_hello(ref, msg, now, cfg)
+                elif op < 0.65:
+                    msg = self.random_tc(rng, last_seq)
+                    process_tc(s, msg, now, cfg)
+                    process_tc(ref, msg, now, cfg)
+                elif op < 0.8:
+                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, cfg)
+                    assert should_forward(s, *args) == should_forward(ref, *args)
+                else:
+                    expire(s, now)
+                    reference_expire(ref, now)
+            self.check(s, ref)

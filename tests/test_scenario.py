@@ -221,6 +221,22 @@ class TestScenarioFiles:
         with pytest.raises(InputError):
             load_scenario(stray)
 
+    def test_whole_float_flow_fields_load_as_ints(self, tmp_path):
+        scn = generate_grid_scenario(
+            GridSpec(area=(200.0, 200.0), vehicle_count=4, duration=20.0),
+            1, FlowTemplate(start=2.0, duration=10.0, packet_size=512), seed=5,
+        )
+        save_scenario(scn, tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        flow = doc["flows"][0]
+        flow["source"] = float(flow["source"])
+        flow["packet_size"] = 512.0
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        loaded = load_scenario(tmp_path / "s.json").flows[0]
+        assert loaded == scn.flows[0]
+        assert type(loaded.source) is int and type(loaded.packet_size) is int
+        assert loaded.packet_size == 512
+
     def test_json_fields(self, tmp_path):
         scn = generate_grid_scenario(
             GridSpec(area=(200.0, 200.0), vehicle_count=4, duration=20.0),
