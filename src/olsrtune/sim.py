@@ -7,12 +7,29 @@ node the receive energy, data or control alike. Data packets travel
 hop-by-hop along the routing tables; control floods follow the MPR
 forwarding rule. Runs are fully deterministic in (scenario, config,
 nic, seed) and independent of host scheduling.
+
+The radio model, which every transmission goes through:
+
+- positions come from _PositionIndex and equal scenario.position_at bit
+  for bit;
+- node j hears sender i when d2 <= radio_range**2, where
+  d2 = (x_j - x_i)**2 + (y_j - y_i)**2 in float64;
+- under bernoulli loss, every in-range node other than the sender, in
+  node-index order, takes exactly one draw r = loss_rng.random() from
+  the run's derive_rng(seed, "loss") stream and loses the frame when
+  r < p_at_max_range * sqrt(d2) / radio_range;
+- the sender pays energy_send and every receiver energy_recv of the
+  frame size; a data frame arrives packet_airtime plus the processing
+  delay later.
+
+Changing any of these, the draw order included, changes the metrics.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -174,11 +191,14 @@ def metrics_to_json(metrics: SimMetrics) -> dict:
 
 
 class _PositionIndex:
-    """Vectorized positions for every node at a shared query time.
+    """Every node's position at a shared query time, as a (2, n) array of
+    x and y rows in node-id order.
 
     Traces produced by the generator sample all nodes on one time grid;
-    that case interpolates a whole (n, 2) snapshot with two numpy rows.
-    Irregular traces fall back to per-node interpolation.
+    that case keeps one (2, n) snapshot per sample plus its difference to
+    the next, so an interpolated snapshot is xy[k] + f * dxy[k], the same
+    arithmetic as position_at. Irregular traces fall back to per-node
+    position_at.
     """
 
     def __init__(self, trace: MobilityTrace):
@@ -188,9 +208,11 @@ class _PositionIndex:
         times0 = per_node[self.node_ids[0]][0]
         self.shared = all(per_node[n][0] == times0 for n in self.node_ids)
         if self.shared:
-            self.times = np.asarray(times0)
-            self.xs = np.column_stack([per_node[n][1] for n in self.node_ids])
-            self.ys = np.column_stack([per_node[n][2] for n in self.node_ids])
+            self.times = [float(x) for x in times0]
+            rows = [[per_node[n][axis] for n in self.node_ids] for axis in (1, 2)]
+            xy = np.asarray(rows, dtype=float).transpose(2, 0, 1).copy()  # (samples, 2, n)
+            self.xy = list(xy)
+            self.dxy = list(xy[1:] - xy[:-1])
         self._cache_t = None
         self._cache = None
 
@@ -198,20 +220,18 @@ class _PositionIndex:
         if t == self._cache_t:
             return self._cache
         if self.shared:
-            k = int(np.searchsorted(self.times, t, side="right")) - 1
+            times = self.times
+            k = bisect_right(times, t) - 1
             if k < 0:
                 k = 0
-            if k >= len(self.times) - 1 or self.times[k] == t:
-                snap = (self.xs[k], self.ys[k])
+            if k >= len(times) - 1 or times[k] == t:
+                snap = self.xy[k]
             else:
-                f = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-                snap = (
-                    self.xs[k] + f * (self.xs[k + 1] - self.xs[k]),
-                    self.ys[k] + f * (self.ys[k + 1] - self.ys[k]),
-                )
+                f = (t - times[k]) / (times[k + 1] - times[k])
+                snap = self.xy[k] + f * self.dxy[k]
         else:
             pts = [position_at(self.trace, n, t) for n in self.node_ids]
-            snap = (np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+            snap = np.array(pts, dtype=float).T
         self._cache_t = t
         self._cache = snap
         return snap
@@ -263,6 +283,7 @@ class _Simulation:
         self.loss_rng = derive_rng(seed, "loss")
         self.lossy = scenario.loss_model.kind == "bernoulli"
         self.p_max = scenario.loss_model.p_at_max_range
+        self.frame_costs: dict = {}
 
         self.heap: list = []
         self._seq = 0
@@ -307,31 +328,45 @@ class _Simulation:
             self._push(t, kind, (node, k))
 
     def _receivers(self, sender: int, t: float):
-        xs, ys = self.pos.positions(t)
+        xy = self.pos.positions(t)
         i = self.index[sender]
-        d2 = (xs - xs[i]) ** 2 + (ys - ys[i]) ** 2
-        hits = np.flatnonzero(d2 <= self.range2)
-        out = []
-        for j in hits:
-            if j == i:
-                continue
-            node = self.nodes[j]
-            if self.lossy:
-                p = self.p_max * math.sqrt(d2[j]) / self.scenario.radio_range
-                if self.loss_rng.random() < p:
-                    continue
-            out.append(node)
-        return out
+        d = xy - xy[:, i : i + 1]
+        d *= d
+        d2 = d[0] + d[1]
+        hits = (d2 <= self.range2).nonzero()[0].tolist()
+        nodes = self.nodes
+        if not self.lossy:
+            return [nodes[j] for j in hits if j != i]
+        dist2 = d2.tolist()
+        p_max, radio_range, draw = self.p_max, self.scenario.radio_range, self.loss_rng.random
+        # one draw per in-range node other than the sender, in index order
+        return [
+            nodes[j]
+            for j in hits
+            if j != i and not draw() < p_max * math.sqrt(dist2[j]) / radio_range
+        ]
+
+    def _frame_cost(self, size_bits: int) -> tuple:
+        """(send energy, receive energy, airtime) of a frame of `size_bits`,
+        computed once per size and run."""
+        cost = self.frame_costs.get(size_bits)
+        if cost is None:
+            cost = self.frame_costs[size_bits] = (
+                energy_send(self.nic, size_bits),
+                energy_recv(self.nic, size_bits),
+                packet_airtime(size_bits, self.scenario.bandwidth),
+            )
+        return cost
 
     def _transmit(self, sender: int, size_bits: int, t: float):
         """Charge one broadcast: sender pays send energy, every node that
         hears it pays receive energy. Returns the receiving node ids."""
         receivers = self._receivers(sender, t)
-        self.e_sent[sender] += energy_send(self.nic, size_bits)
-        if receivers:
-            e = energy_recv(self.nic, size_bits)
-            for r in receivers:
-                self.e_recv[r] += e
+        e_send, e_recv, _airtime = self._frame_cost(size_bits)
+        self.e_sent[sender] += e_send
+        ledger = self.e_recv
+        for r in receivers:
+            ledger[r] += e_recv
         if self.on_transmit is not None:
             self.on_transmit(sender, size_bits, tuple(receivers), t)
         return receivers
@@ -372,7 +407,7 @@ class _Simulation:
         receivers = self._transmit(node, size_bits, t)
         if next_hop not in receivers:
             return  # next hop moved away or lost the frame
-        arrival = t + packet_airtime(size_bits, self.scenario.bandwidth) + self.processing_delay
+        arrival = t + self._frame_cost(size_bits)[2] + self.processing_delay
         self._push(arrival, _EV_DATA, (next_hop, dest, size_bytes, origin_t, hops + 1))
 
     def run(self) -> SimMetrics:

@@ -269,6 +269,18 @@ class TestProcessTc:
         process_tc(s, self.make_tc_msg(0, 1, (6,)), 0.0, CFG)
         assert s.topology == {}
 
+    def test_newer_seq_same_set_refreshes_without_route_recompute(self):
+        s = OlsrNodeState(node_id=0)
+        s.links = {5: (True, 999.0)}
+        process_tc(s, self.make_tc_msg(5, 1, (6, 7)), 0.0, CFG)
+        assert ensure_routes(s) == {5: (5, 1), 6: (5, 2), 7: (5, 2)}
+        process_tc(s, self.make_tc_msg(5, 2, (7, 6, 0)), 1.0, CFG)
+        assert s.routes_dirty is False
+        assert s.topology[5] == [2, {6: 1.0 + CFG.top_hold_time, 7: 1.0 + CFG.top_hold_time}]
+        assert s.topology_min[5] == 1.0 + CFG.top_hold_time
+        process_tc(s, self.make_tc_msg(5, 3, (6,)), 2.0, CFG)
+        assert s.routes_dirty is True
+
     def test_self_as_dest_skipped(self):
         s = OlsrNodeState(node_id=0)
         process_tc(s, self.make_tc_msg(5, 1, (0, 6)), 0.0, CFG)
@@ -292,6 +304,18 @@ class TestShouldForward:
         s.mpr_selectors = {1: 1e9}
         assert should_forward(s, 9, 1, 1, 0.0, CFG) is True
         assert should_forward(s, 9, 1, 1, CFG.dup_hold_time + 0.1, CFG) is True
+
+    def test_duplicates_kept_in_expiry_order(self):
+        s = OlsrNodeState(node_id=0)
+        should_forward(s, 9, 1, 1, 0.0, CFG)
+        should_forward(s, 9, 2, 1, 1.0, CFG)
+        should_forward(s, 9, 1, 1, CFG.dup_hold_time + 0.5, CFG)  # lapsed: re-inserted at the back
+        assert list(s.duplicates) == [(9, 2), (9, 1)]
+        should_forward(s, 9, 3, 1, 2.0, replace(CFG, dup_hold_time=10.5))  # expires first
+        assert list(s.duplicates) == [(9, 3), (9, 2), (9, 1)]
+        expire(s, 12.5)
+        assert list(s.duplicates) == [(9, 2), (9, 1)]
+        assert s.next_expiry == 1.0 + CFG.dup_hold_time
 
 
 class TestRoutes:
@@ -389,11 +413,17 @@ class TestLazyEqualsEager:
         own = will if rng.random() < 0.5 else rng.choice((0, 3, 7))
         return ControlMessage("HELLO", sender, sender, 1, (own, entries), 24)
 
-    def random_tc(self, rng, last_seq):
+    def random_tc(self, rng, last_seq, last_dests=None):
+        """A TC with a random destination set, or with `orig`'s previous
+        one half the time when `last_dests` keeps them."""
         orig = rng.randint(1, 10)
         seq = max(1, last_seq.get(orig, 1) + rng.randint(-1, 1))
         last_seq[orig] = max(seq, last_seq.get(orig, 1))
         dests = tuple(n for n in self.IDS if rng.random() < 0.3)
+        if last_dests is not None:
+            if orig in last_dests and rng.random() < 0.5:
+                dests = last_dests[orig]
+            last_dests[orig] = dests
         sender = orig if rng.random() < 0.5 else rng.randint(1, 8)
         return ControlMessage("TC", orig, sender, seq, dests, 28)
 
@@ -410,11 +440,26 @@ class TestLazyEqualsEager:
         assert s.topology_min == {
             o: min(dests.values(), default=-math.inf) for o, (_seq, dests) in s.topology.items()
         }
+        dup_expiries = list(s.duplicates.values())
+        assert dup_expiries == sorted(dup_expiries)
+        assert all(exp <= s.dup_newest for exp in dup_expiries)
 
     @pytest.mark.parametrize("will", (0, 3, 7))
     @pytest.mark.parametrize("seed", range(4))
     def test_random_call_sequences(self, seed, will):
-        rng = random.Random(100 * seed + will)
+        self.run_sequence(random.Random(100 * seed + will), will)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_monotone_dup_hold_time(self, seed):
+        # each forwarding decision draws its own dup_hold_time, so expiries
+        # arrive out of order and the duplicate set must be re-sorted
+        self.run_sequence(random.Random(1000 + seed), 3, vary_dup_hold=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_tc_sets(self, seed):
+        self.run_sequence(random.Random(2000 + seed), 3, repeat_tc_sets=True)
+
+    def run_sequence(self, rng, will, *, vary_dup_hold=False, repeat_tc_sets=False):
         cfg = replace(
             CFG,
             willingness=will,
@@ -424,6 +469,7 @@ class TestLazyEqualsEager:
         )
         s, ref = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
         last_seq = {}
+        last_dests = {} if repeat_tc_sets else None
         now = 0.0
         for _step in range(400):
             # a step is a burst of calls, so dirty flags can pile up between reads
@@ -439,11 +485,14 @@ class TestLazyEqualsEager:
                     process_hello(s, msg, now, cfg)
                     process_hello(ref, msg, now, cfg)
                 elif op < 0.65:
-                    msg = self.random_tc(rng, last_seq)
+                    msg = self.random_tc(rng, last_seq, last_dests)
                     process_tc(s, msg, now, cfg)
                     process_tc(ref, msg, now, cfg)
                 elif op < 0.8:
-                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, cfg)
+                    fwd_cfg = cfg
+                    if vary_dup_hold:
+                        fwd_cfg = replace(cfg, dup_hold_time=rng.uniform(10.5, 20.0))
+                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, fwd_cfg)
                     assert should_forward(s, *args) == should_forward(ref, *args)
                 else:
                     expire(s, now)

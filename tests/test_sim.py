@@ -1,10 +1,12 @@
 """End-to-end simulator behaviour on small controlled scenarios."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import olsrtune
@@ -18,12 +20,17 @@ from olsrtune.scenario import (
     FlowTemplate,
     GridSpec,
     LossModel,
+    MobilityTrace,
     generate_grid_scenario,
+    position_at,
     relabel_scenario,
 )
+from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
+    _PositionIndex,
     broadcast_energy,
     default_nic,
+    energy_recv,
     metrics_row,
     metrics_to_json,
     routing_snapshot,
@@ -224,6 +231,101 @@ class TestNeighborsInRange:
             {0: (0.0, 0.0), 1: (10.0, 0.0)}, duration=5.0, radio_range=100.0
         )
         assert first_receivers(scn) == {1}
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestPositionIndex:
+    """_PositionIndex.positions(t) equals scenario.position_at bit for bit."""
+
+    def check_times(self, trace, times):
+        index = _PositionIndex(trace)
+        for t in times:
+            snap = index.positions(t)
+            assert snap.shape == (2, trace.node_count)
+            for j, node in enumerate(trace.node_ids):
+                assert bits(snap[:, j]) == bits(position_at(trace, node, t)), (node, t)
+            again = index.positions(t)
+            assert again is snap  # served from the cache
+        return index
+
+    def test_shared_grid(self):
+        spec = GridSpec(area=(400.0, 300.0), vehicle_count=6, speed=(3.0, 9.0), duration=12.0)
+        scn = generate_grid_scenario(spec, 0, FlowTemplate(), seed=7)
+        samples = sorted({t for t, _n, _x, _y in scn.trace.samples})
+        mids = [a + f * (b - a) for a, b in zip(samples, samples[1:]) for f in (0.1, 1 / 3, 0.77)]
+        late = [samples[-1] + 0.25, samples[-1] + 40.0]
+        index = self.check_times(scn.trace, samples + mids + late)
+        assert index.shared
+
+    def test_irregular_trace(self):
+        trace = MobilityTrace(
+            node_count=3,
+            samples=(
+                (0.0, 0, 1.5, 2.25),
+                (0.0, 1, 100.1, 0.3),
+                (0.0, 2, 7.0, 7.0),
+                (0.7, 1, 90.7, 13.9),
+                (1.3, 0, 11.1, 2.25),
+                (2.9, 1, 60.2, 40.03),
+                (4.0, 0, 3.3, 19.6),
+            ),
+            duration=4.0,
+        )
+        times = [0.0, 0.7, 1.3, 2.9, 4.0, 0.35, 1.0, 1.9, 3.3, 3.999, 4.5, 60.0]
+        index = self.check_times(trace, times)
+        assert not index.shared
+
+
+def reference_receivers(scn, seed, transmissions):
+    """Replay every transmission through the radio model written as a plain
+    per-node loop over position_at, with a twin of the run's loss stream.
+    Returns each transmission's receivers, the per-node receive energy and
+    the number of frames lost in range."""
+    loss_rng = derive_rng(seed, "loss")
+    nodes = list(scn.trace.node_ids)
+    p_max = scn.loss_model.p_at_max_range
+    out = []
+    e_recv = {n: 0.0 for n in nodes}
+    lost = 0
+    for sender, size_bits, _receivers, t in transmissions:
+        xi, yi = position_at(scn.trace, sender, t)
+        heard = []
+        for node in nodes:
+            x, y = position_at(scn.trace, node, t)
+            dx, dy = x - xi, y - yi
+            d2 = dx * dx + dy * dy
+            if d2 > scn.radio_range**2 or node == sender:
+                continue
+            if loss_rng.random() < p_max * math.sqrt(d2) / scn.radio_range:
+                lost += 1
+                continue
+            heard.append(node)
+        out.append(tuple(heard))
+        for node in heard:
+            e_recv[node] += energy_recv(NIC, size_bits)
+    return out, e_recv, lost
+
+
+class TestRadioModelReference:
+    def test_lossy_multihop_matches_per_hit_loop(self):
+        spec = GridSpec(area=(900.0, 600.0), vehicle_count=14, speed=(4.0, 10.0), duration=40.0)
+        template = FlowTemplate(packet_size=256, rate=4.0, start=10.0, duration=25.0)
+        scn = generate_grid_scenario(
+            spec, 4, template, seed=11, radio_range=260.0, loss_model=LossModel("bernoulli", 0.4)
+        )
+        seen = []
+        m = run_simulation(scn, CFG, NIC, seed=5, on_transmit=lambda *call: seen.append(call))
+        expected, e_recv, lost = reference_receivers(scn, 5, seen)
+        assert [call[2] for call in seen] == expected
+        assert m.energy.per_node_recv == e_recv
+        # the scenario exercises what the contract covers
+        assert m.hops is not None and m.hops > 1.0
+        assert len(seen) > 500
+        assert sum(map(len, expected)) > len(seen)
+        assert lost > 100
 
 
 class TestMetricsSerialization:
