@@ -97,9 +97,13 @@ class BenchResult:
 
 def bench_result(times: dict, repetitions: int) -> BenchResult:
     """Summarize {worker count -> list of wall times}; the smallest count
-    (normally 1) is the sequential baseline."""
+    (normally 1) is the sequential baseline. Raises DomainError if there
+    are no worker counts or a count has no samples."""
     if not times:
         raise DomainError("no benchmark samples")
+    for m, samples in times.items():
+        if len(samples) == 0:
+            raise DomainError(f"no benchmark samples for {m} workers")
     counts = tuple(sorted(times))
     means = tuple(float(np.mean(times[m])) for m in counts)
     base = means[0] * counts[0]  # time of one worker doing all the work

@@ -292,11 +292,10 @@ def cmd_tune(args) -> int:
             nic,
             ctx,
         )
-        header = (
-            "p_c,p_m,avg_f,stdev_f,best_f,avg_energy,avg_pdr,gap_energy,gap_pdr".split(",")
-        )
         grid_path = out / "grid.csv"
-        _write_csv(grid_path, header, [[repr(r[c]) for c in header] for r in rows])
+        _write_csv(
+            grid_path, evo.GRID_COLUMNS, [[repr(r[c]) for c in evo.GRID_COLUMNS] for r in rows]
+        )
         manifest.output_file(grid_path)
         manifest.write()
         print(f"wrote {grid_path}")
@@ -311,21 +310,7 @@ def cmd_tune(args) -> int:
         encoding="utf-8",
     )
     hist_path = out / "history.csv"
-    _write_csv(
-        hist_path,
-        evo.HISTORY_COLUMNS,
-        [
-            [
-                str(h.generation),
-                repr(h.best_f),
-                repr(h.avg_f),
-                repr(h.best_energy),
-                repr(h.best_pdr),
-                str(h.penalized_count),
-            ]
-            for h in history
-        ],
-    )
+    _write_csv(hist_path, evo.HISTORY_COLUMNS, [evo.history_row(h) for h in history])
     manifest.output_file(best_path)
     manifest.output_file(hist_path)
     manifest.write(
@@ -400,6 +385,8 @@ def cmd_bench(args) -> int:
     worker_counts = _parse_int_list(args.workers, "workers")
     if not worker_counts:
         raise InputError("no worker counts given")
+    if args.reps < 1:
+        raise InputError("--reps must be >= 1")
     ctx = evo.calibrate_context(scenario, nic, args.seed)
     manifest.setting(
         scenario=scenario_id,

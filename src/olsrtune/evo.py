@@ -4,12 +4,15 @@ The master owns all evolutionary state and randomness; fitness
 evaluations (one simulation each) are farmed out to a fixed pool of
 worker processes with a synchronous barrier per generation. Evaluation
 seeds depend only on (master_seed, generation, index), so results are
-bit-identical for any worker count.
+bit-identical for any worker count. Every operator returns genes through
+ParamSpace.clip, the one rule for a legal genome.
 
 Fitness rewards energy savings relative to the standard-defaults
 reference run and mildly rewards delivery; configurations whose PDR
 falls below 85% of the reference get an additive penalty. Lower is
-better throughout.
+better throughout. An evaluation that fails with a package error
+(OlsrTuneError) gets the WORST_FITNESS sentinel; any other exception is
+a bug and aborts the run.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .olsr import OlsrConfig, ParamSpace, decode_genome, rfc_default
+from .errors import ConfigurationError, DomainError, OlsrTuneError
+from .olsr import ParamSpace, decode_genome, rfc_default
 from .scenario import Scenario
 from .seeding import derive_rng, derive_seed
-from .sim import NicProfile, SimMetrics, run_simulation
+from .sim import NicProfile, run_simulation
 
 __all__ = [
     "Individual",
@@ -50,11 +53,14 @@ __all__ = [
     "evolve",
     "parameter_setting_grid",
     "HISTORY_COLUMNS",
+    "history_row",
+    "GRID_COLUMNS",
 ]
 
 log = logging.getLogger(__name__)
 
-# sentinel for failed evaluations: above any achievable penalized fitness
+# sentinel for an evaluation that raised OlsrTuneError: above any
+# achievable penalized fitness
 WORST_FITNESS = 1.85
 
 
@@ -101,11 +107,9 @@ def score(energy: float, pdr: float, ctx: FitnessContext) -> tuple:
 @dataclass(frozen=True)
 class FitnessRecord:
     f: float
-    f_raw: float
     penalized: bool
     energy: float  # millijoules
     pdr: float  # percent
-    metrics: SimMetrics | None
 
 
 @dataclass(frozen=True)
@@ -160,49 +164,33 @@ def evaluate(
     scenario: Scenario,
     nic: NicProfile,
     ctx: FitnessContext,
-    seed_policy,
+    master_seed: int,
     space: ParamSpace,
 ) -> FitnessRecord:
-    """Decode, simulate with the individual's derived seed, and score.
+    """Decode, simulate with the seed eval_seed(master_seed, *ind.id), and
+    score.
 
-    Failures never abort a run: the individual gets the worst-fitness
-    sentinel and the error is logged.
+    A package error (OlsrTuneError, e.g. a genome that does not decode or
+    a run that sends no data) gives the worst-fitness sentinel and is
+    logged. Any other exception propagates and aborts the run.
     """
-    generation, index = ind.id
-    seed = seed_policy(generation, index)
+    seed = eval_seed(master_seed, *ind.id)
     try:
         config = decode_genome(ind.genes, space)
         metrics = run_simulation(scenario, config, nic, seed)
         if metrics.pdr is None:
             raise DomainError("no data traffic in evaluation run")
-    except Exception:
+    except OlsrTuneError:
         log.exception("evaluation failed for individual %s", ind.id)
-        return FitnessRecord(
-            f=WORST_FITNESS,
-            f_raw=WORST_FITNESS,
-            penalized=True,
-            energy=math.inf,
-            pdr=0.0,
-            metrics=None,
-        )
+        return FitnessRecord(f=WORST_FITNESS, penalized=True, energy=math.inf, pdr=0.0)
     energy = metrics.energy.e_total
-    f, f_raw, penalized = score(energy, metrics.pdr, ctx)
-    return FitnessRecord(
-        f=f, f_raw=f_raw, penalized=penalized, energy=energy, pdr=metrics.pdr, metrics=metrics
-    )
+    f, _f_raw, penalized = score(energy, metrics.pdr, ctx)
+    return FitnessRecord(f=f, penalized=penalized, energy=energy, pdr=metrics.pdr)
 
 
 def _wrap(value: float, lo: float, hi: float) -> float:
     span = hi - lo
     return lo + ((value - lo) % span)
-
-
-def _round_willingness(genes: list, space: ParamSpace) -> list:
-    for k in space.integer_genes:
-        lo, hi = space.bounds[k]
-        g = math.floor(genes[k] + 0.5)
-        genes[k] = float(min(max(g, lo), hi))
-    return genes
 
 
 def diagonal_init(space: ParamSpace, pop_size: int, rng) -> list:
@@ -223,8 +211,7 @@ def diagonal_init(space: ParamSpace, pop_size: int, rng) -> list:
             beta = rng.random()
             alpha = ((p + beta) / pop_size) * (hi - lo)
             genes.append(_wrap(space.rfc[i] + alpha, lo, hi))
-        genes = _round_willingness(genes, space)
-        population.append(Individual(genes=tuple(genes), id=(0, p)))
+        population.append(Individual(genes=space.clip(genes), id=(0, p)))
     return population
 
 
@@ -242,25 +229,13 @@ def arithmetic_crossover(parent_p, parent_q, sigma: float, space: ParamSpace) ->
     if not 0 <= sigma <= 1:
         raise ConfigurationError("sigma must be in [0, 1]")
     c1, c2 = blend(parent_p, parent_q, sigma)
-    out = []
-    for child in (c1, c2):
-        genes = []
-        for i, g in enumerate(child):
-            lo, hi = space.bounds[i]
-            genes.append(min(max(g, lo), hi))
-        out.append(tuple(_round_willingness(genes, space)))
-    return out[0], out[1]
+    return space.clip(c1), space.clip(c2)
 
 
 def _resample(genes, idxs, rng, space):
     for i in idxs:
         lo, hi = space.bounds[i]
         genes[i] = lo + rng.random() * (hi - lo)
-
-
-def _clamp_gene(genes, i, value, space):
-    lo, hi = space.bounds[i]
-    genes[i] = min(max(value, lo), hi)
 
 
 # the 22-movement catalog over the genome
@@ -292,18 +267,17 @@ def mutate(genes, rng, space: ParamSpace) -> tuple:
     elif move == 12:
         _resample(out, (1, 0), rng, space)
     elif move == 13:
-        _clamp_gene(out, 4, 3.0 * out[0], space)
+        out[4] = 3.0 * out[0]
     elif move == 14:
-        _clamp_gene(out, 6, 3.0 * out[2], space)
+        out[6] = 3.0 * out[2]
     elif move == 15:
-        _clamp_gene(out, 5, 3.0 * out[2], space)
+        out[5] = 3.0 * out[2]
     elif move == 16:
-        _clamp_gene(out, 0, out[0] * rng.uniform(0.5, 2.0), space)
+        out[0] *= rng.uniform(0.5, 2.0)
     elif move == 17:
-        _clamp_gene(out, 2, out[2] * rng.uniform(0.5, 2.0), space)
+        out[2] *= rng.uniform(0.5, 2.0)
     elif move == 18:
-        delta = 1.0 if rng.random() < 0.5 else -1.0
-        _clamp_gene(out, 3, out[3] + delta, space)
+        out[3] += 1.0 if rng.random() < 0.5 else -1.0
     elif move == 19:
         _resample(out, (4, 5, 6, 7), rng, space)
     elif move == 20:
@@ -313,7 +287,7 @@ def mutate(genes, rng, space: ParamSpace) -> tuple:
         out[k] = space.rfc[k]
     else:  # move == 22
         _resample(out, range(space.n_genes), rng, space)
-    return tuple(_round_willingness(out, space))
+    return space.clip(out)
 
 
 def _rank_key(ind: Individual) -> tuple:
@@ -346,6 +320,12 @@ class GenerationStats:
 HISTORY_COLUMNS = ("generation", "best_f", "avg_f", "best_energy", "best_pdr", "penalized_count")
 
 
+def history_row(stats: GenerationStats) -> list:
+    """One history.csv row: repr of each HISTORY_COLUMNS field (repr of
+    an int equals its str)."""
+    return [repr(getattr(stats, c)) for c in HISTORY_COLUMNS]
+
+
 # worker-side cache: the constant evaluation payload is shipped once per
 # worker via the pool initializer instead of with every task
 _worker_payload = None
@@ -361,12 +341,7 @@ def _eval_task(args):
     scenario, nic, ctx, space, master_seed, pad_s = _worker_payload
     if pad_s > 0:
         time.sleep(pad_s)  # emulates a heavier simulator for scaling runs
-    ind = Individual(genes=genes, id=ind_id)
-
-    def policy(g, p):
-        return eval_seed(master_seed, g, p)
-
-    return evaluate(ind, scenario, nic, ctx, policy, space)
+    return evaluate(Individual(genes=genes, id=ind_id), scenario, nic, ctx, master_seed, space)
 
 
 class _Evaluator:
@@ -452,15 +427,11 @@ def evolve(
                     offspring.append(Individual(genes=genes, id=(g, len(offspring))))
             offspring = evaluator.run(offspring)
 
-            if settings.elitism:
-                elite = sorted(population, key=_rank_key)[: settings.elitism]
-                worst = sorted(offspring, key=_rank_key)[len(offspring) - settings.elitism :]
-                worst_ids = {ind.id for ind in worst}
-                merged = [ind for ind in offspring if ind.id not in worst_ids]
-                merged.extend(elite)
-                population = merged
-            else:
-                population = offspring
+            # the elites replace the worst offspring; elitism 0 keeps all
+            elite = sorted(population, key=_rank_key)[: settings.elitism]
+            worst = sorted(offspring, key=_rank_key)[len(offspring) - settings.elitism :]
+            worst_ids = {ind.id for ind in worst}
+            population = [ind for ind in offspring if ind.id not in worst_ids] + elite
 
             gen_best = min(population, key=_rank_key)
             if gen_best.fitness.f < best.fitness.f:
@@ -469,6 +440,11 @@ def evolve(
         return best, history
     finally:
         evaluator.close()
+
+
+GRID_COLUMNS = (
+    "p_c", "p_m", "avg_f", "stdev_f", "best_f", "avg_energy", "avg_pdr", "gap_energy", "gap_pdr"
+)
 
 
 def parameter_setting_grid(
@@ -482,7 +458,8 @@ def parameter_setting_grid(
     ctx: FitnessContext | None = None,
 ) -> list:
     """Run `evolve` for every (p_c, p_m) combination, `repetitions` times
-    each with distinct derived seeds; one summary row per combination."""
+    each with distinct derived seeds; one summary row per combination,
+    keyed by GRID_COLUMNS."""
     from .analysis import gap_energy, gap_pdr
 
     if not pc_values or not pm_values or repetitions < 1:
@@ -504,17 +481,16 @@ def parameter_setting_grid(
                 pdrs.append(best.fitness.pdr)
             avg_e = float(np.mean(energies))
             avg_pdr = float(np.mean(pdrs))
-            rows.append(
-                {
-                    "p_c": p_c,
-                    "p_m": p_m,
-                    "avg_f": float(np.mean(finals)),
-                    "stdev_f": float(np.std(finals, ddof=1)) if repetitions > 1 else 0.0,
-                    "best_f": float(min(finals)),
-                    "avg_energy": avg_e,
-                    "avg_pdr": avg_pdr,
-                    "gap_energy": gap_energy(avg_e, ctx.e_rfc),
-                    "gap_pdr": gap_pdr(avg_pdr, ctx.pdr_rfc),
-                }
+            values = (
+                p_c,
+                p_m,
+                float(np.mean(finals)),
+                float(np.std(finals, ddof=1)) if repetitions > 1 else 0.0,
+                float(min(finals)),
+                avg_e,
+                avg_pdr,
+                gap_energy(avg_e, ctx.e_rfc),
+                gap_pdr(avg_pdr, ctx.pdr_rfc),
             )
+            rows.append(dict(zip(GRID_COLUMNS, values)))
     return rows

@@ -9,7 +9,8 @@ OlsrConfig.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
-genome codec and the JSON config codec all derive from it.
+genome codec and the JSON config codec all derive from it. The rule for
+a legal genome is defined once, in ParamSpace.clip.
 
 Nodes are single-interface, so no MID messages are generated and
 mid_hold_time is inert: it has no protocol effect. It stays in the
@@ -183,14 +184,23 @@ class ParamSpace:
                 raise ConfigurationError(f"gene {k}: need z_min < z_max")
             if not lo <= z <= hi:
                 raise ConfigurationError(f"gene {k}: rfc value {z} outside bounds")
+            if k in self.integer_genes and not (float(lo).is_integer() and float(hi).is_integer()):
+                raise ConfigurationError(f"gene {k}: integer gene needs whole bounds")
 
     @property
     def n_genes(self) -> int:
         return len(self.bounds)
 
-    def span(self, k: int) -> float:
-        lo, hi = self.bounds[k]
-        return hi - lo
+    def clip(self, genes) -> tuple:
+        """The one rule for a legal genome: clamp every gene to its bounds
+        and round the integer genes half up. Idempotent."""
+        out = []
+        for k, (g, (lo, hi)) in enumerate(zip(genes, self.bounds)):
+            if k in self.integer_genes:
+                out.append(float(min(max(math.floor(g + 0.5), lo), hi)))
+            else:
+                out.append(min(max(g, lo), hi))
+        return tuple(out)
 
 
 def default_param_space() -> ParamSpace:
@@ -200,18 +210,16 @@ def default_param_space() -> ParamSpace:
 
 
 def decode_genome(genes, space: ParamSpace) -> OlsrConfig:
-    """Map an 8-gene vector to a valid config: clamp every gene to its
-    bounds and round the integer genes half up."""
+    """Map an 8-gene vector to a valid config through space.clip."""
     if len(genes) != space.n_genes:
         raise ConfigurationError(f"expected {space.n_genes} genes, got {len(genes)}")
-    values = {}
-    for k, (p, g, (lo, hi)) in enumerate(zip(PARAMS, genes, space.bounds)):
-        g = float(g)
+    genes = [float(g) for g in genes]
+    for k, g in enumerate(genes):
         if not math.isfinite(g):
             raise ConfigurationError(f"gene {k} is not finite")
-        g = min(max(g, lo), hi)
-        values[p.name] = int(math.floor(g + 0.5)) if p.integer else g
-    return OlsrConfig(**values)
+    return OlsrConfig(
+        **{p.name: int(g) if p.integer else g for p, g in zip(PARAMS, space.clip(genes))}
+    )
 
 
 def encode_config(config: OlsrConfig) -> tuple:

@@ -251,16 +251,12 @@ class _Simulation:
         config: OlsrConfig,
         nic: NicProfile,
         seed: int,
-        processing_delay: float,
-        max_hops: int,
         on_transmit,
     ):
         self.scenario = scenario
         self.config = config
         self.nic = nic
         self.seed = seed
-        self.processing_delay = processing_delay
-        self.max_hops = max_hops
         self.on_transmit = on_transmit
 
         self.nodes = list(scenario.trace.node_ids)
@@ -407,7 +403,7 @@ class _Simulation:
         receivers = self._transmit(node, size_bits, t)
         if next_hop not in receivers:
             return  # next hop moved away or lost the frame
-        arrival = t + self._frame_cost(size_bits)[2] + self.processing_delay
+        arrival = t + self._frame_cost(size_bits)[2] + PROCESSING_DELAY_S
         self._push(arrival, _EV_DATA, (next_hop, dest, size_bytes, origin_t, hops + 1))
 
     def run(self) -> SimMetrics:
@@ -440,7 +436,7 @@ class _Simulation:
                     self.data_delivered += 1
                     self.hops_sum += hops
                     self.delay_sum += t - origin_t
-                elif hops < self.max_hops:
+                elif hops < MAX_HOPS:
                     self._send_data(node, dest, size_bytes, origin_t, hops, t)
         return self._metrics()
 
@@ -469,8 +465,6 @@ def run_simulation(
     seed: int,
     *,
     allow_no_flows: bool = False,
-    processing_delay: float = PROCESSING_DELAY_S,
-    max_hops: int = MAX_HOPS,
     on_transmit=None,
 ) -> SimMetrics:
     """Simulate `scenario` under `config` and return the run's metrics.
@@ -481,7 +475,7 @@ def run_simulation(
     """
     if not scenario.flows and not allow_no_flows:
         raise ConfigurationError("no data flows (pass allow_no_flows to run control-only)")
-    sim = _Simulation(scenario, config, nic, seed, processing_delay, max_hops, on_transmit)
+    sim = _Simulation(scenario, config, nic, seed, on_transmit)
     return sim.run()
 
 
@@ -493,7 +487,7 @@ def routing_snapshot(
 ) -> dict:
     """Run the control plane for the scenario's full duration and return
     every node's routing table as {node: {dest: (next_hop, hops)}}."""
-    sim = _Simulation(scenario, config, nic, seed, PROCESSING_DELAY_S, MAX_HOPS, None)
+    sim = _Simulation(scenario, config, nic, seed, None)
     sim.run()
     tables = {}
     for node, state in sim.states.items():

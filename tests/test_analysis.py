@@ -82,6 +82,10 @@ class TestBenchResult:
         with pytest.raises(DomainError):
             bench_result({}, repetitions=1)
 
+    def test_count_without_samples_rejected(self):
+        with pytest.raises(DomainError):
+            bench_result({1: [2.0], 2: []}, repetitions=1)
+
     def test_csv_shape(self):
         res = bench_result({1: [2.0], 2: [1.0]}, repetitions=1)
         lines = bench_csv(res).strip().splitlines()

@@ -305,6 +305,17 @@ class TestBench:
         manifest = json.loads((out / "bench_manifest.json").read_text())
         assert manifest["deterministic_outputs"] is False
 
+    def test_zero_reps_exits_2(self, tmp_path, capsys):
+        scn = run_gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        argv = ["bench", "--scenario", str(scn), "--workers", "1", "--reps", "0",
+                "--pop", "4", "--gens", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "bench.csv").exists()
+
 
 @pytest.mark.skipif(shutil.which("olsrtune") is None, reason="console script not on PATH")
 def test_console_script_version():

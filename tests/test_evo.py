@@ -1,11 +1,13 @@
 """Fitness function, operators, and the evolutionary loop."""
 
 import math
+import multiprocessing
 import random
 
 import pytest
 
 from conftest import make_static_scenario, line_positions
+from olsrtune import evo
 from olsrtune.errors import ConfigurationError, DomainError
 from olsrtune.evo import (
     MUTATION_MOVES,
@@ -106,6 +108,7 @@ class TestDiagonalInit:
         a = diagonal_init(SPACE, 8, random.Random(42))
         b = diagonal_init(SPACE, 8, random.Random(42))
         assert [i.genes for i in a] == [i.genes for i in b]
+        assert all(SPACE.clip(i.genes) == i.genes for i in a)
 
 
 class TestCrossover:
@@ -136,6 +139,7 @@ class TestCrossover:
                     lo, hi = SPACE.bounds[k]
                     assert lo <= g <= hi
                 assert child[3] == int(child[3])
+                assert SPACE.clip(child) == child
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -152,6 +156,7 @@ class TestMutate:
                 lo, hi = SPACE.bounds[k]
                 assert lo <= g <= hi
             assert genes[3] == int(genes[3])
+            assert SPACE.clip(genes) == genes
 
     def test_decodes_to_valid_config(self):
         rng = random.Random(6)
@@ -197,7 +202,7 @@ class TestTournament:
 def _rec(f):
     from olsrtune.evo import FitnessRecord
 
-    return FitnessRecord(f=f, f_raw=f, penalized=False, energy=1.0, pdr=100.0, metrics=None)
+    return FitnessRecord(f=f, penalized=False, energy=1.0, pdr=100.0)
 
 
 class TestSettings:
@@ -265,10 +270,36 @@ class TestEvolve:
         from olsrtune.evo import evaluate
 
         bad = Individual(genes=(math.nan,) * 8, id=(0, 0))
-        rec = evaluate(bad, tiny_scenario(), default_nic(), ctx,
-                       lambda g, p: eval_seed(1, g, p), SPACE)
+        rec = evaluate(bad, tiny_scenario(), default_nic(), ctx, 1, SPACE)
         assert rec.f == WORST_FITNESS
         assert rec.penalized
+
+    def test_package_error_in_simulation_gets_sentinel(self, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise DomainError("injected")
+
+        monkeypatch.setattr(evo, "run_simulation", fail)
+        ctx = FitnessContext(e_rfc=100.0, pdr_rfc=90.0)
+        best, hist = evolve(self.settings(generations=1), SPACE, tiny_scenario(),
+                            default_nic(), ctx)
+        assert best.fitness.f == WORST_FITNESS
+        assert [h.penalized_count for h in hist] == [4, 4]
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="only forked pool workers see the patched run_simulation")),
+    ])
+    def test_bug_in_simulation_aborts_evolve(self, monkeypatch, workers):
+        # the pool forks after the patch, so its workers raise too
+        def bug(*_args, **_kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(evo, "run_simulation", bug)
+        ctx = FitnessContext(e_rfc=100.0, pdr_rfc=90.0)
+        with pytest.raises(TypeError, match="injected"):
+            evolve(self.settings(workers=workers), SPACE, tiny_scenario(), default_nic(), ctx)
 
 
 class TestParameterGrid:

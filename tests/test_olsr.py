@@ -102,10 +102,26 @@ class TestDecode:
         cfg = decode_genome((-10, 99, 4, 3, 6, 15, 15, 30), self.space)
         assert cfg.hello_interval == 2.0
         assert cfg.refresh_interval == 15.0
+        # clip is the decode rule, on vectors reaching one span beyond either bound
+        rng = random.Random(8)
+        for _ in range(500):
+            genes = tuple(rng.uniform(2 * lo - hi, 2 * hi - lo) for lo, hi in self.space.bounds)
+            clipped = self.space.clip(genes)
+            assert self.space.clip(clipped) == clipped
+            assert decode_genome(genes, self.space) == decode_genome(clipped, self.space)
+            assert encode_config(decode_genome(genes, self.space)) == clipped
 
     def test_willingness_rounds_half_up(self):
-        assert decode_genome((2, 2, 5, 2.5, 6, 15, 15, 30), self.space).willingness == 3
-        assert decode_genome((2, 2, 5, 2.49, 6, 15, 15, 30), self.space).willingness == 2
+        for gene, expected in ((2.5, 3), (2.49, 2), (-0.6, 0), (7.5, 7)):
+            genes = (2, 2, 5, gene, 6, 15, 15, 30)
+            assert decode_genome(genes, self.space).willingness == expected
+            assert self.space.clip(genes)[3] == float(expected)
+
+    def test_integer_gene_needs_whole_bounds(self):
+        bounds = list(self.space.bounds)
+        bounds[3] = (0.0, 6.5)
+        with pytest.raises(ConfigurationError):
+            replace(self.space, bounds=tuple(bounds))
 
     def test_gene_positions(self):
         cfg = decode_genome((3, 4, 6, 1, 7, 11, 12, 13), self.space)
