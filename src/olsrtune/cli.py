@@ -63,6 +63,17 @@ def _parse_float_list(text: str, what: str) -> list:
         raise InputError(f"bad {what} list: {text!r}") from None
 
 
+def _grid_flags(args) -> tuple:
+    """The p_c and p_m candidate lists and the repetitions of `tune --grid`."""
+    pc_values = _parse_float_list(args.grid_pc, "p_c")
+    pm_values = _parse_float_list(args.grid_pm, "p_m")
+    if not pc_values or not pm_values:
+        raise InputError("--grid-pc and --grid-pm need at least one value each")
+    if args.reps < 1:
+        raise InputError("--reps must be >= 1")
+    return pc_values, pm_values, args.reps
+
+
 def _parse_int_list(text: str, what: str) -> list:
     try:
         return [int(v) for v in text.split(",") if v != ""]
@@ -268,6 +279,7 @@ def cmd_tune(args) -> int:
         master_seed=args.seed,
         elitism=args.elitism,
     )
+    grid = _grid_flags(args) if args.grid else None
     ctx = evo.calibrate_context(scenario, nic, settings.master_seed)
     manifest.setting(
         scenario=scenario_id,
@@ -283,9 +295,7 @@ def cmd_tune(args) -> int:
 
     if args.grid:
         rows = evo.parameter_setting_grid(
-            _parse_float_list(args.grid_pc, "p_c"),
-            _parse_float_list(args.grid_pm, "p_m"),
-            args.reps,
+            *grid,
             settings,
             space,
             scenario,

@@ -18,16 +18,42 @@ genome so that the eight tuned parameters match the paper's.
 
 The MPR set and the routing table are caches of the pure functions
 select_mprs(state) and compute_routes(state), recomputed only when read
-after an input changed:
+after an input changed. mpr_set and routing_table are valid only while
+clean, so readers go through ensure_mprs and ensure_routes.
 
-- MPRs are marked dirty when process_hello adds a link, turns one
-  symmetric, sees a new willingness or learns a new two-hop entry, and
-  when expire drops a link or a two-hop entry;
-- routes are marked dirty when process_hello adds a link or turns one
-  symmetric, when process_tc sees a new destination, or a new sequence
-  number whose destination set differs from the stored one, and when
-  expire drops a link or a topology entry;
-- a lapsed duplicate or MPR-selector entry marks neither.
+A neighbour's two-hop hood is stored in two parts:
+
+- two_hop_adv[n] is the frozenset of non-ASYM ids in n's latest HELLO,
+  shared with every other receiver of that HELLO and possibly holding
+  our own id. Its entries expire with the link, at links[n][1], and it
+  exists exactly as long as links[n];
+- two_hop[n] holds n's stragglers, ids an older HELLO listed and the
+  latest one does not, each with the expiry of the last HELLO that
+  listed it. A straggler dict is never empty and never holds our own id
+  or an id of two_hop_adv[n].
+
+select_mprs reads a hood as the union of the two without our own id,
+through _strict_hood. make_hello reuses its previous views object while its entries are
+unchanged, so a receiver that already stores the sender's advertised
+set does no hood work at all.
+
+select_mprs reads only the symmetric neighbours, their willingness and
+their strict hoods (hood ids that are not our own and not symmetric
+neighbours), so MPRs are marked dirty exactly when:
+
+- a link turns symmetric, or a symmetric link expires;
+- a symmetric neighbour's willingness changes;
+- a symmetric neighbour's hood gains an id that is not our own and not
+  a symmetric neighbour;
+- expire drops such an id from a symmetric neighbour's stragglers.
+
+compute_routes reads only the symmetric neighbours and the topology
+destination sets, so routes are marked dirty when a link turns
+symmetric or a symmetric link expires, when process_tc sees a new
+destination, or a new sequence number whose destination set differs
+from the stored one, and when expire drops a topology entry. An
+asymmetric link, a lapsed duplicate or a lapsed MPR-selector entry
+marks neither.
 
 A change that leaves the table as it was, such as a TC whose new set
 alters no shortest path, still costs a recompute: 4,584 of the 7,800
@@ -35,10 +61,7 @@ compute_routes calls in the traced multihop_data benchmark run at seed 2
 return the table the node already had. Skipping those needs an
 incremental route computation, which is not done here.
 
-mpr_set and routing_table are valid only while clean, so readers go
-through ensure_mprs and ensure_routes.
-
-expire opens only the two-hop hoods and topology records whose stored
+expire opens only the straggler dicts and topology records whose stored
 minimum expiry (two_hop_min, topology_min) has passed. The duplicate
 set is kept in expiry order: should_forward re-inserts a key at the back,
 so expire drops lapsed entries from the front and stops at the first
@@ -64,6 +87,7 @@ __all__ = [
     "ParamSpace",
     "OlsrNodeState",
     "ControlMessage",
+    "HelloViews",
     "GENE_NAMES",
     "HELLO",
     "TC",
@@ -101,6 +125,9 @@ LINK_MPR = "mpr"  # symmetric and selected as MPR by the sender
 WILL_NEVER = 0
 WILL_DEFAULT = 3
 WILL_ALWAYS = 7
+
+_NO_LINK = (False, math.inf)
+_NO_IDS = frozenset()
 
 HELLO_HEADER_BYTES = 24
 HELLO_ENTRY_BYTES = 8
@@ -264,12 +291,30 @@ def config_from_dict(doc) -> OlsrConfig:
     return OlsrConfig(**values)
 
 
+class HelloViews(NamedTuple):
+    """The sets a HELLO receiver reads, built once per entries tuple."""
+
+    listed: frozenset  # every listed id
+    mprs: frozenset  # ids listed as MPR
+    adv: frozenset  # ids listed with a non-ASYM status
+
+
+def _hello_views(entries) -> HelloViews:
+    return HelloViews(
+        frozenset(nbr for nbr, _s, _w in entries),
+        frozenset(nbr for nbr, status, _w in entries if status == LINK_MPR),
+        frozenset(nbr for nbr, status, _w in entries if status != LINK_ASYM),
+    )
+
+
 @dataclass(frozen=True)
 class ControlMessage:
     """A HELLO or TC message as carried on the air.
 
     HELLO payload: (own willingness, ((neighbor, link status, neighbor
     willingness), ...)). TC payload: tuple of MPR-selector node ids.
+    A HELLO from make_hello carries its HelloViews in views; a message
+    built by hand may leave it None, and process_hello then derives it.
     """
 
     kind: str
@@ -278,6 +323,7 @@ class ControlMessage:
     seq_no: int
     payload: tuple
     size: int  # bytes
+    views: HelloViews | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -289,7 +335,11 @@ class OlsrNodeState:
     links: dict = field(default_factory=dict)
     # neighbor -> last advertised willingness
     nbr_will: dict = field(default_factory=dict)
-    # neighbor -> {two-hop node -> expiry}; hoods are never empty
+    # neighbor -> frozenset of non-ASYM ids in its latest HELLO; expires
+    # with the link and exists only while the link does
+    two_hop_adv: dict = field(default_factory=dict)
+    # neighbor -> {straggler -> expiry}: ids an older HELLO listed and the
+    # latest one does not; never empty
     two_hop: dict = field(default_factory=dict)
     # neighbor -> min(two_hop[neighbor].values()), same keys as two_hop
     two_hop_min: dict = field(default_factory=dict)
@@ -310,6 +360,8 @@ class OlsrNodeState:
     routing_table: dict = field(default_factory=dict)
     routes_dirty: bool = False
     hello_seq: int = 0
+    # (entries, views) of the latest HELLO made
+    last_hello: tuple | None = None
     tc_seq: int = 0
     # conservative lower bound on the earliest stored expiry; lets
     # expire() return in O(1) when nothing can have lapsed
@@ -324,7 +376,8 @@ class OlsrNodeState:
 
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
-    """Build this node's next HELLO, advertising all current links."""
+    """Build this node's next HELLO, advertising all current links. Its
+    entries and views are the previous HELLO's objects while equal."""
     mprs = ensure_mprs(state)
     entries = []
     for nbr in sorted(state.links):
@@ -336,14 +389,20 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
         else:
             status = LINK_ASYM
         entries.append((nbr, status, state.nbr_will.get(nbr, WILL_DEFAULT)))
+    entries = tuple(entries)
+    last = state.last_hello
+    if last is None or last[0] != entries:
+        last = state.last_hello = (entries, _hello_views(entries))
+    entries, views = last
     state.hello_seq += 1
     return ControlMessage(
         kind=HELLO,
         originator=state.node_id,
         sender=state.node_id,
         seq_no=state.hello_seq,
-        payload=(config.willingness, tuple(entries)),
+        payload=(config.willingness, entries),
         size=HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(entries),
+        views=views,
     )
 
 
@@ -372,40 +431,62 @@ def process_hello(
     if sender == me:
         return state
     own_will, entries = msg.payload
+    views = msg.views
+    if views is None:
+        views = _hello_views(entries)
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
-    # one pass: spot ourselves in the list, refresh the sender's hood
-    listed = listed_as_mpr = False
-    hood = state.two_hop.get(sender, {})
-    known = len(hood)
-    for nbr, status, _w in entries:
-        if nbr == me:
-            listed = True
-            if status == LINK_MPR:
-                listed_as_mpr = True
-        elif status != LINK_ASYM:
-            hood[nbr] = expiry
-    if hood:
-        state.two_hop[sender] = hood
-        state.two_hop_min[sender] = min(hood.values())
-
-    prev = state.links.get(sender)
-    sym = listed or (prev is not None and prev[0])
-    state.links[sender] = (sym, expiry)
-    link_changed = prev is None or prev[0] != sym
-
-    if listed_as_mpr:
+    links = state.links
+    prev = links.get(sender)
+    was_sym = prev is not None and prev[0]
+    sym = was_sym or me in views.listed
+    links[sender] = (sym, expiry)
+    if me in views.mprs:
         state.mpr_selectors[sender] = expiry
+
+    # the advertised set replaces the old one, whose ids the new one no
+    # longer lists stay as stragglers at the old link expiry
+    adv = views.adv
+    old = state.two_hop_adv.get(sender, _NO_IDS)
+    if adv is not old:
+        state.two_hop_adv[sender] = adv
+        hood = state.two_hop.get(sender, {})
+        if was_sym and not state.mprs_dirty:
+            for t in adv - old:
+                if t != me and t not in hood and not links.get(t, _NO_LINK)[0]:
+                    state.mprs_dirty = True
+                    break
+        for t in adv.intersection(hood):
+            del hood[t]
+        for t in old - adv:
+            if t != me:
+                hood[t] = prev[1]
+        if hood:
+            state.two_hop[sender] = hood
+            state.two_hop_min[sender] = min(hood.values())
+        elif sender in state.two_hop:
+            del state.two_hop[sender]
+            del state.two_hop_min[sender]
 
     if state.nbr_will.get(sender) != own_will:
         state.nbr_will[sender] = own_will
+        if sym:
+            state.mprs_dirty = True
+    if sym and not was_sym:
         state.mprs_dirty = True
-    if link_changed or len(hood) > known:
-        state.mprs_dirty = True
-    if link_changed:
         state.routes_dirty = True
     return state
+
+
+def _strict_hood(state: OlsrNodeState, n: int, near: set) -> frozenset:
+    """Neighbour n's hood, its advertised set plus its stragglers, less
+    `near`: our own id and the symmetric neighbours."""
+    hood = state.two_hop_adv.get(n, _NO_IDS).difference(near)
+    stragglers = state.two_hop.get(n)
+    if stragglers:
+        hood = hood.union(stragglers.keys() - near)
+    return hood
 
 
 def select_mprs(state: OlsrNodeState) -> set:
@@ -416,51 +497,46 @@ def select_mprs(state: OlsrNodeState) -> set:
     providers, then repeatedly the candidate with highest willingness,
     then widest uncovered coverage, then lowest id.
     """
-    sym = set()
-    for n, (is_sym, _exp) in state.links.items():
-        if is_sym:
-            sym.add(n)
-
+    will = state.nbr_will
+    sym = {n for n, (is_sym, _exp) in state.links.items() if is_sym}
+    near = sym | {state.node_id}
     cover = {}
+    mprs = set()
     for n in sym:
-        if state.nbr_will.get(n, WILL_DEFAULT) == WILL_NEVER:
+        w = will.get(n, WILL_DEFAULT)
+        if w == WILL_NEVER:
             continue
-        hood = state.two_hop.get(n)
-        if not hood:
-            continue
-        strict = {t for t in hood if t != state.node_id and t not in sym}
+        if w == WILL_ALWAYS:
+            mprs.add(n)
+        strict = _strict_hood(state, n, near)
         if strict:
             cover[n] = strict
 
-    targets = set()
-    for strict in cover.values():
-        targets |= strict
-    dropped = set()
-    for n in sym:
-        if state.nbr_will.get(n, WILL_DEFAULT) == WILL_NEVER:
-            hood = state.two_hop.get(n) or {}
-            for t in hood:
-                if t != state.node_id and t not in sym and t not in targets:
-                    dropped.add(t)
-    if dropped:
-        log.debug(
-            "node %d: two-hop nodes %s reachable only via willingness-0 neighbors",
-            state.node_id,
-            sorted(dropped),
-        )
+    targets = set().union(*cover.values())
+    if log.isEnabledFor(logging.DEBUG):
+        dropped = set()
+        for n in sym:
+            if will.get(n, WILL_DEFAULT) == WILL_NEVER:
+                dropped |= _strict_hood(state, n, near) - targets
+        if dropped:
+            log.debug(
+                "node %d: two-hop nodes %s reachable only via willingness-0 neighbors",
+                state.node_id,
+                sorted(dropped),
+            )
 
-    mprs = {n for n in sym if state.nbr_will.get(n, WILL_DEFAULT) == WILL_ALWAYS}
     uncovered = set(targets)
     for m in mprs:
-        uncovered -= cover.get(m, set())
+        uncovered -= cover.get(m, _NO_IDS)
 
     # sole providers first
-    for t in sorted(uncovered):
-        providers = [n for n, c in cover.items() if t in c]
-        if len(providers) == 1:
-            mprs.add(providers[0])
+    provider = {}
+    for n, strict in cover.items():
+        for t in strict & uncovered:
+            provider[t] = None if t in provider else n
+    mprs.update(n for n in provider.values() if n is not None)
     for m in mprs:
-        uncovered -= cover.get(m, set())
+        uncovered -= cover.get(m, _NO_IDS)
 
     while uncovered:
         best = None
@@ -471,7 +547,7 @@ def select_mprs(state: OlsrNodeState) -> set:
             gain = len(cover[n] & uncovered)
             if gain == 0:
                 continue
-            key = (state.nbr_will.get(n, WILL_DEFAULT), gain, -n)
+            key = (will.get(n, WILL_DEFAULT), gain, -n)
             if best_key is None or key > best_key:
                 best, best_key = n, key
         if best is None:
@@ -593,34 +669,37 @@ def ensure_routes(state: OlsrNodeState) -> dict:
 def expire(state: OlsrNodeState, now: float) -> OlsrNodeState:
     """Drop every entry whose expiry is <= now and mark MPRs or routes
     dirty if an input of theirs went. O(1) when the earliest stored
-    expiry is still ahead; otherwise opens only the hoods and topology
-    records whose minimum has passed."""
+    expiry is still ahead; otherwise opens only the straggler dicts and
+    topology records whose minimum has passed."""
     if now < state.next_expiry:
         return state
 
     links = state.links
     dead_links = [n for n, (_s, exp) in links.items() if exp <= now]
-    if dead_links:
-        for n in dead_links:
-            del links[n]
-            state.nbr_will.pop(n, None)
-            state.two_hop.pop(n, None)
-            state.two_hop_min.pop(n, None)
-        state.mprs_dirty = True
-        state.routes_dirty = True
+    for n in dead_links:
+        if links.pop(n)[0]:
+            state.mprs_dirty = True
+            state.routes_dirty = True
+        state.nbr_will.pop(n, None)
+        state.two_hop_adv.pop(n, None)
+        state.two_hop.pop(n, None)
+        state.two_hop_min.pop(n, None)
     bound = min((exp for _s, exp in links.values()), default=math.inf)
 
     hood_min = state.two_hop_min
+    me = state.node_id
     for n in [n for n, m in hood_min.items() if m <= now]:
         hood = state.two_hop[n]
-        for t in [t for t, exp in hood.items() if exp <= now]:
+        dead = [t for t, exp in hood.items() if exp <= now]
+        for t in dead:
             del hood[t]
         if hood:
             hood_min[n] = min(hood.values())
         else:
             del state.two_hop[n]
             del hood_min[n]
-        state.mprs_dirty = True
+        if links[n][0] and any(t != me and not links.get(t, _NO_LINK)[0] for t in dead):
+            state.mprs_dirty = True
     bound = min(bound, min(hood_min.values(), default=math.inf))
 
     selectors = state.mpr_selectors

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from olsrtune import evo
 from olsrtune.cli import main
 from olsrtune.olsr import config_to_dict, rfc_default
 
@@ -255,6 +256,24 @@ class TestTune:
         rows = (out / "grid.csv").read_text().strip().splitlines()
         assert rows[0].startswith("p_c,p_m,")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "flags", [["--reps", "0"], ["--grid-pc", ""], ["--grid-pm", ","]], ids=["reps", "pc", "pm"]
+    )
+    def test_bad_grid_flag_exits_2_before_calibrating(self, tmp_path, capsys, monkeypatch, flags):
+        scn = run_gen(tmp_path)
+
+        def no_simulation(*_args):
+            raise AssertionError("calibrated before the grid flags were checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_simulation)
+        capsys.readouterr()
+        argv = self.tune_argv(scn, tmp_path / "grid") + ["--grid", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_odd_population_exits_3(self, tmp_path):
         scn = run_gen(tmp_path)

@@ -1,6 +1,7 @@
 """Protocol-state machinery: configs, messages, MPRs, topology, routes."""
 
 import copy
+import logging
 import math
 import random
 from dataclasses import fields, replace
@@ -17,6 +18,9 @@ from olsrtune.olsr import (
     LINK_SYM,
     TC_ENTRY_BYTES,
     TC_HEADER_BYTES,
+    WILL_ALWAYS,
+    WILL_DEFAULT,
+    WILL_NEVER,
     ControlMessage,
     OlsrConfig,
     OlsrNodeState,
@@ -209,14 +213,14 @@ class TestLinkSensing:
             1.0,
             CFG,
         )
-        assert 2 in a.two_hop[1]
+        assert 2 in full_hood(a, 1)
         assert ensure_mprs(a) == {1}
 
     def test_asym_entries_are_not_two_hop(self):
         a = OlsrNodeState(node_id=0)
         entries = ((0, LINK_SYM, 3), (2, LINK_ASYM, 3), (3, LINK_SYM, 3))
         process_hello(a, ControlMessage("HELLO", 1, 1, 1, (3, entries), 48), 0.0, CFG)
-        assert set(a.two_hop[1]) == {3}
+        assert set(full_hood(a, 1)) == {3}
 
     def test_mpr_selector_recorded(self):
         b = OlsrNodeState(node_id=1)
@@ -252,6 +256,31 @@ class TestSelectMprs:
         s = self.state_with([1, 2, 3], {}, {1: {10}, 2: {10, 11, 12}, 3: {13}})
         mprs = select_mprs(s)
         assert 3 in mprs and 2 in mprs and 1 not in mprs
+
+    def test_two_hop_reachable_only_via_will0_is_logged(self, caplog):
+        s = self.state_with([1, 2], {1: 0}, {1: {10, 11}, 2: {10}})
+        with caplog.at_level(logging.DEBUG, logger="olsrtune.olsr"):
+            assert select_mprs(s) == {2}
+        assert "two-hop nodes [11] reachable only via willingness-0 neighbors" in caplog.text
+
+    def test_equals_reference_on_split_hoods(self):
+        # hoods split into an advertised set (which may hold our own id)
+        # and stragglers select what the full-dict reference selects
+        rng = random.Random(55)
+        for _case in range(300):
+            nbrs = range(1, rng.randint(2, 12))
+            s = OlsrNodeState(node_id=0)
+            s.links = {n: (rng.random() < 0.8, 999.0) for n in nbrs}
+            s.nbr_will = {n: rng.choice((0, 1, 3, 3, 6, 7)) for n in nbrs if rng.random() < 0.9}
+            for n in nbrs:
+                ids = [t for t in range(0, 30) if t != n and rng.random() < 0.2]
+                s.two_hop_adv[n] = frozenset(t for t in ids if rng.random() < 0.8)
+                stragglers = {t: 999.0 for t in ids if t not in s.two_hop_adv[n] and t != 0}
+                if stragglers:
+                    s.two_hop[n] = stragglers
+            ref = copy.deepcopy(s)
+            ref.two_hop = {n: hood for n in nbrs if (hood := full_hood(s, n))}
+            assert select_mprs(s) == reference_select_mprs(ref)
 
     def test_one_hop_nodes_not_targets(self):
         # 2 is already a symmetric neighbor: it needs no MPR coverage
@@ -359,6 +388,21 @@ class TestRoutes:
         s.topology = {7: [1, {8: 999.0}]}  # island not connected to us
         assert compute_routes(s) == {1: (1, 1)}
 
+    def test_asym_hello_leaves_routes_clean(self):
+        s = OlsrNodeState(node_id=0)
+        ensure_routes(s)
+        process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ((2, LINK_SYM, 3),)), 32), 0.0, CFG)
+        assert s.links[1] == (False, CFG.neighb_hold_time)
+        assert s.routes_dirty is False
+
+    def test_asym_link_expiry_leaves_routes_clean(self):
+        s = OlsrNodeState(node_id=0)
+        process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ()), 24), 0.0, CFG)
+        ensure_routes(s)
+        expire(s, CFG.neighb_hold_time)
+        assert s.links == {}
+        assert s.routes_dirty is False
+
 
 class TestExpire:
     def test_link_expiry_drops_everything_derived(self):
@@ -385,6 +429,14 @@ class TestExpire:
         assert s.topology == {}
 
 
+def full_hood(s, n):
+    """Neighbour n's two-hop hood as {id: expiry}: its advertised set at
+    the link expiry plus its stragglers, without our own id."""
+    hood = {t: s.links[n][1] for t in s.two_hop_adv.get(n, ()) if t != s.node_id}
+    hood.update(s.two_hop.get(n, {}))
+    return hood
+
+
 def stored_expiries(s):
     out = [exp for _sym, exp in s.links.values()]
     out += [exp for hood in s.two_hop.values() for exp in hood.values()]
@@ -402,6 +454,7 @@ def reference_expire(s, now):
     for n in [n for n, (_sym, exp) in s.links.items() if exp <= now]:
         del s.links[n]
         s.nbr_will.pop(n, None)
+        s.two_hop_adv.pop(n, None)
         s.two_hop.pop(n, None)
     dest_tables = [dests for _seq, dests in s.topology.values()]
     for table in [*s.two_hop.values(), s.mpr_selectors, *dest_tables, s.duplicates]:
@@ -417,7 +470,9 @@ class TestLazyEqualsEager:
     any sequence of calls, and the expiry bounds stay exact."""
 
     IDS = range(12)
-    TABLES = ("links", "nbr_will", "two_hop", "mpr_selectors", "topology", "duplicates")
+    TABLES = (
+        "links", "nbr_will", "two_hop_adv", "two_hop", "mpr_selectors", "topology", "duplicates"
+    )
 
     def random_hello(self, rng, will):
         sender = rng.randint(1, 8)
@@ -514,3 +569,196 @@ class TestLazyEqualsEager:
                     expire(s, now)
                     reference_expire(ref, now)
             self.check(s, ref)
+
+
+def reference_process_hello(
+    state: OlsrNodeState, msg: ControlMessage, now: float, config: OlsrConfig
+) -> OlsrNodeState:
+    """Apply a received HELLO: link sensing, two-hop discovery, MPR
+    bookkeeping. The link turns symmetric once the sender lists us.
+    Marks MPRs and routes dirty as the module docstring sets out."""
+    sender = msg.sender
+    me = state.node_id
+    if sender == me:
+        return state
+    own_will, entries = msg.payload
+    expiry = now + config.neighb_hold_time
+    state.note_expiry(expiry)
+
+    # one pass: spot ourselves in the list, refresh the sender's hood
+    listed = listed_as_mpr = False
+    hood = state.two_hop.get(sender, {})
+    known = len(hood)
+    for nbr, status, _w in entries:
+        if nbr == me:
+            listed = True
+            if status == LINK_MPR:
+                listed_as_mpr = True
+        elif status != LINK_ASYM:
+            hood[nbr] = expiry
+    if hood:
+        state.two_hop[sender] = hood
+        state.two_hop_min[sender] = min(hood.values())
+
+    prev = state.links.get(sender)
+    sym = listed or (prev is not None and prev[0])
+    state.links[sender] = (sym, expiry)
+    link_changed = prev is None or prev[0] != sym
+
+    if listed_as_mpr:
+        state.mpr_selectors[sender] = expiry
+
+    if state.nbr_will.get(sender) != own_will:
+        state.nbr_will[sender] = own_will
+        state.mprs_dirty = True
+    if link_changed or len(hood) > known:
+        state.mprs_dirty = True
+    if link_changed:
+        state.routes_dirty = True
+    return state
+
+
+def reference_select_mprs(state):
+    """select_mprs as first written, less its debug log: RFC 3626 greedy
+    MPR selection over hoods stored as full {id: expiry} dicts."""
+    sym = set()
+    for n, (is_sym, _exp) in state.links.items():
+        if is_sym:
+            sym.add(n)
+
+    cover = {}
+    for n in sym:
+        if state.nbr_will.get(n, WILL_DEFAULT) == WILL_NEVER:
+            continue
+        hood = state.two_hop.get(n)
+        if not hood:
+            continue
+        strict = {t for t in hood if t != state.node_id and t not in sym}
+        if strict:
+            cover[n] = strict
+
+    targets = set()
+    for strict in cover.values():
+        targets |= strict
+
+    mprs = {n for n in sym if state.nbr_will.get(n, WILL_DEFAULT) == WILL_ALWAYS}
+    uncovered = set(targets)
+    for m in mprs:
+        uncovered -= cover.get(m, set())
+
+    # sole providers first
+    for t in sorted(uncovered):
+        providers = [n for n, c in cover.items() if t in c]
+        if len(providers) == 1:
+            mprs.add(providers[0])
+    for m in mprs:
+        uncovered -= cover.get(m, set())
+
+    while uncovered:
+        best = None
+        best_key = None
+        for n in sorted(cover):
+            if n in mprs:
+                continue
+            gain = len(cover[n] & uncovered)
+            if gain == 0:
+                continue
+            key = (state.nbr_will.get(n, WILL_DEFAULT), gain, -n)
+            if best_key is None or key > best_key:
+                best, best_key = n, key
+        if best is None:
+            break  # leftovers are uncoverable
+        mprs.add(best)
+        uncovered -= cover[best]
+    return mprs
+
+
+class TestHoodEqualsReference:
+    """The shared advertised set plus stragglers holds exactly the
+    {id: expiry} hood that the per-receiver dict of reference_process_hello
+    holds, and the MPR and route dirty marks stay exact."""
+
+    IDS = range(10)
+    SENDERS = range(1, 6)
+
+    def mutate_sender(self, rng, sender, dropped):
+        """Change the sender's links so that its next HELLO drops, re-adds
+        or re-flags entries, or leave them as they are."""
+        op = rng.random()
+        links = sender.links
+        if op < 0.35:
+            return  # unchanged: make_hello resends the same views object
+        if op < 0.5 and links:
+            n = rng.choice(sorted(links))
+            del links[n]
+            dropped.append(n)
+        elif op < 0.65 and dropped:
+            links[dropped.pop(rng.randrange(len(dropped)))] = (True, 1e9)
+        elif op < 0.75:
+            n = rng.choice([n for n in self.IDS if n != sender.node_id])
+            links[n] = (rng.random() < 0.6, 1e9)  # may list the receiver, 0
+        elif op < 0.8:
+            for n in links:
+                links[n] = (False, 1e9)  # every entry ASYM
+        elif op < 0.9:
+            sym = sorted(n for n, (is_sym, _exp) in links.items() if is_sym)
+            sender.mpr_set = set(rng.sample(sym, rng.randint(0, len(sym))))
+        else:
+            n = rng.choice([n for n in self.IDS if n != sender.node_id])
+            sender.nbr_will[n] = rng.choice((0, 3, 7))
+
+    def check(self, s, twin):
+        hoods = {n: full_hood(s, n) for n in s.links}
+        assert {n: hood for n, hood in hoods.items() if hood} == twin.two_hop
+        assert set(s.two_hop_adv) == set(s.links)
+        for n, stragglers in s.two_hop.items():
+            assert stragglers and s.node_id not in stragglers
+            assert not stragglers.keys() & s.two_hop_adv[n]
+        assert s.two_hop_min == {n: min(hood.values()) for n, hood in s.two_hop.items()}
+        for name in ("links", "nbr_will", "mpr_selectors"):
+            assert getattr(s, name) == getattr(twin, name), name
+        assert s.next_expiry <= min(stored_expiries(s), default=math.inf)
+        assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
+        assert ensure_mprs(s) == reference_select_mprs(twin)
+        assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hello_sequences(self, seed):
+        rng = random.Random(3000 + seed)
+        cfg = replace(CFG, neighb_hold_time=rng.uniform(5.5, 12.0))
+        senders = {k: OlsrNodeState(node_id=k) for k in self.SENDERS}
+        for k, sender in senders.items():
+            sender.links = {n: (rng.random() < 0.7, 1e9) for n in self.IDS if n != k}
+        dropped = {k: [] for k in self.SENDERS}
+        s, twin = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
+        now = 0.0
+        for _step in range(500):
+            due = [exp for exp in stored_expiries(s) if exp > now]
+            if due and rng.random() < 0.1:
+                now = min(due)  # land exactly on an expiry
+            else:
+                now += rng.uniform(0.0, 1.5) if rng.random() < 0.9 else rng.uniform(4.0, 10.0)
+            if rng.random() < 0.25:
+                expire(s, now)
+                reference_expire(twin, now)
+            else:
+                k = rng.choice(self.SENDERS)
+                self.mutate_sender(rng, senders[k], dropped[k])
+                will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
+                msg = make_hello(senders[k], replace(cfg, willingness=will))
+                if rng.random() < 0.15:
+                    msg = replace(msg, views=None)  # as a hand-built message
+                process_hello(s, msg, now, cfg)
+                reference_process_hello(twin, msg, now, cfg)
+            self.check(s, twin)
+
+    def test_views_follow_entries(self):
+        sender = OlsrNodeState(node_id=1, links={0: (True, 1e9), 2: (False, 1e9)})
+        first = make_hello(sender, CFG)
+        again = make_hello(sender, CFG)
+        assert again.views is first.views and again.payload[1] is first.payload[1]
+        assert first.views == ({0, 2}, set(), {0})
+        sender.mpr_set = {0}
+        changed = make_hello(sender, CFG)
+        assert changed.views == ({0, 2}, {0}, {0})
+        assert changed.views is not first.views
