@@ -2,10 +2,12 @@
 
 Gap metrics compare a tuned configuration against the standard-defaults
 reference run; compare_against_reference and validation_report run the
-simulations they summarize. Speedup/efficiency summarize scaling
-benchmarks. The nonparametric tests (Friedman, Wilcoxon signed-rank,
-Kruskal-Wallis, Kolmogorov-Smirnov normality check) are the ones a
-multi-run comparison of stochastic optimizer results calls for.
+simulations they summarize. validation_report takes (class label,
+Scenario) pairs; `olsrtune validate` labels each scenario by its area.
+Speedup/efficiency summarize scaling benchmarks. The nonparametric
+tests (Friedman, Wilcoxon signed-rank, Kruskal-Wallis,
+Kolmogorov-Smirnov normality check) are the ones a multi-run comparison
+of stochastic optimizer results calls for.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import sim
-from .errors import DomainError
+from .errors import DomainError, OlsrTuneError
 from .olsr import OlsrConfig, rfc_default
 from .scenario import Scenario
 
@@ -92,10 +94,9 @@ class BenchResult:
     mean_times: tuple  # seconds, aligned with worker_counts
     speedups: tuple
     efficiencies: tuple
-    repetitions: int
 
 
-def bench_result(times: dict, repetitions: int) -> BenchResult:
+def bench_result(times: dict) -> BenchResult:
     """Summarize {worker count -> list of wall times}; the smallest count
     (normally 1) is the sequential baseline. Raises DomainError if there
     are no worker counts or a count has no samples."""
@@ -109,13 +110,7 @@ def bench_result(times: dict, repetitions: int) -> BenchResult:
     base = means[0] * counts[0]  # time of one worker doing all the work
     sp = tuple(speedup(base, t) for t in means)
     eff = tuple(efficiency(s, m) for s, m in zip(sp, counts))
-    return BenchResult(
-        worker_counts=counts,
-        mean_times=means,
-        speedups=sp,
-        efficiencies=eff,
-        repetitions=repetitions,
-    )
+    return BenchResult(worker_counts=counts, mean_times=means, speedups=sp, efficiencies=eff)
 
 
 def bench_csv(result: BenchResult) -> str:
@@ -299,36 +294,26 @@ class ValidationReport:
 def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
     """Average every metric per configuration over (scenario x seed) runs.
 
-    `configs` is a list of (name, OlsrConfig); `scenarios` a list of
-    (class label, Scenario) or bare Scenario (class defaults to the area
-    size). Emits one section per class plus an overall section; the best
-    cell per column within each section is flagged.
+    `configs` is a list of (name, OlsrConfig) and `scenarios` a list of
+    (class label, Scenario). Emits one section per class plus an overall
+    section; the best cell per column within each section is flagged. A
+    run that raises OlsrTuneError is logged and counted in `failures`;
+    any other exception is a bug and propagates.
     """
     if not configs or not scenarios:
         raise DomainError("need at least one config and one scenario")
-    labeled = []
-    for item in scenarios:
-        if isinstance(item, tuple):
-            labeled.append(item)
-        else:
-            w, h = item.area
-            labeled.append((f"{w:g}x{h:g}m", item))
-
-    classes = []
-    for label, _s in labeled:
-        if label not in classes:
-            classes.append(label)
+    classes = list(dict.fromkeys(label for label, _s in scenarios))
 
     cells: dict = {}
     failures = 0
     runs = 0
     for name, config in configs:
-        for label, scn in labeled:
+        for label, scn in scenarios:
             for seed in seeds:
                 runs += 1
                 try:
                     m = sim.run_simulation(scn, config, nic, seed)
-                except Exception:
+                except OlsrTuneError:
                     failures += 1
                     log.warning(
                         "run failed: config=%s class=%s seed=%s", name, label, seed, exc_info=True

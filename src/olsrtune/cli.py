@@ -56,29 +56,22 @@ def _parse_loss(text: str) -> LossModel:
     raise InputError(f"unknown loss model {text!r} (use ideal or bernoulli:P)")
 
 
-def _parse_float_list(text: str, what: str) -> list:
+def _parse_list(text: str, what: str, cast) -> list:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [cast(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise InputError(f"bad {what} list: {text!r}") from None
 
 
 def _grid_flags(args) -> tuple:
     """The p_c and p_m candidate lists and the repetitions of `tune --grid`."""
-    pc_values = _parse_float_list(args.grid_pc, "p_c")
-    pm_values = _parse_float_list(args.grid_pm, "p_m")
+    pc_values = _parse_list(args.grid_pc, "p_c", float)
+    pm_values = _parse_list(args.grid_pm, "p_m", float)
     if not pc_values or not pm_values:
         raise InputError("--grid-pc and --grid-pm need at least one value each")
     if args.reps < 1:
         raise InputError("--reps must be >= 1")
     return pc_values, pm_values, args.reps
-
-
-def _parse_int_list(text: str, what: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise InputError(f"bad {what} list: {text!r}") from None
 
 
 def _out_dir(args) -> Path:
@@ -367,7 +360,7 @@ def cmd_validate(args) -> int:
     if not configs:
         raise InputError("no configurations given (use --rfc and/or --config)")
 
-    seeds = _parse_int_list(args.seeds, "seeds")
+    seeds = _parse_list(args.seeds, "seeds", int)
     if not seeds:
         raise InputError("no seeds given")
     manifest.setting(
@@ -392,7 +385,7 @@ def cmd_bench(args) -> int:
     scenario, scenario_id = _load_scenario_arg(args.scenario, manifest)
     nic = sim.default_nic()
     space = olsr.default_param_space()
-    worker_counts = _parse_int_list(args.workers, "workers")
+    worker_counts = _parse_list(args.workers, "workers", int)
     if not worker_counts:
         raise InputError("no worker counts given")
     if args.reps < 1:
@@ -422,7 +415,7 @@ def cmd_bench(args) -> int:
             samples.append(time.perf_counter() - t0)
         times[m] = samples
 
-    result = analysis.bench_result(times, args.reps)
+    result = analysis.bench_result(times)
     csv_path = out / "bench.csv"
     csv_path.write_text(analysis.bench_csv(result), encoding="utf-8")
     manifest.output_file(csv_path)
@@ -517,10 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

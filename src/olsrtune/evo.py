@@ -22,6 +22,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,30 +60,30 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# sentinel for an evaluation that raised OlsrTuneError: above any
-# achievable penalized fitness
-WORST_FITNESS = 1.85
-
 
 @dataclass(frozen=True)
 class FitnessContext:
-    """Reference values and weights for the fitness function."""
+    """Reference values of the fitness function; its weights are fixed."""
 
     e_rfc: float
     pdr_rfc: float
-    w1: float = 0.9
-    w2: float = -0.1
-    delta: float = 0.1
-    pdr_max: float = 100.0
-    admission: float = 0.85  # PDR floor as a fraction of the reference
+    w1: ClassVar[float] = 0.9
+    w2: ClassVar[float] = -0.1
+    delta: ClassVar[float] = 0.1
+    pdr_max: ClassVar[float] = 100.0
+    admission: ClassVar[float] = 0.85  # PDR floor as a fraction of the reference
 
     def __post_init__(self):
         if self.e_rfc <= 0:
             raise ConfigurationError("e_rfc must be positive")
         if not 0 < self.pdr_rfc <= 100:
             raise ConfigurationError("pdr_rfc must be in (0, 100]")
-        if abs(self.w1 + abs(self.w2) - 1.0) > 1e-12:
-            raise ConfigurationError("weights must satisfy w1 + |w2| = 1")
+
+
+# sentinel for an evaluation that raised OlsrTuneError: the penalized score
+# of burning the reference energy while delivering nothing. A run with
+# E > E_ref and a low PDR scores higher.
+WORST_FITNESS = FitnessContext.delta + FitnessContext.w1 + FitnessContext.admission
 
 
 def fitness(energy: float, pdr: float, ctx: FitnessContext) -> float:

@@ -5,6 +5,8 @@ constant-bit-rate data flows that exercise the network. Mobility comes
 either from a synthetic Manhattan-grid generator (vehicles follow street
 lanes, turn uniformly at random at intersections and pause there) or from
 an externally produced trace CSV with rows ``time_s,node_id,x_m,y_m``.
+A MobilityTrace holds only those samples; its node set is the ids they
+name, and the run length belongs to the Scenario.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ TRACE_HEADER = "time_s,node_id,x_m,y_m"
 class MobilityTrace:
     """Sampled vehicle positions, sorted by (time, node_id).
 
-    Positions between samples are linearly interpolated; a node holds its
-    last sampled position afterwards.
+    `samples` is the only input: the node set is the set of ids in it, and
+    the run length is `Scenario.sim_duration`. Every node needs a sample
+    at t=0. Positions between samples are linearly interpolated; a node
+    holds its last sampled position afterwards.
     """
 
-    node_count: int
     samples: tuple  # of (time_s, node_id, x_m, y_m)
-    duration: float
 
     def __post_init__(self):
         seen = set()
@@ -63,10 +65,6 @@ class MobilityTrace:
             seen.add((t, node))
             prev = (t, node)
             nodes.add(node)
-        if len(nodes) != self.node_count:
-            raise TraceValidationError(
-                f"node_count={self.node_count} but {len(nodes)} distinct node ids present"
-            )
         for node in nodes:
             if (0.0, node) not in seen and (0, node) not in seen:
                 raise TraceValidationError(f"node {node} has no sample at t=0")
@@ -74,6 +72,10 @@ class MobilityTrace:
     @cached_property
     def node_ids(self) -> tuple:
         return tuple(sorted({s[1] for s in self.samples}))
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_ids)
 
     @cached_property
     def _per_node(self) -> dict:
@@ -300,22 +302,21 @@ def _sample_walk(points: list, step: float, duration: float) -> list:
 def generate_grid_scenario(
     spec: GridSpec,
     flow_count: int,
-    flow_params: FlowTemplate | CbrFlow,
+    flow_params: FlowTemplate,
     seed: int,
     *,
     radio_range: float = 500.0,
     bandwidth: float = 6e6,
     loss_model: LossModel = LOSS_IDEAL,
-    sim_duration: float | None = None,
 ) -> Scenario:
     """Build a deterministic grid-mobility scenario.
 
     Vehicles are placed on street segments at t=0, follow lanes at a
     per-leg speed drawn from ``spec.speed``, turn uniformly at random at
     intersections (pausing ``pause_time`` there), and are sampled every
-    ``sample_step``. Flow endpoints are uniformly random distinct ordered
-    pairs, no pair repeated. The same (spec, seed) always yields the same
-    scenario.
+    ``sample_step``. The run lasts ``spec.duration``. Flow endpoints are
+    uniformly random distinct ordered pairs, no pair repeated. The same
+    (spec, seed) always yields the same scenario.
     """
     n = spec.vehicle_count
     if flow_count < 0:
@@ -332,7 +333,7 @@ def generate_grid_scenario(
         for t, x, y in _sample_walk(walk, spec.sample_step, spec.duration):
             samples.append((t, node, x, y))
     samples.sort(key=lambda s: (s[0], s[1]))
-    trace = MobilityTrace(node_count=n, samples=tuple(samples), duration=spec.duration)
+    trace = MobilityTrace(samples=tuple(samples))
 
     flow_rng = derive_rng(seed, "flows")
     pairs = set()
@@ -362,7 +363,7 @@ def generate_grid_scenario(
         flows=tuple(flows),
         radio_range=float(radio_range),
         bandwidth=float(bandwidth),
-        sim_duration=float(spec.duration if sim_duration is None else sim_duration),
+        sim_duration=float(spec.duration),
         loss_model=loss_model,
     )
 
@@ -403,9 +404,7 @@ def load_trace(text) -> MobilityTrace:
     if not rows:
         raise TraceValidationError("trace is empty")
     rows.sort(key=lambda s: (s[0], s[1]))
-    nodes = {r[1] for r in rows}
-    duration = rows[-1][0]
-    return MobilityTrace(node_count=len(nodes), samples=tuple(rows), duration=duration)
+    return MobilityTrace(samples=tuple(rows))
 
 
 def _loss_to_json(model: LossModel) -> dict:
@@ -453,11 +452,11 @@ def _loss_from_json(doc, where: str) -> LossModel:
     return LossModel(kind=kind, p_at_max_range=float(p))
 
 
-def save_scenario(scenario: Scenario, json_path, trace_filename: str | None = None) -> list:
-    """Write scenario JSON plus its trace CSV; returns the written paths."""
+def save_scenario(scenario: Scenario, json_path) -> list:
+    """Write scenario JSON plus its trace CSV, `<stem>_trace.csv` next to
+    it; returns the written paths."""
     json_path = Path(json_path)
-    if trace_filename is None:
-        trace_filename = json_path.stem + "_trace.csv"
+    trace_filename = json_path.stem + "_trace.csv"
     trace_path = json_path.parent / trace_filename
     doc = {
         "area": [scenario.area[0], scenario.area[1]],
@@ -559,11 +558,7 @@ def relabel_scenario(scenario: Scenario, mapping: dict) -> Scenario:
         ((t, mapping[node], x, y) for t, node, x, y in scenario.trace.samples),
         key=lambda s: (s[0], s[1]),
     )
-    trace = MobilityTrace(
-        node_count=scenario.trace.node_count,
-        samples=tuple(samples),
-        duration=scenario.trace.duration,
-    )
+    trace = MobilityTrace(samples=tuple(samples))
     flows = tuple(
         replace(f, source=mapping[f.source], destination=mapping[f.destination])
         for f in scenario.flows

@@ -21,7 +21,7 @@ def make_static_scenario(
     xs = [x for x, _y in positions.values()]
     ys = [y for _x, y in positions.values()]
     area = (max(max(xs), 1.0), max(max(ys), 1.0))
-    trace = MobilityTrace(node_count=len(positions), samples=samples, duration=0.0)
+    trace = MobilityTrace(samples=samples)
     return Scenario(
         area=area,
         trace=trace,

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from conftest import make_static_scenario, line_positions
+from olsrtune import sim
 from olsrtune.analysis import (
     bench_csv,
     bench_result,
@@ -67,7 +68,7 @@ class TestSpeedupEfficiency:
 
 class TestBenchResult:
     def test_baseline_normalization(self):
-        res = bench_result({1: [10.0, 12.0], 4: [3.0, 4.0]}, repetitions=2)
+        res = bench_result({1: [10.0, 12.0], 4: [3.0, 4.0]})
         assert res.worker_counts == (1, 4)
         assert res.mean_times == (11.0, 3.5)
         assert res.speedups[0] == pytest.approx(1.0)
@@ -75,19 +76,19 @@ class TestBenchResult:
         assert res.speedups[1] == pytest.approx(11.0 / 3.5)
 
     def test_single_count(self):
-        res = bench_result({1: [2.0]}, repetitions=1)
+        res = bench_result({1: [2.0]})
         assert res.speedups == (1.0,)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            bench_result({}, repetitions=1)
+            bench_result({})
 
     def test_count_without_samples_rejected(self):
         with pytest.raises(DomainError):
-            bench_result({1: [2.0], 2: []}, repetitions=1)
+            bench_result({1: [2.0], 2: []})
 
     def test_csv_shape(self):
-        res = bench_result({1: [2.0], 2: [1.0]}, repetitions=1)
+        res = bench_result({1: [2.0], 2: [1.0]})
         lines = bench_csv(res).strip().splitlines()
         assert lines[0] == "m,mean_time_s,speedup,efficiency"
         assert len(lines) == 3
@@ -281,14 +282,27 @@ class TestValidationReport:
         _label, rows = report.sections[0]
         assert rows[0].get("e_total_mj_best") is True
 
-    def test_bare_scenarios_get_area_labels(self):
-        scn = self.scenarios()[0][1]
-        report = validation_report([("rfc", rfc_default())], [scn], default_nic(), [1])
-        assert report.sections[0][0] == "200x1m"
-
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             validation_report([], self.scenarios(), default_nic(), [1])
+
+    def test_package_error_counted_as_failure(self, monkeypatch):
+        def fail(*_args):
+            raise DomainError("injected")
+
+        monkeypatch.setattr(sim, "run_simulation", fail)
+        report = validation_report([("rfc", rfc_default())], self.scenarios(),
+                                   default_nic(), seeds=[1, 2])
+        assert report.runs == 4 and report.failures == 4
+
+    def test_bug_in_simulation_propagates(self, monkeypatch):
+        def bug(*_args):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(sim, "run_simulation", bug)
+        with pytest.raises(TypeError, match="injected"):
+            validation_report([("rfc", rfc_default())], self.scenarios(),
+                              default_nic(), seeds=[1])
 
     def test_csv_and_text_render(self):
         report = validation_report([("rfc", rfc_default())], self.scenarios(),

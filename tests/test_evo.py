@@ -53,8 +53,6 @@ class TestFitness:
 
     def test_weights_validated(self):
         with pytest.raises(ConfigurationError):
-            FitnessContext(e_rfc=1.0, pdr_rfc=50.0, w1=0.9, w2=-0.2)
-        with pytest.raises(ConfigurationError):
             FitnessContext(e_rfc=0.0, pdr_rfc=50.0)
 
     def test_penalty_only_below_admission(self):

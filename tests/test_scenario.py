@@ -23,9 +23,7 @@ from olsrtune.scenario import (
 
 
 def trace_of(samples):
-    nodes = {s[1] for s in samples}
-    duration = max(s[0] for s in samples)
-    return MobilityTrace(node_count=len(nodes), samples=tuple(samples), duration=duration)
+    return MobilityTrace(samples=tuple(samples))
 
 
 class TestMobilityTrace:
@@ -44,10 +42,6 @@ class TestMobilityTrace:
     def test_missing_t0_rejected(self):
         with pytest.raises(TraceValidationError):
             trace_of([(0.0, 0, 0.0, 0.0), (1.0, 1, 1.0, 1.0)])
-
-    def test_node_count_mismatch(self):
-        with pytest.raises(TraceValidationError):
-            MobilityTrace(node_count=3, samples=((0.0, 0, 0.0, 0.0),), duration=0.0)
 
 
 class TestPositionAt:

@@ -262,7 +262,6 @@ class TestPositionIndex:
 
     def test_irregular_trace(self):
         trace = MobilityTrace(
-            node_count=3,
             samples=(
                 (0.0, 0, 1.5, 2.25),
                 (0.0, 1, 100.1, 0.3),
@@ -272,7 +271,6 @@ class TestPositionIndex:
                 (2.9, 1, 60.2, 40.03),
                 (4.0, 0, 3.3, 19.6),
             ),
-            duration=4.0,
         )
         times = [0.0, 0.7, 1.3, 2.9, 4.0, 0.35, 1.0, 1.9, 3.3, 3.999, 4.5, 60.0]
         index = self.check_times(trace, times)
