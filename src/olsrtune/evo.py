@@ -98,11 +98,10 @@ def penalized_fitness(energy: float, pdr: float, ctx: FitnessContext) -> float:
 
 
 def score(energy: float, pdr: float, ctx: FitnessContext) -> tuple:
-    """(f, f_raw, penalized) applying the admission threshold."""
-    f_raw = fitness(energy, pdr, ctx)
+    """(f, penalized) applying the admission threshold."""
     if pdr < ctx.admission * ctx.pdr_rfc:
-        return penalized_fitness(energy, pdr, ctx), f_raw, True
-    return f_raw, f_raw, False
+        return penalized_fitness(energy, pdr, ctx), True
+    return fitness(energy, pdr, ctx), False
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def evaluate(
         log.exception("evaluation failed for individual %s", ind.id)
         return FitnessRecord(f=WORST_FITNESS, penalized=True, energy=math.inf, pdr=0.0)
     energy = metrics.energy.e_total
-    f, _f_raw, penalized = score(energy, metrics.pdr, ctx)
+    f, penalized = score(energy, metrics.pdr, ctx)
     return FitnessRecord(f=f, penalized=penalized, energy=energy, pdr=metrics.pdr)
 
 

@@ -21,21 +21,22 @@ select_mprs(state) and compute_routes(state), recomputed only when read
 after an input changed. mpr_set and routing_table are valid only while
 clean, so readers go through ensure_mprs and ensure_routes.
 
-A neighbour's two-hop hood is stored in two parts:
+Each neighbour is one Neighbor record, dropped as a whole when its link
+expires (RFC 3626 section 4 keeps link, neighbour and two-hop tuples per
+neighbour too). Its two-hop hood is stored in two parts:
 
-- two_hop_adv[n] is the frozenset of non-ASYM ids in n's latest HELLO,
+- adv is the frozenset of non-ASYM ids in the neighbour's latest HELLO,
   shared with every other receiver of that HELLO and possibly holding
-  our own id. Its entries expire with the link, at links[n][1], and it
-  exists exactly as long as links[n];
-- two_hop[n] holds n's stragglers, ids an older HELLO listed and the
-  latest one does not, each with the expiry of the last HELLO that
-  listed it. A straggler dict is never empty and never holds our own id
-  or an id of two_hop_adv[n].
+  our own id. Its entries expire with the link, at expiry;
+- stragglers holds ids an older HELLO listed and the latest one does
+  not, each with the expiry of the last HELLO that listed it. It never
+  holds our own id or an id of adv, and straggler_min is its minimum
+  (inf while it is empty).
 
 select_mprs reads a hood as the union of the two without our own id,
-through _strict_hood. make_hello reuses its previous views object while its entries are
-unchanged, so a receiver that already stores the sender's advertised
-set does no hood work at all.
+through _strict_hood. make_hello reuses its previous views object while
+its entries are unchanged, so a receiver that already stores the
+sender's advertised set does no hood work at all.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -55,19 +56,13 @@ from the stored one, and when expire drops a topology entry. An
 asymmetric link, a lapsed duplicate or a lapsed MPR-selector entry
 marks neither.
 
-A change that leaves the table as it was, such as a TC whose new set
-alters no shortest path, still costs a recompute: 4,584 of the 7,800
-compute_routes calls in the traced multihop_data benchmark run at seed 2
-return the table the node already had. Skipping those needs an
-incremental route computation, which is not done here.
-
 expire opens only the straggler dicts and topology records whose stored
-minimum expiry (two_hop_min, topology_min) has passed. The duplicate
-set is kept in expiry order: should_forward re-inserts a key at the back,
-so expire drops lapsed entries from the front and stops at the first
-live one. An insert that expires before dup_newest, the latest expiry
-inserted (time or dup_hold_time went backwards, which the simulator
-never does), re-sorts the set once.
+minimum expiry (straggler_min, the third slot of a topology record) has
+passed. The duplicate set is kept in expiry order: should_forward
+re-inserts a key at the back, so expire drops lapsed entries from the
+front and stops at the first live one. An insert that expires before the
+last stored entry (time or dup_hold_time went backwards, which the
+simulator never does) re-sorts the set once.
 """
 
 from __future__ import annotations
@@ -86,6 +81,7 @@ __all__ = [
     "OlsrConfig",
     "ParamSpace",
     "OlsrNodeState",
+    "Neighbor",
     "ControlMessage",
     "HelloViews",
     "GENE_NAMES",
@@ -126,7 +122,6 @@ WILL_NEVER = 0
 WILL_DEFAULT = 3
 WILL_ALWAYS = 7
 
-_NO_LINK = (False, math.inf)
 _NO_IDS = frozenset()
 
 HELLO_HEADER_BYTES = 24
@@ -326,36 +321,35 @@ class ControlMessage:
     views: HelloViews | None = field(default=None, compare=False, repr=False)
 
 
+@dataclass(slots=True)
+class Neighbor:
+    """One neighbour's link, willingness and two-hop hood."""
+
+    sym: bool
+    expiry: float  # of the link, and of every id in adv
+    will: int  # last advertised willingness
+    # non-ASYM ids of its latest HELLO, shared with the other receivers
+    adv: frozenset = _NO_IDS
+    # id an older HELLO listed and the latest one does not -> expiry
+    stragglers: dict = field(default_factory=dict)
+    straggler_min: float = math.inf  # min(stragglers.values())
+
+
 @dataclass
 class OlsrNodeState:
     """Protocol state owned by a single node."""
 
     node_id: int
-    # neighbor -> (symmetric, expiry)
-    links: dict = field(default_factory=dict)
-    # neighbor -> last advertised willingness
-    nbr_will: dict = field(default_factory=dict)
-    # neighbor -> frozenset of non-ASYM ids in its latest HELLO; expires
-    # with the link and exists only while the link does
-    two_hop_adv: dict = field(default_factory=dict)
-    # neighbor -> {straggler -> expiry}: ids an older HELLO listed and the
-    # latest one does not; never empty
-    two_hop: dict = field(default_factory=dict)
-    # neighbor -> min(two_hop[neighbor].values()), same keys as two_hop
-    two_hop_min: dict = field(default_factory=dict)
+    neighbors: dict = field(default_factory=dict)  # id -> Neighbor
     mpr_set: set = field(default_factory=set)
     mprs_dirty: bool = False
     # neighbor that selected us as MPR -> expiry
     mpr_selectors: dict = field(default_factory=dict)
-    # originator (last hop) -> [seq_no, {dest -> expiry}]
+    # originator (last hop) -> [seq_no, {dest -> expiry}, min expiry],
+    # the minimum -inf while the record has no dest
     topology: dict = field(default_factory=dict)
-    # originator -> min of its dest expiries (-inf while it has none),
-    # same keys as topology
-    topology_min: dict = field(default_factory=dict)
     # (originator, seq_no) -> expiry, in insertion order = expiry order
     duplicates: dict = field(default_factory=dict)
-    # the latest expiry ever inserted into duplicates
-    dup_newest: float = -math.inf
     # dest -> (next_hop, hop_count)
     routing_table: dict = field(default_factory=dict)
     routes_dirty: bool = False
@@ -372,23 +366,24 @@ class OlsrNodeState:
             self.next_expiry = expiry
 
     def symmetric_neighbors(self) -> list:
-        return sorted(n for n, (sym, _exp) in self.links.items() if sym)
+        return sorted(n for n, nb in self.neighbors.items() if nb.sym)
 
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
     """Build this node's next HELLO, advertising all current links. Its
     entries and views are the previous HELLO's objects while equal."""
     mprs = ensure_mprs(state)
+    nbrs = state.neighbors
     entries = []
-    for nbr in sorted(state.links):
-        sym, _exp = state.links[nbr]
-        if sym and nbr in mprs:
+    for nbr in sorted(nbrs):
+        nb = nbrs[nbr]
+        if nb.sym and nbr in mprs:
             status = LINK_MPR
-        elif sym:
+        elif nb.sym:
             status = LINK_SYM
         else:
             status = LINK_ASYM
-        entries.append((nbr, status, state.nbr_will.get(nbr, WILL_DEFAULT)))
+        entries.append((nbr, status, nb.will))
     entries = tuple(entries)
     last = state.last_hello
     if last is None or last[0] != entries:
@@ -437,40 +432,38 @@ def process_hello(
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
-    links = state.links
-    prev = links.get(sender)
-    was_sym = prev is not None and prev[0]
-    sym = was_sym or me in views.listed
-    links[sender] = (sym, expiry)
+    nbrs = state.neighbors
+    nb = nbrs.get(sender)
+    if nb is None:
+        nb = nbrs[sender] = Neighbor(False, expiry, own_will)
+    was_sym = nb.sym
+    old_expiry = nb.expiry
+    sym = nb.sym = was_sym or me in views.listed
+    nb.expiry = expiry
     if me in views.mprs:
         state.mpr_selectors[sender] = expiry
 
     # the advertised set replaces the old one, whose ids the new one no
     # longer lists stay as stragglers at the old link expiry
     adv = views.adv
-    old = state.two_hop_adv.get(sender, _NO_IDS)
+    old = nb.adv
     if adv is not old:
-        state.two_hop_adv[sender] = adv
-        hood = state.two_hop.get(sender, {})
+        nb.adv = adv
+        hood = nb.stragglers
         if was_sym and not state.mprs_dirty:
             for t in adv - old:
-                if t != me and t not in hood and not links.get(t, _NO_LINK)[0]:
+                if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
                     state.mprs_dirty = True
                     break
         for t in adv.intersection(hood):
             del hood[t]
         for t in old - adv:
             if t != me:
-                hood[t] = prev[1]
-        if hood:
-            state.two_hop[sender] = hood
-            state.two_hop_min[sender] = min(hood.values())
-        elif sender in state.two_hop:
-            del state.two_hop[sender]
-            del state.two_hop_min[sender]
+                hood[t] = old_expiry
+        nb.straggler_min = min(hood.values()) if hood else math.inf
 
-    if state.nbr_will.get(sender) != own_will:
-        state.nbr_will[sender] = own_will
+    if nb.will != own_will:
+        nb.will = own_will
         if sym:
             state.mprs_dirty = True
     if sym and not was_sym:
@@ -479,13 +472,12 @@ def process_hello(
     return state
 
 
-def _strict_hood(state: OlsrNodeState, n: int, near: set) -> frozenset:
-    """Neighbour n's hood, its advertised set plus its stragglers, less
+def _strict_hood(nb: Neighbor, near: set) -> frozenset:
+    """A neighbour's hood, its advertised set plus its stragglers, less
     `near`: our own id and the symmetric neighbours."""
-    hood = state.two_hop_adv.get(n, _NO_IDS).difference(near)
-    stragglers = state.two_hop.get(n)
-    if stragglers:
-        hood = hood.union(stragglers.keys() - near)
+    hood = nb.adv.difference(near)
+    if nb.stragglers:
+        hood = hood.union(nb.stragglers.keys() - near)
     return hood
 
 
@@ -497,18 +489,18 @@ def select_mprs(state: OlsrNodeState) -> set:
     providers, then repeatedly the candidate with highest willingness,
     then widest uncovered coverage, then lowest id.
     """
-    will = state.nbr_will
-    sym = {n for n, (is_sym, _exp) in state.links.items() if is_sym}
+    nbrs = state.neighbors
+    sym = {n for n, nb in nbrs.items() if nb.sym}
     near = sym | {state.node_id}
     cover = {}
     mprs = set()
     for n in sym:
-        w = will.get(n, WILL_DEFAULT)
-        if w == WILL_NEVER:
+        nb = nbrs[n]
+        if nb.will == WILL_NEVER:
             continue
-        if w == WILL_ALWAYS:
+        if nb.will == WILL_ALWAYS:
             mprs.add(n)
-        strict = _strict_hood(state, n, near)
+        strict = _strict_hood(nb, near)
         if strict:
             cover[n] = strict
 
@@ -516,8 +508,8 @@ def select_mprs(state: OlsrNodeState) -> set:
     if log.isEnabledFor(logging.DEBUG):
         dropped = set()
         for n in sym:
-            if will.get(n, WILL_DEFAULT) == WILL_NEVER:
-                dropped |= _strict_hood(state, n, near) - targets
+            if nbrs[n].will == WILL_NEVER:
+                dropped |= _strict_hood(nbrs[n], near) - targets
         if dropped:
             log.debug(
                 "node %d: two-hop nodes %s reachable only via willingness-0 neighbors",
@@ -547,7 +539,7 @@ def select_mprs(state: OlsrNodeState) -> set:
             gain = len(cover[n] & uncovered)
             if gain == 0:
                 continue
-            key = (will.get(n, WILL_DEFAULT), gain, -n)
+            key = (nbrs[n].will, gain, -n)
             if best_key is None or key > best_key:
                 best, best_key = n, key
         if best is None:
@@ -584,7 +576,7 @@ def process_tc(
         # compute_routes reads only the destination sets
         if rec is None or dests.keys() != rec[1].keys():
             state.routes_dirty = True
-        state.topology[orig] = [msg.seq_no, dests]
+        rec = state.topology[orig] = [msg.seq_no, dests, None]
     else:
         dests = rec[1]
         for dest in msg.payload:
@@ -594,7 +586,7 @@ def process_tc(
                 state.routes_dirty = True
             dests[dest] = expiry
     # -inf opens an empty record at the next slow expire, which drops it
-    state.topology_min[orig] = min(dests.values(), default=-math.inf)
+    rec[2] = min(dests.values(), default=-math.inf)
     return state
 
 
@@ -614,12 +606,11 @@ def should_forward(
     if ent is not None and ent > now:
         return False
     expiry = now + config.dup_hold_time
+    newest = next(reversed(dups.values()), -math.inf)
     if ent is not None:
         del dups[key]  # re-insert at the back, keeping expiry order
     dups[key] = expiry
-    if expiry >= state.dup_newest:
-        state.dup_newest = expiry
-    else:
+    if expiry < newest:
         # time or dup_hold_time went backwards: restore the order
         ordered = sorted(dups.items(), key=itemgetter(1))
         dups.clear()
@@ -674,53 +665,50 @@ def expire(state: OlsrNodeState, now: float) -> OlsrNodeState:
     if now < state.next_expiry:
         return state
 
-    links = state.links
-    dead_links = [n for n, (_s, exp) in links.items() if exp <= now]
-    for n in dead_links:
-        if links.pop(n)[0]:
+    nbrs = state.neighbors
+    for n in [n for n, nb in nbrs.items() if nb.expiry <= now]:
+        if nbrs.pop(n).sym:
             state.mprs_dirty = True
             state.routes_dirty = True
-        state.nbr_will.pop(n, None)
-        state.two_hop_adv.pop(n, None)
-        state.two_hop.pop(n, None)
-        state.two_hop_min.pop(n, None)
-    bound = min((exp for _s, exp in links.values()), default=math.inf)
-
-    hood_min = state.two_hop_min
+    bound = math.inf
     me = state.node_id
-    for n in [n for n, m in hood_min.items() if m <= now]:
-        hood = state.two_hop[n]
-        dead = [t for t, exp in hood.items() if exp <= now]
-        for t in dead:
-            del hood[t]
-        if hood:
-            hood_min[n] = min(hood.values())
-        else:
-            del state.two_hop[n]
-            del hood_min[n]
-        if links[n][0] and any(t != me and not links.get(t, _NO_LINK)[0] for t in dead):
-            state.mprs_dirty = True
-    bound = min(bound, min(hood_min.values(), default=math.inf))
+    for nb in nbrs.values():
+        if nb.straggler_min <= now:
+            hood = nb.stragglers
+            dead = [t for t, exp in hood.items() if exp <= now]
+            for t in dead:
+                del hood[t]
+            nb.straggler_min = min(hood.values()) if hood else math.inf
+            if nb.sym and any(t != me and not (t in nbrs and nbrs[t].sym) for t in dead):
+                state.mprs_dirty = True
+        if nb.expiry < bound:
+            bound = nb.expiry
+        if nb.straggler_min < bound:
+            bound = nb.straggler_min
 
     selectors = state.mpr_selectors
     for n in [n for n, exp in selectors.items() if exp <= now]:
         del selectors[n]
     bound = min(bound, min(selectors.values(), default=math.inf))
 
-    topo_min = state.topology_min
-    for orig in [o for o, m in topo_min.items() if m <= now]:
-        dests = state.topology[orig][1]
-        dead = [d for d, exp in dests.items() if exp <= now]
-        if dead:
-            for d in dead:
-                del dests[d]
-            state.routes_dirty = True
-        if dests:
-            topo_min[orig] = min(dests.values())
-        else:
-            del state.topology[orig]
-            del topo_min[orig]
-    bound = min(bound, min(topo_min.values(), default=math.inf))
+    topology = state.topology
+    emptied = []
+    for orig, rec in topology.items():
+        if rec[2] <= now:
+            dests = rec[1]
+            dead = [d for d, exp in dests.items() if exp <= now]
+            if dead:
+                for d in dead:
+                    del dests[d]
+                state.routes_dirty = True
+            if not dests:
+                emptied.append(orig)
+                continue
+            rec[2] = min(dests.values())
+        if rec[2] < bound:
+            bound = rec[2]
+    for orig in emptied:
+        del topology[orig]
 
     # duplicates are in expiry order: the lapsed ones are a prefix
     dups = state.duplicates

@@ -112,6 +112,14 @@ def position_at(trace: MobilityTrace, node: int, t: float) -> tuple:
     return xs[k] + f * (xs[k + 1] - xs[k]), ys[k] + f * (ys[k + 1] - ys[k])
 
 
+def _require_finite(obj, *names):
+    """Reject a named field, or a member of a tuple field, that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CbrFlow:
     """A constant-bit-rate unicast flow between two nodes."""
@@ -124,6 +132,7 @@ class CbrFlow:
     duration: float  # seconds
 
     def __post_init__(self):
+        _require_finite(self, "rate", "start", "duration")
         if self.source == self.destination:
             raise ConfigurationError("flow source equals destination")
         if self.packet_size <= 0:
@@ -180,6 +189,7 @@ class Scenario:
 
     def __post_init__(self):
         w, h = self.area
+        _require_finite(self, "area", "radio_range", "bandwidth", "sim_duration")
         if w <= 0 or h <= 0:
             raise ConfigurationError("area dimensions must be positive")
         if self.radio_range <= 0:
@@ -219,6 +229,7 @@ class GridSpec:
     duration: float = 180.0  # seconds of generated mobility
 
     def __post_init__(self):
+        _require_finite(self, "area", "speed", "pause_time", "sample_step", "duration")
         rows, cols = self.streets
         if rows < 2 or cols < 2:
             raise ConfigurationError("streets must be at least 2x2")

@@ -382,8 +382,8 @@ class _Simulation:
             if m.kind == olsr.HELLO:
                 olsr.process_hello(state, m, t, self.config)
                 continue
-            link = state.links.get(m.sender)
-            if link is None or not link[0]:
+            nb = state.neighbors.get(m.sender)
+            if nb is None or not nb.sym:
                 continue  # TCs over non-symmetric links are discarded
             olsr.process_tc(state, m, t, self.config)
             if olsr.should_forward(state, m.originator, m.seq_no, m.sender, t, self.config):

@@ -35,6 +35,7 @@ from olsrtune.evo import (
     mutate,
 )
 from olsrtune.olsr import (
+    Neighbor,
     OlsrNodeState,
     decode_genome,
     default_param_space,
@@ -151,13 +152,10 @@ def test_criterion_06_mpr_coverage_property():
             for p in rng.sample(one_hop, k=min(len(one_hop), rng.randint(1, 3))):
                 cover[p].add(t)
         state = OlsrNodeState(node_id=0)
-        state.links = {n: (True, 1e9) for n in one_hop}
-        state.nbr_will = dict(wills)
-        state.two_hop = {
+        for n, ts in cover.items():
             # sprinkle self/one-hop ids in: select_mprs must ignore them
-            n: {t: 1e9 for t in ts | ({0, n} if rng.random() < 0.3 else set())}
-            for n, ts in cover.items()
-        }
+            adv = ts | ({0, n} if rng.random() < 0.3 else set())
+            state.neighbors[n] = Neighbor(True, 1e9, wills[n], adv=frozenset(adv))
 
         mprs = select_mprs(state)
 

@@ -71,6 +71,26 @@ class TestGen:
         argv = GEN_BASE + ["--out", str(tmp_path), "--speed", "9:3"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--duration", "nan"),
+            ("--sample-step", "nan"),
+            ("--range", "inf"),
+            ("--bandwidth", "nan"),
+            ("--rate", "inf"),
+            ("--flow-start", "nan"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):
+        capsys.readouterr()
+        assert main(GEN_BASE + ["--out", str(tmp_path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "scenario.json").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("OLSRTUNE_OUT", str(env_dir))

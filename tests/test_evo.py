@@ -57,11 +57,11 @@ class TestFitness:
 
     def test_penalty_only_below_admission(self):
         threshold = CTX.admission * CTX.pdr_rfc
-        f, _raw, pen = score(5000.0, threshold, CTX)
+        f, pen = score(5000.0, threshold, CTX)
         assert not pen
-        f2, raw2, pen2 = score(5000.0, threshold - 0.01, CTX)
+        f2, pen2 = score(5000.0, threshold - 0.01, CTX)
         assert pen2
-        assert f2 > raw2
+        assert f2 > fitness(5000.0, threshold - 0.01, CTX)
 
     def test_penalized_value(self):
         # hand-computed: fitness + 0.85 * pdr-shortfall-fraction * energy-ratio

@@ -22,6 +22,7 @@ from olsrtune.olsr import (
     WILL_DEFAULT,
     WILL_NEVER,
     ControlMessage,
+    Neighbor,
     OlsrConfig,
     OlsrNodeState,
     compute_routes,
@@ -44,6 +45,19 @@ from olsrtune.olsr import (
 )
 
 CFG = rfc_default()
+
+
+def nbr(sym, expiry, will=WILL_DEFAULT, adv=(), stragglers=None):
+    """A Neighbor record with its straggler minimum filled in."""
+    stragglers = dict(stragglers or {})
+    return Neighbor(
+        sym, expiry, will, frozenset(adv), stragglers, min(stragglers.values(), default=math.inf)
+    )
+
+
+def link(s, n):
+    """Neighbour n's (symmetric, expiry) pair."""
+    return s.neighbors[n].sym, s.neighbors[n].expiry
 
 
 class TestConfig:
@@ -154,7 +168,7 @@ class TestMessages:
 
     def test_hello_size_grows_per_entry(self):
         state = OlsrNodeState(node_id=0)
-        state.links = {1: (True, 99.0), 2: (False, 99.0), 3: (True, 99.0)}
+        state.neighbors = {1: nbr(True, 99.0), 2: nbr(False, 99.0), 3: nbr(True, 99.0)}
         state.mpr_set = {3}
         msg = make_hello(state, CFG)
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
@@ -179,29 +193,29 @@ class TestLinkSensing:
         a, b = OlsrNodeState(node_id=0), OlsrNodeState(node_id=1)
         # B hears A's first HELLO: one-way only
         process_hello(b, make_hello(a, CFG), 0.0, CFG)
-        assert b.links[0] == (False, CFG.neighb_hold_time)
+        assert link(b, 0) == (False, CFG.neighb_hold_time)
         # A hears B's HELLO, which lists A: link becomes symmetric for A
         process_hello(a, make_hello(b, CFG), 1.0, CFG)
-        assert a.links[1][0] is True
+        assert a.neighbors[1].sym is True
         # B hears A's next HELLO, which lists B: symmetric both ways
         process_hello(b, make_hello(a, CFG), 2.0, CFG)
-        assert b.links[0][0] is True
+        assert b.neighbors[0].sym is True
 
     def test_symmetry_is_sticky(self):
         a = OlsrNodeState(node_id=0)
         msg = ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3),)), 32)
         process_hello(a, msg, 0.0, CFG)
-        assert a.links[1][0] is True
+        assert a.neighbors[1].sym is True
         # a later HELLO that no longer lists us keeps the link symmetric
         # until it expires (RFC-style link aging, not instant demotion)
         process_hello(a, ControlMessage("HELLO", 1, 1, 2, (3, ()), 24), 1.0, CFG)
-        assert a.links[1][0] is True
+        assert a.neighbors[1].sym is True
 
     def test_own_hello_ignored(self):
         a = OlsrNodeState(node_id=0)
         msg = ControlMessage("HELLO", 0, 0, 1, (3, ()), 24)
         process_hello(a, msg, 0.0, CFG)
-        assert a.links == {}
+        assert a.neighbors == {}
 
     def test_two_hop_discovery_and_mpr_selection(self):
         # chain 0-1-2 from node 0's perspective
@@ -232,9 +246,9 @@ class TestLinkSensing:
 class TestSelectMprs:
     def state_with(self, sym_neighbors, wills, two_hop):
         s = OlsrNodeState(node_id=0)
-        s.links = {n: (True, 999.0) for n in sym_neighbors}
-        s.nbr_will = dict(wills)
-        s.two_hop = {n: {t: 999.0 for t in ts} for n, ts in two_hop.items()}
+        for n in sym_neighbors:
+            hood = dict.fromkeys(two_hop.get(n, ()), 999.0)
+            s.neighbors[n] = nbr(True, 999.0, wills.get(n, WILL_DEFAULT), stragglers=hood)
         return s
 
     def test_greedy_prefers_wider_coverage(self):
@@ -270,16 +284,16 @@ class TestSelectMprs:
         for _case in range(300):
             nbrs = range(1, rng.randint(2, 12))
             s = OlsrNodeState(node_id=0)
-            s.links = {n: (rng.random() < 0.8, 999.0) for n in nbrs}
-            s.nbr_will = {n: rng.choice((0, 1, 3, 3, 6, 7)) for n in nbrs if rng.random() < 0.9}
+            syms = {n: rng.random() < 0.8 for n in nbrs}
+            wills = {n: rng.choice((0, 1, 3, 3, 6, 7)) for n in nbrs if rng.random() < 0.9}
             for n in nbrs:
                 ids = [t for t in range(0, 30) if t != n and rng.random() < 0.2]
-                s.two_hop_adv[n] = frozenset(t for t in ids if rng.random() < 0.8)
-                stragglers = {t: 999.0 for t in ids if t not in s.two_hop_adv[n] and t != 0}
-                if stragglers:
-                    s.two_hop[n] = stragglers
+                adv = frozenset(t for t in ids if rng.random() < 0.8)
+                stragglers = {t: 999.0 for t in ids if t not in adv and t != 0}
+                s.neighbors[n] = nbr(syms[n], 999.0, wills.get(n, WILL_DEFAULT), adv, stragglers)
             ref = copy.deepcopy(s)
-            ref.two_hop = {n: hood for n in nbrs if (hood := full_hood(s, n))}
+            for n, nb in ref.neighbors.items():
+                nb.adv, nb.stragglers = frozenset(), full_hood(s, n)
             assert select_mprs(s) == reference_select_mprs(ref)
 
     def test_one_hop_nodes_not_targets(self):
@@ -316,13 +330,13 @@ class TestProcessTc:
 
     def test_newer_seq_same_set_refreshes_without_route_recompute(self):
         s = OlsrNodeState(node_id=0)
-        s.links = {5: (True, 999.0)}
+        s.neighbors = {5: nbr(True, 999.0)}
         process_tc(s, self.make_tc_msg(5, 1, (6, 7)), 0.0, CFG)
         assert ensure_routes(s) == {5: (5, 1), 6: (5, 2), 7: (5, 2)}
         process_tc(s, self.make_tc_msg(5, 2, (7, 6, 0)), 1.0, CFG)
         assert s.routes_dirty is False
-        assert s.topology[5] == [2, {6: 1.0 + CFG.top_hold_time, 7: 1.0 + CFG.top_hold_time}]
-        assert s.topology_min[5] == 1.0 + CFG.top_hold_time
+        assert s.topology[5][:2] == [2, {6: 1.0 + CFG.top_hold_time, 7: 1.0 + CFG.top_hold_time}]
+        assert s.topology[5][2] == 1.0 + CFG.top_hold_time
         process_tc(s, self.make_tc_msg(5, 3, (6,)), 2.0, CFG)
         assert s.routes_dirty is True
 
@@ -366,33 +380,33 @@ class TestShouldForward:
 class TestRoutes:
     def test_bfs_over_topology(self):
         s = OlsrNodeState(node_id=0)
-        s.links = {1: (True, 999.0)}
-        s.topology = {1: [1, {2: 999.0}], 2: [1, {3: 999.0}]}
+        s.neighbors = {1: nbr(True, 999.0)}
+        s.topology = {1: [1, {2: 999.0}, 999.0], 2: [1, {3: 999.0}, 999.0]}
         routes = compute_routes(s)
         assert routes == {1: (1, 1), 2: (1, 2), 3: (1, 3)}
 
     def test_tie_breaks_to_lowest_next_hop(self):
         s = OlsrNodeState(node_id=0)
-        s.links = {1: (True, 999.0), 2: (True, 999.0)}
-        s.topology = {1: [1, {5: 999.0}], 2: [1, {5: 999.0}]}
+        s.neighbors = {1: nbr(True, 999.0), 2: nbr(True, 999.0)}
+        s.topology = {1: [1, {5: 999.0}, 999.0], 2: [1, {5: 999.0}, 999.0]}
         assert compute_routes(s)[5] == (1, 2)
 
     def test_asymmetric_links_unused(self):
         s = OlsrNodeState(node_id=0)
-        s.links = {1: (False, 999.0)}
+        s.neighbors = {1: nbr(False, 999.0)}
         assert compute_routes(s) == {}
 
     def test_unreachable_absent(self):
         s = OlsrNodeState(node_id=0)
-        s.links = {1: (True, 999.0)}
-        s.topology = {7: [1, {8: 999.0}]}  # island not connected to us
+        s.neighbors = {1: nbr(True, 999.0)}
+        s.topology = {7: [1, {8: 999.0}, 999.0]}  # island not connected to us
         assert compute_routes(s) == {1: (1, 1)}
 
     def test_asym_hello_leaves_routes_clean(self):
         s = OlsrNodeState(node_id=0)
         ensure_routes(s)
         process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ((2, LINK_SYM, 3),)), 32), 0.0, CFG)
-        assert s.links[1] == (False, CFG.neighb_hold_time)
+        assert link(s, 1) == (False, CFG.neighb_hold_time)
         assert s.routes_dirty is False
 
     def test_asym_link_expiry_leaves_routes_clean(self):
@@ -400,7 +414,7 @@ class TestRoutes:
         process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ()), 24), 0.0, CFG)
         ensure_routes(s)
         expire(s, CFG.neighb_hold_time)
-        assert s.links == {}
+        assert s.neighbors == {}
         assert s.routes_dirty is False
 
 
@@ -411,8 +425,7 @@ class TestExpire:
         process_hello(s, msg, 0.0, CFG)
         assert ensure_mprs(s) == {1}
         expire(s, CFG.neighb_hold_time + 0.01)
-        assert s.links == {}
-        assert s.two_hop == {}
+        assert s.neighbors == {}
         assert ensure_mprs(s) == set()
         assert compute_routes(s) == {}
 
@@ -420,7 +433,7 @@ class TestExpire:
         s = OlsrNodeState(node_id=0)
         process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3),)), 32), 0.0, CFG)
         expire(s, CFG.neighb_hold_time - 0.5)
-        assert 1 in s.links
+        assert 1 in s.neighbors
 
     def test_topology_expiry(self):
         s = OlsrNodeState(node_id=0)
@@ -432,18 +445,31 @@ class TestExpire:
 def full_hood(s, n):
     """Neighbour n's two-hop hood as {id: expiry}: its advertised set at
     the link expiry plus its stragglers, without our own id."""
-    hood = {t: s.links[n][1] for t in s.two_hop_adv.get(n, ()) if t != s.node_id}
-    hood.update(s.two_hop.get(n, {}))
+    nb = s.neighbors[n]
+    hood = {t: nb.expiry for t in nb.adv if t != s.node_id}
+    hood.update(nb.stragglers)
     return hood
 
 
 def stored_expiries(s):
-    out = [exp for _sym, exp in s.links.values()]
-    out += [exp for hood in s.two_hop.values() for exp in hood.values()]
+    out = [nb.expiry for nb in s.neighbors.values()]
+    out += [exp for nb in s.neighbors.values() for exp in nb.stragglers.values()]
     out += list(s.mpr_selectors.values())
-    out += [exp for _seq, dests in s.topology.values() for exp in dests.values()]
+    out += [exp for _seq, dests, _min in s.topology.values() for exp in dests.values()]
     out += list(s.duplicates.values())
     return out
+
+
+def tables(s):
+    """Every stored table, without the per-record minima."""
+    return {
+        "neighbors": {
+            n: (nb.sym, nb.expiry, nb.will, nb.adv, nb.stragglers) for n, nb in s.neighbors.items()
+        },
+        "mpr_selectors": s.mpr_selectors,
+        "topology": {o: rec[:2] for o, rec in s.topology.items()},
+        "duplicates": s.duplicates,
+    }
 
 
 def reference_expire(s, now):
@@ -451,16 +477,13 @@ def reference_expire(s, now):
     expire drops and the next_expiry it leaves."""
     if now < s.next_expiry:
         return
-    for n in [n for n, (_sym, exp) in s.links.items() if exp <= now]:
-        del s.links[n]
-        s.nbr_will.pop(n, None)
-        s.two_hop_adv.pop(n, None)
-        s.two_hop.pop(n, None)
-    dest_tables = [dests for _seq, dests in s.topology.values()]
-    for table in [*s.two_hop.values(), s.mpr_selectors, *dest_tables, s.duplicates]:
+    for n in [n for n, nb in s.neighbors.items() if nb.expiry <= now]:
+        del s.neighbors[n]
+    hoods = [nb.stragglers for nb in s.neighbors.values()]
+    dest_tables = [rec[1] for rec in s.topology.values()]
+    for table in [*hoods, s.mpr_selectors, *dest_tables, s.duplicates]:
         for k in [k for k, exp in table.items() if exp <= now]:
             del table[k]
-    s.two_hop = {n: hood for n, hood in s.two_hop.items() if hood}
     s.topology = {o: rec for o, rec in s.topology.items() if rec[1]}
     s.next_expiry = min(stored_expiries(s), default=math.inf)
 
@@ -470,9 +493,6 @@ class TestLazyEqualsEager:
     any sequence of calls, and the expiry bounds stay exact."""
 
     IDS = range(12)
-    TABLES = (
-        "links", "nbr_will", "two_hop_adv", "two_hop", "mpr_selectors", "topology", "duplicates"
-    )
 
     def random_hello(self, rng, will):
         sender = rng.randint(1, 8)
@@ -503,17 +523,17 @@ class TestLazyEqualsEager:
         full-scan reference, and the per-table minima are exact."""
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
-        for name in self.TABLES:
-            assert getattr(s, name) == getattr(ref, name), name
+        got, want = tables(s), tables(ref)
+        for name in want:
+            assert got[name] == want[name], name
         assert s.next_expiry == ref.next_expiry
         assert all(s.next_expiry <= exp for exp in stored_expiries(s))
-        assert s.two_hop_min == {n: min(hood.values()) for n, hood in s.two_hop.items()}
-        assert s.topology_min == {
-            o: min(dests.values(), default=-math.inf) for o, (_seq, dests) in s.topology.items()
-        }
+        for nb in s.neighbors.values():
+            assert nb.straggler_min == min(nb.stragglers.values(), default=math.inf)
+        for _seq, dests, least in s.topology.values():
+            assert least == min(dests.values(), default=-math.inf)
         dup_expiries = list(s.duplicates.values())
         assert dup_expiries == sorted(dup_expiries)
-        assert all(exp <= s.dup_newest for exp in dup_expiries)
 
     @pytest.mark.parametrize("will", (0, 3, 7))
     @pytest.mark.parametrize("seed", range(4))
@@ -585,9 +605,12 @@ def reference_process_hello(
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
-    # one pass: spot ourselves in the list, refresh the sender's hood
+    # one pass: spot ourselves in the list, refresh the sender's hood,
+    # stored whole in stragglers (adv stays empty)
+    prev = state.neighbors.get(sender)
+    nb = prev if prev is not None else Neighbor(False, expiry, None)
     listed = listed_as_mpr = False
-    hood = state.two_hop.get(sender, {})
+    hood = nb.stragglers
     known = len(hood)
     for nbr, status, _w in entries:
         if nbr == me:
@@ -597,19 +620,19 @@ def reference_process_hello(
         elif status != LINK_ASYM:
             hood[nbr] = expiry
     if hood:
-        state.two_hop[sender] = hood
-        state.two_hop_min[sender] = min(hood.values())
+        nb.straggler_min = min(hood.values())
 
-    prev = state.links.get(sender)
-    sym = listed or (prev is not None and prev[0])
-    state.links[sender] = (sym, expiry)
-    link_changed = prev is None or prev[0] != sym
+    was_sym = prev is not None and prev.sym
+    sym = listed or was_sym
+    nb.sym, nb.expiry = sym, expiry
+    state.neighbors[sender] = nb
+    link_changed = prev is None or was_sym != sym
 
     if listed_as_mpr:
         state.mpr_selectors[sender] = expiry
 
-    if state.nbr_will.get(sender) != own_will:
-        state.nbr_will[sender] = own_will
+    if nb.will != own_will:
+        nb.will = own_will
         state.mprs_dirty = True
     if link_changed or len(hood) > known:
         state.mprs_dirty = True
@@ -620,17 +643,18 @@ def reference_process_hello(
 
 def reference_select_mprs(state):
     """select_mprs as first written, less its debug log: RFC 3626 greedy
-    MPR selection over hoods stored as full {id: expiry} dicts."""
+    MPR selection over hoods stored as full {id: expiry} dicts in
+    stragglers."""
     sym = set()
-    for n, (is_sym, _exp) in state.links.items():
-        if is_sym:
+    for n, nb in state.neighbors.items():
+        if nb.sym:
             sym.add(n)
 
     cover = {}
     for n in sym:
-        if state.nbr_will.get(n, WILL_DEFAULT) == WILL_NEVER:
+        if state.neighbors[n].will == WILL_NEVER:
             continue
-        hood = state.two_hop.get(n)
+        hood = state.neighbors[n].stragglers
         if not hood:
             continue
         strict = {t for t in hood if t != state.node_id and t not in sym}
@@ -641,7 +665,7 @@ def reference_select_mprs(state):
     for strict in cover.values():
         targets |= strict
 
-    mprs = {n for n in sym if state.nbr_will.get(n, WILL_DEFAULT) == WILL_ALWAYS}
+    mprs = {n for n in sym if state.neighbors[n].will == WILL_ALWAYS}
     uncovered = set(targets)
     for m in mprs:
         uncovered -= cover.get(m, set())
@@ -663,7 +687,7 @@ def reference_select_mprs(state):
             gain = len(cover[n] & uncovered)
             if gain == 0:
                 continue
-            key = (state.nbr_will.get(n, WILL_DEFAULT), gain, -n)
+            key = (state.neighbors[n].will, gain, -n)
             if best_key is None or key > best_key:
                 best, best_key = n, key
         if best is None:
@@ -681,11 +705,19 @@ class TestHoodEqualsReference:
     IDS = range(10)
     SENDERS = range(1, 6)
 
-    def mutate_sender(self, rng, sender, dropped):
+    def mutate_sender(self, rng, sender, dropped, wills):
         """Change the sender's links so that its next HELLO drops, re-adds
-        or re-flags entries, or leave them as they are."""
+        or re-flags entries, or leave them as they are. `wills` keeps the
+        willingness the sender advertises for each id, linked or not."""
         op = rng.random()
-        links = sender.links
+        links = sender.neighbors
+
+        def put(n, sym):
+            if n in links:
+                links[n].sym = sym
+            else:
+                links[n] = Neighbor(sym, 1e9, wills.get(n, WILL_DEFAULT))
+
         if op < 0.35:
             return  # unchanged: make_hello resends the same views object
         if op < 0.5 and links:
@@ -693,30 +725,36 @@ class TestHoodEqualsReference:
             del links[n]
             dropped.append(n)
         elif op < 0.65 and dropped:
-            links[dropped.pop(rng.randrange(len(dropped)))] = (True, 1e9)
+            put(dropped.pop(rng.randrange(len(dropped))), True)
         elif op < 0.75:
             n = rng.choice([n for n in self.IDS if n != sender.node_id])
-            links[n] = (rng.random() < 0.6, 1e9)  # may list the receiver, 0
+            put(n, rng.random() < 0.6)  # may list the receiver, 0
         elif op < 0.8:
             for n in links:
-                links[n] = (False, 1e9)  # every entry ASYM
+                put(n, False)  # every entry ASYM
         elif op < 0.9:
-            sym = sorted(n for n, (is_sym, _exp) in links.items() if is_sym)
+            sym = sorted(n for n, nb in links.items() if nb.sym)
             sender.mpr_set = set(rng.sample(sym, rng.randint(0, len(sym))))
         else:
             n = rng.choice([n for n in self.IDS if n != sender.node_id])
-            sender.nbr_will[n] = rng.choice((0, 3, 7))
+            wills[n] = rng.choice((0, 3, 7))
+            if n in links:
+                links[n].will = wills[n]
 
     def check(self, s, twin):
-        hoods = {n: full_hood(s, n) for n in s.links}
-        assert {n: hood for n, hood in hoods.items() if hood} == twin.two_hop
-        assert set(s.two_hop_adv) == set(s.links)
-        for n, stragglers in s.two_hop.items():
-            assert stragglers and s.node_id not in stragglers
-            assert not stragglers.keys() & s.two_hop_adv[n]
-        assert s.two_hop_min == {n: min(hood.values()) for n, hood in s.two_hop.items()}
-        for name in ("links", "nbr_will", "mpr_selectors"):
-            assert getattr(s, name) == getattr(twin, name), name
+        hoods = {n: full_hood(s, n) for n in s.neighbors}
+        twin_hoods = {n: nb.stragglers for n, nb in twin.neighbors.items() if nb.stragglers}
+        assert {n: hood for n, hood in hoods.items() if hood} == twin_hoods
+        for nb in s.neighbors.values():
+            assert s.node_id not in nb.stragglers
+            assert not nb.stragglers.keys() & nb.adv
+            assert nb.straggler_min == min(nb.stragglers.values(), default=math.inf)
+
+        def links(state):
+            return {n: (nb.sym, nb.expiry, nb.will) for n, nb in state.neighbors.items()}
+
+        assert links(s) == links(twin)
+        assert s.mpr_selectors == twin.mpr_selectors
         assert s.next_expiry <= min(stored_expiries(s), default=math.inf)
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert ensure_mprs(s) == reference_select_mprs(twin)
@@ -728,8 +766,11 @@ class TestHoodEqualsReference:
         cfg = replace(CFG, neighb_hold_time=rng.uniform(5.5, 12.0))
         senders = {k: OlsrNodeState(node_id=k) for k in self.SENDERS}
         for k, sender in senders.items():
-            sender.links = {n: (rng.random() < 0.7, 1e9) for n in self.IDS if n != k}
+            sender.neighbors = {
+                n: Neighbor(rng.random() < 0.7, 1e9, WILL_DEFAULT) for n in self.IDS if n != k
+            }
         dropped = {k: [] for k in self.SENDERS}
+        wills = {k: {} for k in self.SENDERS}
         s, twin = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
         now = 0.0
         for _step in range(500):
@@ -743,7 +784,7 @@ class TestHoodEqualsReference:
                 reference_expire(twin, now)
             else:
                 k = rng.choice(self.SENDERS)
-                self.mutate_sender(rng, senders[k], dropped[k])
+                self.mutate_sender(rng, senders[k], dropped[k], wills[k])
                 will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
                 msg = make_hello(senders[k], replace(cfg, willingness=will))
                 if rng.random() < 0.15:
@@ -753,7 +794,7 @@ class TestHoodEqualsReference:
             self.check(s, twin)
 
     def test_views_follow_entries(self):
-        sender = OlsrNodeState(node_id=1, links={0: (True, 1e9), 2: (False, 1e9)})
+        sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
         first = make_hello(sender, CFG)
         again = make_hello(sender, CFG)
         assert again.views is first.views and again.payload[1] is first.payload[1]
