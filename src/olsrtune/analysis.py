@@ -64,7 +64,8 @@ def compare_against_reference(
     scenario: Scenario, config: OlsrConfig, nic: sim.NicProfile, seed: int
 ) -> tuple:
     """Run `config` and the standard defaults with the same seed; returns
-    (metrics for config, reference metrics, (energy gap %, pdr gap))."""
+    (metrics for config, reference metrics, (energy gap, pdr gap)), both
+    gaps as fractions (gap_energy, gap_pdr)."""
     m_cfg = sim.run_simulation(scenario, config, nic, seed)
     m_rfc = sim.run_simulation(scenario, rfc_default(), nic, seed)
     gaps = (

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -390,6 +391,8 @@ def cmd_bench(args) -> int:
         raise InputError("no worker counts given")
     if args.reps < 1:
         raise InputError("--reps must be >= 1")
+    if not 0 <= args.pad_ms < math.inf:
+        raise InputError(f"--pad-ms must be finite and >= 0, got {args.pad_ms}")
     ctx = evo.calibrate_context(scenario, nic, args.seed)
     manifest.setting(
         scenario=scenario_id,

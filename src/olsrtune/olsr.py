@@ -21,11 +21,16 @@ select_mprs(state) and compute_routes(state), recomputed only when read
 after an input changed. mpr_set and routing_table are valid only while
 clean, so readers go through ensure_mprs and ensure_routes.
 
+A HELLO carries one willingness and a HelloViews: the three link sets
+its receivers read (every neighbour the sender hears, its symmetric
+neighbours, and those of them it selected as MPR). RFC 3626 section 6.1
+encodes the same content as one link code per neighbour address.
+
 Each neighbour is one Neighbor record, dropped as a whole when its link
 expires (RFC 3626 section 4 keeps link, neighbour and two-hop tuples per
 neighbour too). Its two-hop hood is stored in two parts:
 
-- adv is the frozenset of non-ASYM ids in the neighbour's latest HELLO,
+- adv is the frozenset of symmetric ids in the neighbour's latest HELLO,
   shared with every other receiver of that HELLO and possibly holding
   our own id. Its entries expire with the link, at expiry;
 - stragglers holds ids an older HELLO listed and the latest one does
@@ -35,8 +40,8 @@ neighbour too). Its two-hop hood is stored in two parts:
 
 select_mprs reads a hood as the union of the two without our own id,
 through _strict_hood. make_hello reuses its previous views object while
-its entries are unchanged, so a receiver that already stores the
-sender's advertised set does no hood work at all.
+the new one is equal, so a receiver that already stores the sender's
+advertised set does no hood work at all.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -87,9 +92,6 @@ __all__ = [
     "GENE_NAMES",
     "HELLO",
     "TC",
-    "LINK_ASYM",
-    "LINK_SYM",
-    "LINK_MPR",
     "rfc_default",
     "default_param_space",
     "decode_genome",
@@ -113,10 +115,6 @@ log = logging.getLogger(__name__)
 
 HELLO = "HELLO"
 TC = "TC"
-
-LINK_ASYM = "asym"
-LINK_SYM = "sym"
-LINK_MPR = "mpr"  # symmetric and selected as MPR by the sender
 
 WILL_NEVER = 0
 WILL_DEFAULT = 3
@@ -287,29 +285,23 @@ def config_from_dict(doc) -> OlsrConfig:
 
 
 class HelloViews(NamedTuple):
-    """The sets a HELLO receiver reads, built once per entries tuple."""
+    """The link sets a HELLO advertises, one per question its receivers
+    ask: is my link to the sender symmetric (listed), did the sender pick
+    me as MPR (mprs), and which nodes are two hops away through it (adv)."""
 
-    listed: frozenset  # every listed id
-    mprs: frozenset  # ids listed as MPR
-    adv: frozenset  # ids listed with a non-ASYM status
-
-
-def _hello_views(entries) -> HelloViews:
-    return HelloViews(
-        frozenset(nbr for nbr, _s, _w in entries),
-        frozenset(nbr for nbr, status, _w in entries if status == LINK_MPR),
-        frozenset(nbr for nbr, status, _w in entries if status != LINK_ASYM),
-    )
+    listed: frozenset  # every neighbour the sender hears
+    mprs: frozenset  # symmetric neighbours the sender selected as MPR
+    adv: frozenset  # symmetric neighbours
 
 
 @dataclass(frozen=True)
 class ControlMessage:
     """A HELLO or TC message as carried on the air.
 
-    HELLO payload: (own willingness, ((neighbor, link status, neighbor
-    willingness), ...)). TC payload: tuple of MPR-selector node ids.
-    A HELLO from make_hello carries its HelloViews in views; a message
-    built by hand may leave it None, and process_hello then derives it.
+    HELLO payload: (own willingness, HelloViews), the RFC 3626 link codes
+    as three sets: an id in listed but not adv is ASYM, in adv but not
+    mprs is SYM, in mprs is MPR. TC payload: tuple of MPR-selector node
+    ids.
     """
 
     kind: str
@@ -318,7 +310,6 @@ class ControlMessage:
     seq_no: int
     payload: tuple
     size: int  # bytes
-    views: HelloViews | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -354,8 +345,8 @@ class OlsrNodeState:
     routing_table: dict = field(default_factory=dict)
     routes_dirty: bool = False
     hello_seq: int = 0
-    # (entries, views) of the latest HELLO made
-    last_hello: tuple | None = None
+    # HelloViews of the latest HELLO made
+    last_hello: HelloViews | None = None
     tc_seq: int = 0
     # conservative lower bound on the earliest stored expiry; lets
     # expire() return in O(1) when nothing can have lapsed
@@ -371,33 +362,22 @@ class OlsrNodeState:
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
     """Build this node's next HELLO, advertising all current links. Its
-    entries and views are the previous HELLO's objects while equal."""
-    mprs = ensure_mprs(state)
+    views are the previous HELLO's object while equal."""
     nbrs = state.neighbors
-    entries = []
-    for nbr in sorted(nbrs):
-        nb = nbrs[nbr]
-        if nb.sym and nbr in mprs:
-            status = LINK_MPR
-        elif nb.sym:
-            status = LINK_SYM
-        else:
-            status = LINK_ASYM
-        entries.append((nbr, status, nb.will))
-    entries = tuple(entries)
-    last = state.last_hello
-    if last is None or last[0] != entries:
-        last = state.last_hello = (entries, _hello_views(entries))
-    entries, views = last
+    adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
+    views = HelloViews(frozenset(nbrs), adv.intersection(ensure_mprs(state)), adv)
+    if views == state.last_hello:
+        views = state.last_hello
+    else:
+        state.last_hello = views
     state.hello_seq += 1
     return ControlMessage(
         kind=HELLO,
         originator=state.node_id,
         sender=state.node_id,
         seq_no=state.hello_seq,
-        payload=(config.willingness, entries),
-        size=HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(entries),
-        views=views,
+        payload=(config.willingness, views),
+        size=HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(views.listed),
     )
 
 
@@ -425,10 +405,7 @@ def process_hello(
     me = state.node_id
     if sender == me:
         return state
-    own_will, entries = msg.payload
-    views = msg.views
-    if views is None:
-        views = _hello_views(entries)
+    own_will, views = msg.payload
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 

@@ -120,6 +120,19 @@ def _require_finite(obj, *names):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def _check_flow_params(flow):
+    """The checks a CbrFlow and a FlowTemplate share."""
+    _require_finite(flow, "rate", "start", "duration")
+    if flow.packet_size <= 0:
+        raise ConfigurationError("packet_size must be positive")
+    if flow.rate <= 0:
+        raise ConfigurationError("rate must be positive")
+    if flow.start < 0:
+        raise ConfigurationError("start must be >= 0")
+    if flow.duration < 0:
+        raise ConfigurationError("duration must be >= 0")
+
+
 @dataclass(frozen=True)
 class CbrFlow:
     """A constant-bit-rate unicast flow between two nodes."""
@@ -132,17 +145,9 @@ class CbrFlow:
     duration: float  # seconds
 
     def __post_init__(self):
-        _require_finite(self, "rate", "start", "duration")
         if self.source == self.destination:
             raise ConfigurationError("flow source equals destination")
-        if self.packet_size <= 0:
-            raise ConfigurationError("packet_size must be positive")
-        if self.rate <= 0:
-            raise ConfigurationError("rate must be positive")
-        if self.start < 0:
-            raise ConfigurationError("start must be >= 0")
-        if self.duration < 0:
-            raise ConfigurationError("duration must be >= 0")
+        _check_flow_params(self)
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,9 @@ class FlowTemplate:
     rate: float = 4.0
     start: float = 30.0
     duration: float = 60.0
+
+    def __post_init__(self):
+        _check_flow_params(self)
 
 
 @dataclass(frozen=True)

@@ -72,24 +72,41 @@ class TestGen:
         assert main(argv) == 2
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "flag,value,flows",
         [
-            ("--duration", "nan"),
-            ("--sample-step", "nan"),
-            ("--range", "inf"),
-            ("--bandwidth", "nan"),
-            ("--rate", "inf"),
-            ("--flow-start", "nan"),
+            *(
+                pytest.param(flag, value, "2", id=f"{flag}-{value}")
+                for flag, value in [
+                    ("--duration", "nan"),
+                    ("--sample-step", "nan"),
+                    ("--range", "inf"),
+                    ("--bandwidth", "nan"),
+                    ("--rate", "inf"),
+                    ("--flow-start", "nan"),
+                ]
+            ),
+            # with no flows, only the flow template sees the flow flags
+            *(
+                pytest.param(flag, value, "0", id=f"{flag}-{value}-flows0")
+                for flag, value in [
+                    ("--rate", "inf"),
+                    ("--rate", "nan"),
+                    ("--flow-start", "nan"),
+                    ("--flow-start", "inf"),
+                    ("--flow-duration", "nan"),
+                ]
+            ),
         ],
     )
-    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value, flows):
         capsys.readouterr()
-        assert main(GEN_BASE + ["--out", str(tmp_path), flag, value]) == 2
+        assert main(GEN_BASE + ["--out", str(tmp_path), "--flows", flows, flag, value]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "scenario.json").exists()
+        assert not (tmp_path / "gen_manifest.json").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -344,14 +361,20 @@ class TestBench:
         manifest = json.loads((out / "bench_manifest.json").read_text())
         assert manifest["deterministic_outputs"] is False
 
-    def test_zero_reps_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--reps", "0"), ("--pad-ms", "inf"), ("--pad-ms", "nan"), ("--pad-ms", "-5")],
+    )
+    def test_zero_reps_exits_2(self, tmp_path, capsys, flag, value):
         scn = run_gen(tmp_path)
         capsys.readouterr()
         out = tmp_path / "bench"
-        argv = ["bench", "--scenario", str(scn), "--workers", "1", "--reps", "0",
-                "--pop", "4", "--gens", "1", "--out", str(out)]
+        argv = ["bench", "--scenario", str(scn), "--workers", "1", "--reps", "1",
+                "--pop", "4", "--gens", "1", "--out", str(out), flag, value]
         assert main(argv) == 2
-        err = capsys.readouterr().err.strip().splitlines()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "bench.csv").exists()
 

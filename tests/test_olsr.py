@@ -13,15 +13,13 @@ from olsrtune.olsr import (
     GENE_NAMES,
     HELLO_ENTRY_BYTES,
     HELLO_HEADER_BYTES,
-    LINK_ASYM,
-    LINK_MPR,
-    LINK_SYM,
     TC_ENTRY_BYTES,
     TC_HEADER_BYTES,
     WILL_ALWAYS,
     WILL_DEFAULT,
     WILL_NEVER,
     ControlMessage,
+    HelloViews,
     Neighbor,
     OlsrConfig,
     OlsrNodeState,
@@ -53,6 +51,16 @@ def nbr(sym, expiry, will=WILL_DEFAULT, adv=(), stragglers=None):
     return Neighbor(
         sym, expiry, will, frozenset(adv), stragglers, min(stragglers.values(), default=math.inf)
     )
+
+
+def hello(sender, seq=1, *, sym=(), asym=(), mpr=(), will=WILL_DEFAULT):
+    """A HELLO from `sender` listing `sym` as symmetric, `asym` as
+    asymmetric and `mpr` as symmetric and selected as MPR."""
+    adv = frozenset(sym) | frozenset(mpr)
+    listed = adv | frozenset(asym)
+    views = HelloViews(listed, frozenset(mpr), adv)
+    size = HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(listed)
+    return ControlMessage("HELLO", sender, sender, seq, (will, views), size)
 
 
 def link(s, n):
@@ -164,7 +172,7 @@ class TestMessages:
     def test_hello_size_empty(self):
         msg = make_hello(OlsrNodeState(node_id=0), CFG)
         assert msg.size == HELLO_HEADER_BYTES
-        assert msg.payload == (CFG.willingness, ())
+        assert msg.payload == (CFG.willingness, (set(), set(), set()))
 
     def test_hello_size_grows_per_entry(self):
         state = OlsrNodeState(node_id=0)
@@ -172,8 +180,7 @@ class TestMessages:
         state.mpr_set = {3}
         msg = make_hello(state, CFG)
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
-        statuses = {nbr: status for nbr, status, _w in msg.payload[1]}
-        assert statuses == {1: LINK_SYM, 2: LINK_ASYM, 3: LINK_MPR}
+        assert msg.payload[1] == HelloViews({1, 2, 3}, {3}, {1, 3})
 
     def test_hello_seq_increments(self):
         state = OlsrNodeState(node_id=0)
@@ -203,43 +210,34 @@ class TestLinkSensing:
 
     def test_symmetry_is_sticky(self):
         a = OlsrNodeState(node_id=0)
-        msg = ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3),)), 32)
-        process_hello(a, msg, 0.0, CFG)
+        process_hello(a, hello(1, sym=[0]), 0.0, CFG)
         assert a.neighbors[1].sym is True
         # a later HELLO that no longer lists us keeps the link symmetric
         # until it expires (RFC-style link aging, not instant demotion)
-        process_hello(a, ControlMessage("HELLO", 1, 1, 2, (3, ()), 24), 1.0, CFG)
+        process_hello(a, hello(1, 2), 1.0, CFG)
         assert a.neighbors[1].sym is True
 
     def test_own_hello_ignored(self):
         a = OlsrNodeState(node_id=0)
-        msg = ControlMessage("HELLO", 0, 0, 1, (3, ()), 24)
-        process_hello(a, msg, 0.0, CFG)
+        process_hello(a, hello(0), 0.0, CFG)
         assert a.neighbors == {}
 
     def test_two_hop_discovery_and_mpr_selection(self):
         # chain 0-1-2 from node 0's perspective
         a = OlsrNodeState(node_id=0)
-        process_hello(a, ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3),)), 32), 0.0, CFG)
-        process_hello(
-            a,
-            ControlMessage("HELLO", 1, 1, 2, (3, ((0, LINK_SYM, 3), (2, LINK_SYM, 3))), 40),
-            1.0,
-            CFG,
-        )
+        process_hello(a, hello(1, sym=[0]), 0.0, CFG)
+        process_hello(a, hello(1, 2, sym=[0, 2]), 1.0, CFG)
         assert 2 in full_hood(a, 1)
         assert ensure_mprs(a) == {1}
 
     def test_asym_entries_are_not_two_hop(self):
         a = OlsrNodeState(node_id=0)
-        entries = ((0, LINK_SYM, 3), (2, LINK_ASYM, 3), (3, LINK_SYM, 3))
-        process_hello(a, ControlMessage("HELLO", 1, 1, 1, (3, entries), 48), 0.0, CFG)
+        process_hello(a, hello(1, sym=[0, 3], asym=[2]), 0.0, CFG)
         assert set(full_hood(a, 1)) == {3}
 
     def test_mpr_selector_recorded(self):
         b = OlsrNodeState(node_id=1)
-        msg = ControlMessage("HELLO", 0, 0, 1, (3, ((1, LINK_MPR, 3),)), 32)
-        process_hello(b, msg, 0.0, CFG)
+        process_hello(b, hello(0, mpr=[1]), 0.0, CFG)
         assert 0 in b.mpr_selectors
 
 
@@ -405,13 +403,13 @@ class TestRoutes:
     def test_asym_hello_leaves_routes_clean(self):
         s = OlsrNodeState(node_id=0)
         ensure_routes(s)
-        process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ((2, LINK_SYM, 3),)), 32), 0.0, CFG)
+        process_hello(s, hello(1, sym=[2]), 0.0, CFG)
         assert link(s, 1) == (False, CFG.neighb_hold_time)
         assert s.routes_dirty is False
 
     def test_asym_link_expiry_leaves_routes_clean(self):
         s = OlsrNodeState(node_id=0)
-        process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ()), 24), 0.0, CFG)
+        process_hello(s, hello(1), 0.0, CFG)
         ensure_routes(s)
         expire(s, CFG.neighb_hold_time)
         assert s.neighbors == {}
@@ -421,8 +419,7 @@ class TestRoutes:
 class TestExpire:
     def test_link_expiry_drops_everything_derived(self):
         s = OlsrNodeState(node_id=0)
-        msg = ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3), (2, LINK_SYM, 3))), 40)
-        process_hello(s, msg, 0.0, CFG)
+        process_hello(s, hello(1, sym=[0, 2]), 0.0, CFG)
         assert ensure_mprs(s) == {1}
         expire(s, CFG.neighb_hold_time + 0.01)
         assert s.neighbors == {}
@@ -431,7 +428,7 @@ class TestExpire:
 
     def test_before_expiry_nothing_happens(self):
         s = OlsrNodeState(node_id=0)
-        process_hello(s, ControlMessage("HELLO", 1, 1, 1, (3, ((0, LINK_SYM, 3),)), 32), 0.0, CFG)
+        process_hello(s, hello(1, sym=[0]), 0.0, CFG)
         expire(s, CFG.neighb_hold_time - 0.5)
         assert 1 in s.neighbors
 
@@ -496,13 +493,13 @@ class TestLazyEqualsEager:
 
     def random_hello(self, rng, will):
         sender = rng.randint(1, 8)
-        entries = tuple(
-            (n, rng.choice((LINK_ASYM, LINK_SYM, LINK_MPR)), rng.choice((0, 3, 7)))
-            for n in self.IDS
-            if n != sender and rng.random() < 0.4
-        )
+        links = {"asym": [], "sym": [], "mpr": []}
+        for n in self.IDS:
+            if n != sender and rng.random() < 0.4:
+                links[rng.choice(("asym", "sym", "mpr"))].append(n)
+                rng.choice((0, 3, 7))  # unused: keeps each seed's draws as they were
         own = will if rng.random() < 0.5 else rng.choice((0, 3, 7))
-        return ControlMessage("HELLO", sender, sender, 1, (own, entries), 24)
+        return hello(sender, will=own, **links)
 
     def random_tc(self, rng, last_seq, last_dests=None):
         """A TC with a random destination set, or with `orig`'s previous
@@ -601,7 +598,7 @@ def reference_process_hello(
     me = state.node_id
     if sender == me:
         return state
-    own_will, entries = msg.payload
+    own_will, views = msg.payload
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
@@ -609,15 +606,12 @@ def reference_process_hello(
     # stored whole in stragglers (adv stays empty)
     prev = state.neighbors.get(sender)
     nb = prev if prev is not None else Neighbor(False, expiry, None)
-    listed = listed_as_mpr = False
+    listed = me in views.listed
+    listed_as_mpr = me in views.mprs
     hood = nb.stragglers
     known = len(hood)
-    for nbr, status, _w in entries:
-        if nbr == me:
-            listed = True
-            if status == LINK_MPR:
-                listed_as_mpr = True
-        elif status != LINK_ASYM:
+    for nbr in views.adv:
+        if nbr != me:
             hood[nbr] = expiry
     if hood:
         nb.straggler_min = min(hood.values())
@@ -787,19 +781,24 @@ class TestHoodEqualsReference:
                 self.mutate_sender(rng, senders[k], dropped[k], wills[k])
                 will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
                 msg = make_hello(senders[k], replace(cfg, willingness=will))
+                views = msg.payload[1]
+                assert views.mprs <= views.adv <= views.listed  # one link code per id
                 if rng.random() < 0.15:
-                    msg = replace(msg, views=None)  # as a hand-built message
+                    # as a hand-built message: equal views, fresh sets
+                    fresh = HelloViews(*(frozenset(ids) for ids in views))
+                    msg = replace(msg, payload=(will, fresh))
                 process_hello(s, msg, now, cfg)
                 reference_process_hello(twin, msg, now, cfg)
             self.check(s, twin)
 
-    def test_views_follow_entries(self):
+    def test_views_reused_while_equal(self):
         sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
-        first = make_hello(sender, CFG)
-        again = make_hello(sender, CFG)
-        assert again.views is first.views and again.payload[1] is first.payload[1]
-        assert first.views == ({0, 2}, set(), {0})
+        first = make_hello(sender, CFG).payload[1]
+        assert make_hello(sender, CFG).payload[1] is first
+        assert first == ({0, 2}, set(), {0})
+        sender.neighbors[0].will = WILL_ALWAYS  # HELLOs do not carry it
+        assert make_hello(sender, CFG).payload[1] is first
         sender.mpr_set = {0}
-        changed = make_hello(sender, CFG)
-        assert changed.views == ({0, 2}, {0}, {0})
-        assert changed.views is not first.views
+        changed = make_hello(sender, CFG).payload[1]
+        assert changed == ({0, 2}, {0}, {0})
+        assert changed is not first
