@@ -21,10 +21,12 @@ select_mprs(state) and compute_routes(state), recomputed only when read
 after an input changed. mpr_set and routing_table are valid only while
 clean, so readers go through ensure_mprs and ensure_routes.
 
-A HELLO carries one willingness and a HelloViews: the three link sets
-its receivers read (every neighbour the sender hears, its symmetric
-neighbours, and those of them it selected as MPR). RFC 3626 section 6.1
-encodes the same content as one link code per neighbour address.
+Each message kind is one type holding only what its receivers read. A
+Hello goes one hop and is never forwarded (RFC 3626 section 6): it holds
+its sender's willingness and a HelloViews, the three link sets its
+receivers read (every neighbour the sender hears, its symmetric
+neighbours, and those it selected as MPR), which RFC 3626 section 6.1
+encodes as one link code per address. Only a Tc floods, relayed by MPRs.
 
 Each neighbour is one Neighbor record, dropped as a whole when its link
 expires (RFC 3626 section 4 keeps link, neighbour and two-hop tuples per
@@ -87,11 +89,10 @@ __all__ = [
     "ParamSpace",
     "OlsrNodeState",
     "Neighbor",
-    "ControlMessage",
+    "Hello",
+    "Tc",
     "HelloViews",
     "GENE_NAMES",
-    "HELLO",
-    "TC",
     "rfc_default",
     "default_param_space",
     "decode_genome",
@@ -112,9 +113,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-HELLO = "HELLO"
-TC = "TC"
 
 WILL_NEVER = 0
 WILL_DEFAULT = 3
@@ -294,22 +292,32 @@ class HelloViews(NamedTuple):
     adv: frozenset  # symmetric neighbours
 
 
-@dataclass(frozen=True)
-class ControlMessage:
-    """A HELLO or TC message as carried on the air.
+class Hello(NamedTuple):
+    """A HELLO, one hop and never forwarded. views holds the RFC 3626 link
+    codes as three sets: an id in listed but not adv is ASYM, in adv but
+    not mprs is SYM, in mprs is MPR."""
 
-    HELLO payload: (own willingness, HelloViews), the RFC 3626 link codes
-    as three sets: an id in listed but not adv is ASYM, in adv but not
-    mprs is SYM, in mprs is MPR. TC payload: tuple of MPR-selector node
-    ids.
-    """
+    sender: int
+    will: int  # the sender's willingness
+    views: HelloViews
 
-    kind: str
+    @property
+    def size(self) -> int:  # bytes
+        return HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(self.views.listed)
+
+
+class Tc(NamedTuple):
+    """A TC as carried on the air: the originator's MPR selectors, relayed
+    by MPRs, each relay sending a copy with itself as sender."""
+
     originator: int
     sender: int
     seq_no: int
-    payload: tuple
-    size: int  # bytes
+    selectors: tuple  # node ids, sorted
+
+    @property
+    def size(self) -> int:  # bytes
+        return TC_HEADER_BYTES + TC_ENTRY_BYTES * len(self.selectors)
 
 
 @dataclass(slots=True)
@@ -344,7 +352,6 @@ class OlsrNodeState:
     # dest -> (next_hop, hop_count)
     routing_table: dict = field(default_factory=dict)
     routes_dirty: bool = False
-    hello_seq: int = 0
     # HelloViews of the latest HELLO made
     last_hello: HelloViews | None = None
     tc_seq: int = 0
@@ -360,7 +367,7 @@ class OlsrNodeState:
         return sorted(n for n, nb in self.neighbors.items() if nb.sym)
 
 
-def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
+def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     """Build this node's next HELLO, advertising all current links. Its
     views are the previous HELLO's object while equal."""
     nbrs = state.neighbors
@@ -370,33 +377,17 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
         views = state.last_hello
     else:
         state.last_hello = views
-    state.hello_seq += 1
-    return ControlMessage(
-        kind=HELLO,
-        originator=state.node_id,
-        sender=state.node_id,
-        seq_no=state.hello_seq,
-        payload=(config.willingness, views),
-        size=HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(views.listed),
-    )
+    return Hello(state.node_id, config.willingness, views)
 
 
-def make_tc(state: OlsrNodeState, config: OlsrConfig) -> ControlMessage:
+def make_tc(state: OlsrNodeState, config: OlsrConfig) -> Tc:
     """Build this node's next TC, advertising its MPR selectors."""
-    entries = tuple(sorted(state.mpr_selectors))
     state.tc_seq += 1
-    return ControlMessage(
-        kind=TC,
-        originator=state.node_id,
-        sender=state.node_id,
-        seq_no=state.tc_seq,
-        payload=entries,
-        size=TC_HEADER_BYTES + TC_ENTRY_BYTES * len(entries),
-    )
+    return Tc(state.node_id, state.node_id, state.tc_seq, tuple(sorted(state.mpr_selectors)))
 
 
 def process_hello(
-    state: OlsrNodeState, msg: ControlMessage, now: float, config: OlsrConfig
+    state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig
 ) -> OlsrNodeState:
     """Apply a received HELLO: link sensing, two-hop discovery, MPR
     bookkeeping. The link turns symmetric once the sender lists us.
@@ -405,7 +396,7 @@ def process_hello(
     me = state.node_id
     if sender == me:
         return state
-    own_will, views = msg.payload
+    own_will, views = msg.will, msg.views
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
@@ -535,9 +526,7 @@ def ensure_mprs(state: OlsrNodeState) -> set:
     return state.mpr_set
 
 
-def process_tc(
-    state: OlsrNodeState, msg: ControlMessage, now: float, config: OlsrConfig
-) -> OlsrNodeState:
+def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> OlsrNodeState:
     """Apply a received TC: refresh (dest, last_hop=originator) tuples,
     discarding stale sequence numbers."""
     orig = msg.originator
@@ -549,14 +538,14 @@ def process_tc(
     expiry = now + config.top_hold_time
     state.note_expiry(expiry)
     if rec is None or msg.seq_no > rec[0]:
-        dests = {dest: expiry for dest in msg.payload if dest != state.node_id}
+        dests = {dest: expiry for dest in msg.selectors if dest != state.node_id}
         # compute_routes reads only the destination sets
         if rec is None or dests.keys() != rec[1].keys():
             state.routes_dirty = True
         rec = state.topology[orig] = [msg.seq_no, dests, None]
     else:
         dests = rec[1]
-        for dest in msg.payload:
+        for dest in msg.selectors:
             if dest == state.node_id:
                 continue
             if dest not in dests:

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 TRACE_HEADER = "time_s,node_id,x_m,y_m"
+MAX_PACKET_BYTES = 65_535  # the IPv4 maximum (RFC 791): keeps every frame's energy finite
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,21 @@ class MobilityTrace:
     samples: tuple  # of (time_s, node_id, x_m, y_m)
 
     def __post_init__(self):
-        seen = set()
         prev = None
-        nodes = set()
+        nodes, at_zero = set(), set()
         for t, node, _x, _y in self.samples:
-            if prev is not None and (t, node) < prev:
-                raise TraceValidationError("samples not sorted by (time, node_id)")
-            if (t, node) in seen:
+            key = (t, node)
+            # sorted, so a duplicate is always equal to the previous key
+            if prev is not None and key <= prev:
+                if key < prev:
+                    raise TraceValidationError("samples not sorted by (time, node_id)")
                 raise TraceValidationError(f"duplicate sample for node {node} at t={t}")
-            seen.add((t, node))
-            prev = (t, node)
+            prev = key
             nodes.add(node)
+            if t == 0:
+                at_zero.add(node)
         for node in nodes:
-            if (0.0, node) not in seen and (0, node) not in seen:
+            if node not in at_zero:
                 raise TraceValidationError(f"node {node} has no sample at t=0")
 
     @cached_property
@@ -123,8 +126,8 @@ def _require_finite(obj, *names):
 def _check_flow_params(flow):
     """The checks a CbrFlow and a FlowTemplate share."""
     _require_finite(flow, "rate", "start", "duration")
-    if flow.packet_size <= 0:
-        raise ConfigurationError("packet_size must be positive")
+    if not 0 < flow.packet_size <= MAX_PACKET_BYTES:
+        raise ConfigurationError(f"packet_size must be in 1..{MAX_PACKET_BYTES} bytes")
     if flow.rate <= 0:
         raise ConfigurationError("rate must be positive")
     if flow.start < 0:
@@ -202,6 +205,8 @@ class Scenario:
             raise ConfigurationError("area dimensions must be positive")
         if self.radio_range <= 0:
             raise ConfigurationError("radio_range must be positive")
+        if not math.isfinite(self.radio_range * self.radio_range):
+            raise ConfigurationError(f"radio_range {self.radio_range} is too large to square")
         if self.bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
         if self.sim_duration <= 0:
@@ -417,6 +422,8 @@ def load_trace(text) -> MobilityTrace:
             y = float(parts[3])
         except ValueError as exc:
             raise TraceParseError(line_no, str(exc)) from None
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            raise TraceParseError(line_no, f"time and position must be finite, got {t}, {x}, {y}")
         if t < 0:
             raise TraceParseError(line_no, f"negative time {t}")
         rows.append((t, node, x, y))

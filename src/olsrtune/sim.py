@@ -4,9 +4,11 @@ Nodes run the OLSR state machine over an ideal broadcast medium (unit
 disk, optional distance-scaled Bernoulli loss, no MAC contention).
 Every transmission charges the sender its send energy and every in-range
 node the receive energy, data or control alike. Data packets travel
-hop-by-hop along the routing tables; control floods follow the MPR
-forwarding rule. Runs are fully deterministic in (scenario, config,
-nic, seed) and independent of host scheduling.
+hop-by-hop along the routing tables. A HELLO reaches one hop in one
+pass: its receivers process it in the order the radio model returns
+them. Only TCs flood, relayed under the MPR forwarding rule. Runs are
+fully deterministic in (scenario, config, nic, seed) and independent of
+host scheduling.
 
 The radio model, which every transmission goes through:
 
@@ -31,14 +33,14 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from . import olsr
 from .errors import ConfigurationError
-from .olsr import ControlMessage, OlsrConfig, OlsrNodeState
+from .olsr import OlsrConfig, OlsrNodeState, Tc
 from .scenario import MobilityTrace, Scenario, position_at
 from .seeding import derive_rng
 
@@ -367,30 +369,27 @@ class _Simulation:
             self.on_transmit(sender, size_bits, tuple(receivers), t)
         return receivers
 
-    def _flood(self, msg: ControlMessage, t: float):
-        """Broadcast a control message and run the synchronous flood:
-        receptions are processed FIFO at the same instant, and MPR
-        forwarders re-broadcast within the cascade."""
-        queue = deque()
+    def _broadcast(self, msg, t: float):
+        """Put a Hello or Tc on the air. Returns the receiving node ids."""
         self.control_tx += 1
-        for r in self._transmit(msg.sender, msg.size * 8, t):
-            queue.append((r, msg))
+        return self._transmit(msg.sender, msg.size * 8, t)
+
+    def _flood(self, msg: Tc, t: float):
+        """Broadcast a TC and run the synchronous flood: receptions are
+        processed FIFO at the same instant, and MPR forwarders re-broadcast
+        within the cascade."""
+        queue = deque((r, msg) for r in self._broadcast(msg, t))
         while queue:
             node, m = queue.popleft()
             state = self.states[node]
             olsr.expire(state, t)
-            if m.kind == olsr.HELLO:
-                olsr.process_hello(state, m, t, self.config)
-                continue
             nb = state.neighbors.get(m.sender)
             if nb is None or not nb.sym:
                 continue  # TCs over non-symmetric links are discarded
             olsr.process_tc(state, m, t, self.config)
             if olsr.should_forward(state, m.originator, m.seq_no, m.sender, t, self.config):
-                fwd = replace(m, sender=node)
-                self.control_tx += 1
-                for r in self._transmit(node, fwd.size * 8, t):
-                    queue.append((r, fwd))
+                fwd = m._replace(sender=node)
+                queue.extend((r, fwd) for r in self._broadcast(fwd, t))
 
     def _send_data(self, node: int, dest: int, size_bytes: int, origin_t: float, hops: int, t: float):
         state = self.states[node]
@@ -417,7 +416,11 @@ class _Simulation:
                 node, k = payload
                 state = self.states[node]
                 olsr.expire(state, t)
-                self._flood(olsr.make_hello(state, self.config), t)
+                hello = olsr.make_hello(state, self.config)
+                for r in self._broadcast(hello, t):  # one hop, never forwarded
+                    state = self.states[r]
+                    olsr.expire(state, t)
+                    olsr.process_hello(state, hello, t, self.config)
                 self._schedule_tick(_EV_HELLO, node, k + 1)
             elif kind == _EV_TC:
                 node, k = payload

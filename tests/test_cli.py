@@ -80,6 +80,7 @@ class TestGen:
                     ("--duration", "nan"),
                     ("--sample-step", "nan"),
                     ("--range", "inf"),
+                    ("--range", "1e308"),  # finite, but its square is not
                     ("--bandwidth", "nan"),
                     ("--rate", "inf"),
                     ("--flow-start", "nan"),
@@ -222,9 +223,14 @@ MALFORMED_FILES = {
     "scenario-flow-missing-rate": ("scenario", _drop_flow_rate, 2),
     "scenario-loss-number": ("scenario", _set("loss_model", 5), 2),
     "scenario-infinite-range": ("scenario", _set("radio_range_m", float("inf")), 2),
+    "scenario-range-square-overflows": ("scenario", _set("radio_range_m", 1e308), 3),
     "scenario-fractional-source": ("scenario", _set_flow("source", 1.5), 2),
     "scenario-fractional-size": ("scenario", _set_flow("packet_size", 100.9), 2),
+    "scenario-size-beyond-float": ("scenario", _set_flow("packet_size", 1e308), 3),
+    "scenario-size-energy-infinite": ("scenario", _set_flow("packet_size", 1e305), 3),
     "scenario-trace-not-utf8": ("trace", lambda data: b"\xff\xfe" + data, 2),
+    "trace-nan-time": ("trace", lambda data: data + b"nan,0,10.0,10.0\n", 2),
+    "trace-inf-time": ("trace", lambda data: data + b"inf,0,10.0,10.0\n", 2),
 }
 
 
@@ -253,6 +259,9 @@ def test_malformed_file_gives_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    for written in (tmp_path / "out").rglob("*.json"):
+        text = written.read_text()
+        assert "NaN" not in text and "Infinity" not in text
 
 
 class TestTune:

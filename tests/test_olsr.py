@@ -18,11 +18,12 @@ from olsrtune.olsr import (
     WILL_ALWAYS,
     WILL_DEFAULT,
     WILL_NEVER,
-    ControlMessage,
+    Hello,
     HelloViews,
     Neighbor,
     OlsrConfig,
     OlsrNodeState,
+    Tc,
     compute_routes,
     config_from_dict,
     config_to_dict,
@@ -53,14 +54,11 @@ def nbr(sym, expiry, will=WILL_DEFAULT, adv=(), stragglers=None):
     )
 
 
-def hello(sender, seq=1, *, sym=(), asym=(), mpr=(), will=WILL_DEFAULT):
+def hello(sender, *, sym=(), asym=(), mpr=(), will=WILL_DEFAULT):
     """A HELLO from `sender` listing `sym` as symmetric, `asym` as
     asymmetric and `mpr` as symmetric and selected as MPR."""
     adv = frozenset(sym) | frozenset(mpr)
-    listed = adv | frozenset(asym)
-    views = HelloViews(listed, frozenset(mpr), adv)
-    size = HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(listed)
-    return ControlMessage("HELLO", sender, sender, seq, (will, views), size)
+    return Hello(sender, will, HelloViews(adv | frozenset(asym), frozenset(mpr), adv))
 
 
 def link(s, n):
@@ -172,7 +170,8 @@ class TestMessages:
     def test_hello_size_empty(self):
         msg = make_hello(OlsrNodeState(node_id=0), CFG)
         assert msg.size == HELLO_HEADER_BYTES
-        assert msg.payload == (CFG.willingness, (set(), set(), set()))
+        assert msg.will == CFG.willingness
+        assert msg.views == (set(), set(), set())
 
     def test_hello_size_grows_per_entry(self):
         state = OlsrNodeState(node_id=0)
@@ -180,18 +179,18 @@ class TestMessages:
         state.mpr_set = {3}
         msg = make_hello(state, CFG)
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
-        assert msg.payload[1] == HelloViews({1, 2, 3}, {3}, {1, 3})
+        assert msg.views == HelloViews({1, 2, 3}, {3}, {1, 3})
 
-    def test_hello_seq_increments(self):
+    def test_tc_seq_increments(self):
         state = OlsrNodeState(node_id=0)
-        assert make_hello(state, CFG).seq_no == 1
-        assert make_hello(state, CFG).seq_no == 2
+        assert make_tc(state, CFG).seq_no == 1
+        assert make_tc(state, CFG).seq_no == 2
 
     def test_tc_lists_sorted_selectors(self):
         state = OlsrNodeState(node_id=0)
         state.mpr_selectors = {5: 99.0, 2: 99.0}
         msg = make_tc(state, CFG)
-        assert msg.payload == (2, 5)
+        assert msg.selectors == (2, 5)
         assert msg.size == TC_HEADER_BYTES + 2 * TC_ENTRY_BYTES
 
 
@@ -214,7 +213,7 @@ class TestLinkSensing:
         assert a.neighbors[1].sym is True
         # a later HELLO that no longer lists us keeps the link symmetric
         # until it expires (RFC-style link aging, not instant demotion)
-        process_hello(a, hello(1, 2), 1.0, CFG)
+        process_hello(a, hello(1), 1.0, CFG)
         assert a.neighbors[1].sym is True
 
     def test_own_hello_ignored(self):
@@ -226,7 +225,7 @@ class TestLinkSensing:
         # chain 0-1-2 from node 0's perspective
         a = OlsrNodeState(node_id=0)
         process_hello(a, hello(1, sym=[0]), 0.0, CFG)
-        process_hello(a, hello(1, 2, sym=[0, 2]), 1.0, CFG)
+        process_hello(a, hello(1, sym=[0, 2]), 1.0, CFG)
         assert 2 in full_hood(a, 1)
         assert ensure_mprs(a) == {1}
 
@@ -302,7 +301,7 @@ class TestSelectMprs:
 
 class TestProcessTc:
     def make_tc_msg(self, orig, seq, dests, sender=None):
-        return ControlMessage("TC", orig, sender if sender is not None else orig, seq, tuple(dests), 28)
+        return Tc(orig, sender if sender is not None else orig, seq, tuple(dests))
 
     def test_topology_recorded(self):
         s = OlsrNodeState(node_id=0)
@@ -434,7 +433,7 @@ class TestExpire:
 
     def test_topology_expiry(self):
         s = OlsrNodeState(node_id=0)
-        process_tc(s, ControlMessage("TC", 5, 5, 1, (6,), 24), 0.0, CFG)
+        process_tc(s, Tc(5, 5, 1, (6,)), 0.0, CFG)
         expire(s, CFG.top_hold_time + 0.01)
         assert s.topology == {}
 
@@ -513,7 +512,7 @@ class TestLazyEqualsEager:
                 dests = last_dests[orig]
             last_dests[orig] = dests
         sender = orig if rng.random() < 0.5 else rng.randint(1, 8)
-        return ControlMessage("TC", orig, sender, seq, dests, 28)
+        return Tc(orig, sender, seq, dests)
 
     def check(self, s, ref):
         """Caches equal fresh evaluations, tables equal those of the
@@ -589,7 +588,7 @@ class TestLazyEqualsEager:
 
 
 def reference_process_hello(
-    state: OlsrNodeState, msg: ControlMessage, now: float, config: OlsrConfig
+    state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig
 ) -> OlsrNodeState:
     """Apply a received HELLO: link sensing, two-hop discovery, MPR
     bookkeeping. The link turns symmetric once the sender lists us.
@@ -598,7 +597,7 @@ def reference_process_hello(
     me = state.node_id
     if sender == me:
         return state
-    own_will, views = msg.payload
+    own_will, views = msg.will, msg.views
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
 
@@ -781,24 +780,24 @@ class TestHoodEqualsReference:
                 self.mutate_sender(rng, senders[k], dropped[k], wills[k])
                 will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
                 msg = make_hello(senders[k], replace(cfg, willingness=will))
-                views = msg.payload[1]
+                views = msg.views
                 assert views.mprs <= views.adv <= views.listed  # one link code per id
                 if rng.random() < 0.15:
                     # as a hand-built message: equal views, fresh sets
                     fresh = HelloViews(*(frozenset(ids) for ids in views))
-                    msg = replace(msg, payload=(will, fresh))
+                    msg = msg._replace(views=fresh)
                 process_hello(s, msg, now, cfg)
                 reference_process_hello(twin, msg, now, cfg)
             self.check(s, twin)
 
     def test_views_reused_while_equal(self):
         sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
-        first = make_hello(sender, CFG).payload[1]
-        assert make_hello(sender, CFG).payload[1] is first
+        first = make_hello(sender, CFG).views
+        assert make_hello(sender, CFG).views is first
         assert first == ({0, 2}, set(), {0})
         sender.neighbors[0].will = WILL_ALWAYS  # HELLOs do not carry it
-        assert make_hello(sender, CFG).payload[1] is first
+        assert make_hello(sender, CFG).views is first
         sender.mpr_set = {0}
-        changed = make_hello(sender, CFG).payload[1]
+        changed = make_hello(sender, CFG).views
         assert changed == ({0, 2}, {0}, {0})
         assert changed is not first
