@@ -40,6 +40,9 @@ __all__ = [
 
 TRACE_HEADER = "time_s,node_id,x_m,y_m"
 MAX_PACKET_BYTES = 65_535  # the IPv4 maximum (RFC 791): keeps every frame's energy finite
+MAX_DURATION_S = 86_400.0  # one day: bounds a run's periodic ticks and a generated walk
+MAX_TRACE_SAMPLES = 10**6  # generated trace samples per vehicle, duration / sample_step
+MAX_FLOW_PACKETS = 10**7  # packets one CBR flow may send, rate x duration
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,14 @@ def _require_finite(obj, *names):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def _packet_count(flow) -> int:
+    """Packets a flow sends, one every 1/rate s from its start:
+    ceil(rate * duration - 1e-9), or MAX_FLOW_PACKETS + 1 for any count
+    above the bound (the product may not even be a finite float)."""
+    n = flow.rate * flow.duration - 1e-9
+    return math.ceil(n) if n <= MAX_FLOW_PACKETS else MAX_FLOW_PACKETS + 1
+
+
 def _check_flow_params(flow):
     """The checks a CbrFlow and a FlowTemplate share."""
     _require_finite(flow, "rate", "start", "duration")
@@ -134,6 +145,10 @@ def _check_flow_params(flow):
         raise ConfigurationError("start must be >= 0")
     if flow.duration < 0:
         raise ConfigurationError("duration must be >= 0")
+    if _packet_count(flow) > MAX_FLOW_PACKETS:
+        raise ConfigurationError(
+            f"rate {flow.rate} x duration {flow.duration} is more than {MAX_FLOW_PACKETS} packets"
+        )
 
 
 @dataclass(frozen=True)
@@ -151,6 +166,8 @@ class CbrFlow:
         if self.source == self.destination:
             raise ConfigurationError("flow source equals destination")
         _check_flow_params(self)
+
+    packet_count = property(_packet_count)
 
 
 @dataclass(frozen=True)
@@ -209,8 +226,8 @@ class Scenario:
             raise ConfigurationError(f"radio_range {self.radio_range} is too large to square")
         if self.bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
-        if self.sim_duration <= 0:
-            raise ConfigurationError("sim_duration must be positive")
+        if not 0 < self.sim_duration <= MAX_DURATION_S:
+            raise ConfigurationError(f"sim_duration must be in (0, {MAX_DURATION_S:g}] s")
         nodes = set(self.trace.node_ids)
         for flow in self.flows:
             if flow.source not in nodes or flow.destination not in nodes:
@@ -255,8 +272,12 @@ class GridSpec:
             raise ConfigurationError("pause_time must be >= 0")
         if self.sample_step <= 0:
             raise ConfigurationError("sample_step must be positive")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < self.duration <= MAX_DURATION_S:
+            raise ConfigurationError(f"duration must be in (0, {MAX_DURATION_S:g}] s")
+        if self.duration / self.sample_step > MAX_TRACE_SAMPLES:
+            raise ConfigurationError(
+                f"duration / sample_step must be at most {MAX_TRACE_SAMPLES} samples per vehicle"
+            )
 
 
 def _vehicle_breakpoints(spec: GridSpec, rng) -> list:

@@ -25,6 +25,17 @@ The radio model, which every transmission goes through:
   delay later.
 
 Changing any of these, the draw order included, changes the metrics.
+
+The event queue is a heap keyed by (time, sequence number); the number
+breaks exact time ties in the order events were queued. It holds one
+pending packet per CBR flow, not every packet of the run: popping packet
+i of a flow queues packet i + 1 at start + (i + 1) / rate. Each packet
+keeps the number it would have had if every packet of the run had been
+queued at the start, in flow order, right after the first HELLO and TC
+ticks, and later events are numbered after all of them. So the pop
+order, and with it every loss draw and metric, is the same as if every
+packet were queued at the start, while the heap holds O(nodes + flows +
+frames in flight) entries.
 """
 
 from __future__ import annotations
@@ -300,11 +311,10 @@ class _Simulation:
         for n in self.nodes:
             self._schedule_tick(_EV_HELLO, n, 0)
             self._schedule_tick(_EV_TC, n, 0)
-        for flow in scenario.flows:
-            count = math.ceil(flow.rate * flow.duration - 1e-9)
-            for i in range(count):
-                t = flow.start + i / flow.rate
-                self._push(t, _EV_CBR, (flow.source, flow.destination, flow.packet_size))
+        for flow in scenario.flows:  # packet i is numbered self._seq + 1 + i
+            if flow.packet_count:
+                heapq.heappush(self.heap, (flow.start, self._seq + 1, _EV_CBR, (flow, 0)))
+            self._seq += flow.packet_count
 
     def _push(self, t: float, kind: int, payload):
         self._seq += 1
@@ -430,9 +440,12 @@ class _Simulation:
                     self._flood(olsr.make_tc(state, self.config), t)
                 self._schedule_tick(_EV_TC, node, k + 1)
             elif kind == _EV_CBR:
-                source, dest, size_bytes = payload
+                flow, i = payload
+                if i + 1 < flow.packet_count:
+                    t_next = flow.start + (i + 1) / flow.rate
+                    heapq.heappush(heap, (t_next, _seq + 1, _EV_CBR, (flow, i + 1)))
                 self.data_sent += 1
-                self._send_data(source, dest, size_bytes, t, 0, t)
+                self._send_data(flow.source, flow.destination, flow.packet_size, t, 0, t)
             else:  # _EV_DATA
                 node, dest, size_bytes, origin_t, hops = payload
                 if node == dest:

@@ -100,6 +100,24 @@ class TestGen:
         ],
     )
     def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value, flows):
+        self.assert_one_line_usage_error(tmp_path, capsys, flag, value, flows)
+
+    # each bound keeps gen, or a run of the scenario it writes, finite
+    @pytest.mark.parametrize(
+        "flag,value,flows",
+        [
+            ("--duration", "1e308", "2"),  # MAX_DURATION_S
+            ("--duration", "86401", "2"),
+            ("--sample-step", "1e-9", "2"),  # MAX_TRACE_SAMPLES per vehicle
+            ("--rate", "1e12", "1"),  # MAX_FLOW_PACKETS
+            ("--rate", "1e12", "0"),
+        ],
+    )
+    def test_flag_beyond_bound_exits_2(self, tmp_path, capsys, flag, value, flows):
+        self.assert_one_line_usage_error(tmp_path, capsys, flag, value, flows)
+
+    @staticmethod
+    def assert_one_line_usage_error(tmp_path, capsys, flag, value, flows):
         capsys.readouterr()
         assert main(GEN_BASE + ["--out", str(tmp_path), "--flows", flows, flag, value]) == 2
         err = capsys.readouterr().err
@@ -228,6 +246,8 @@ MALFORMED_FILES = {
     "scenario-fractional-size": ("scenario", _set_flow("packet_size", 100.9), 2),
     "scenario-size-beyond-float": ("scenario", _set_flow("packet_size", 1e308), 3),
     "scenario-size-energy-infinite": ("scenario", _set_flow("packet_size", 1e305), 3),
+    "scenario-duration-beyond-bound": ("scenario", _set("duration_s", 1e308), 3),
+    "scenario-flow-packets-beyond-bound": ("scenario", _set_flow("rate", 1e12), 3),
     "scenario-trace-not-utf8": ("trace", lambda data: b"\xff\xfe" + data, 2),
     "trace-nan-time": ("trace", lambda data: data + b"nan,0,10.0,10.0\n", 2),
     "trace-inf-time": ("trace", lambda data: data + b"inf,0,10.0,10.0\n", 2),

@@ -6,6 +6,7 @@ import pytest
 
 from olsrtune.errors import ConfigurationError, TraceParseError, TraceValidationError
 from olsrtune.scenario import (
+    MAX_FLOW_PACKETS,
     CbrFlow,
     FlowTemplate,
     GridSpec,
@@ -80,6 +81,19 @@ class TestFlowAndScenarioValidation:
     def test_flow_bad_size(self):
         with pytest.raises(ConfigurationError):
             CbrFlow(source=0, destination=1, packet_size=0, rate=1.0, start=0.0, duration=1.0)
+
+    def test_flow_packet_count_bound(self):
+        def flow(rate, duration):
+            return CbrFlow(source=0, destination=1, packet_size=64, rate=rate, start=0.0,
+                           duration=duration)
+
+        assert flow(2.0, 2.5).packet_count == 5
+        assert flow(3.0, 0.0).packet_count == 0
+        assert flow(1000.0, MAX_FLOW_PACKETS / 1000.0).packet_count == MAX_FLOW_PACKETS
+        # just over the bound, and a rate x duration that overflows a float
+        for rate, duration in ((1000.0, MAX_FLOW_PACKETS / 1000.0 + 0.01), (1e300, 1e300)):
+            with pytest.raises(ConfigurationError, match="packets"):
+                flow(rate, duration)
 
     def test_scenario_flow_unknown_node(self):
         tr = trace_of([(0.0, 0, 0.0, 0.0), (0.0, 1, 5.0, 5.0)])

@@ -1,5 +1,7 @@
 """End-to-end simulator behaviour on small controlled scenarios."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -28,6 +30,7 @@ from olsrtune.scenario import (
 from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
     _PositionIndex,
+    _Simulation,
     broadcast_energy,
     default_nic,
     energy_recv,
@@ -324,6 +327,55 @@ class TestRadioModelReference:
         assert len(seen) > 500
         assert sum(map(len, expected)) > len(seen)
         assert lost > 100
+
+
+def tie_scenario():
+    """A lossy 7-node chain whose flows make exact time ties:
+    a rate-4 flow listed first, then three rate-2 flows with its start
+    (two from one source), so every rate-2 packet ties with a rate-4
+    packet that is numbered first but queued last, and a flow of
+    duration 0 that sends nothing."""
+
+    def flow(source, destination, rate, start=10.0, duration=20.0):
+        return CbrFlow(source=source, destination=destination, packet_size=128,
+                       rate=rate, start=start, duration=duration)
+
+    flows = (flow(1, 4, 4.0), flow(0, 3, 2.0), flow(0, 5, 2.0), flow(6, 2, 2.0),
+             flow(5, 1, 3.0, start=12.0, duration=0.0))
+    return make_static_scenario(line_positions(7), duration=40.0, radio_range=120.0,
+                                flows=flows, loss=LossModel("bernoulli", 0.3))
+
+
+# sha256 of the tie scenario's on_transmit sequence, recorded when every
+# CBR packet was put on the event queue before the run started
+TIE_ORDER_DIGEST = "7a18ae52842793b9efc7d2098cbf48dedfa775a05dee756099e95dd1f562435f"
+
+
+class TestEventOrder:
+    def test_exact_time_ties_keep_their_order(self):
+        seen = []
+        m = run_simulation(tie_scenario(), CFG, NIC, seed=3,
+                           on_transmit=lambda *call: seen.append(call))
+        calls = [[t, sender, size_bits, list(receivers)]
+                 for sender, size_bits, receivers, t in seen]
+        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+        assert digest == TIE_ORDER_DIGEST
+        # the scenario exercises what the test covers
+        assert m.data_sent == 3 * 40 + 80
+        assert 0 < m.data_delivered < m.data_sent
+        assert m.hops > 2.0
+
+    def test_queue_holds_one_pending_packet_per_flow(self):
+        # the multihop_data benchmark's shape: 40 vehicles, 20 flows of
+        # 1,800 packets each
+        spec = GridSpec(area=(1000.0, 700.0), streets=(5, 5), vehicle_count=40,
+                        speed=(2.0, 6.0), duration=120.0)
+        template = FlowTemplate(packet_size=512, rate=20.0, start=20.0, duration=90.0)
+        scn = generate_grid_scenario(spec, 20, template, seed=2, radio_range=300.0,
+                                     loss_model=LossModel("bernoulli", 0.1))
+        assert sum(f.packet_count for f in scn.flows) == 36_000
+        sim = _Simulation(scn, CFG, NIC, 2, None)
+        assert len(sim.heap) <= 2 * len(sim.nodes) + len(scn.flows)
 
 
 class TestMetricsSerialization:
