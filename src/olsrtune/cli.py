@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .scenario import (
     generate_grid_scenario,
     load_scenario,
     save_scenario,
+    scenario_files,
 )
 
 __all__ = ["main"]
@@ -75,13 +77,6 @@ def _grid_flags(args) -> tuple:
     return pc_values, pm_values, args.reps
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("OLSRTUNE_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -90,11 +85,25 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text with the csv module's CRLF row ends, which the golden digests pin."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 class _Manifest:
     """Records the command, its resolved settings, input digests, and the
-    produced files; written last so it lists everything."""
+    produced files; written last so it lists everything. Every output a
+    command writes goes through `output`, which lists it."""
 
-    def __init__(self, command: str, args, out_dir: Path):
+    def __init__(self, command: str, args):
         self.doc = {
             "command": command,
             "argv": list(sys.argv[1:]),
@@ -105,7 +114,8 @@ class _Manifest:
             "outputs": [],
             "started_utc": _utcnow(),
         }
-        self.out_dir = out_dir
+        self.out_dir = Path(args.out or os.environ.get("OLSRTUNE_OUT") or ".")
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def setting(self, **kv):
         self.doc["settings"].update(kv)
@@ -116,25 +126,29 @@ class _Manifest:
     def output_file(self, path: Path):
         self.doc["outputs"].append(path.name)
 
+    def output(self, name: str, text: str) -> Path:
+        """Write `text` as it is (no newline translation) to the output
+        file `name` and list the file."""
+        path = self.out_dir / name
+        path.write_text(text, encoding="utf-8", newline="")
+        self.output_file(path)
+        return path
+
     def write(self, extra: dict | None = None):
         if extra:
             self.doc.update(extra)
         self.doc["finished_utc"] = _utcnow()
         path = self.out_dir / f"{self.doc['command']}_manifest.json"
-        path.write_text(json.dumps(self.doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(_json_text(self.doc), encoding="utf-8", newline="")
 
 
 def _load_scenario_arg(path_str: str, manifest: _Manifest):
     path = Path(path_str)
     if not path.is_file():
         raise InputError(f"scenario file not found: {path}")
-    manifest.input_file(path)
     scenario = load_scenario(path)
-    trace_ref = json.loads(path.read_text(encoding="utf-8"))["trace_file"]
-    trace_path = Path(trace_ref)
-    if not trace_path.is_absolute():
-        trace_path = path.parent / trace_path
-    manifest.input_file(trace_path)
+    for input_path in scenario_files(path):
+        manifest.input_file(input_path)
     return scenario, path.stem
 
 
@@ -150,16 +164,8 @@ def _load_config_arg(path_str: str, manifest: _Manifest):
     return olsr.config_from_dict(doc), path.stem
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_gen(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("gen", args, out)
+    manifest = _Manifest("gen", args)
     try:
         spec = GridSpec(
             area=_parse_pair(args.area, "x", "area"),
@@ -194,7 +200,7 @@ def cmd_gen(args) -> int:
     except DomainError as exc:
         # bad flag values are usage errors, not simulation-domain failures
         raise InputError(str(exc)) from None
-    written = save_scenario(scenario, out / f"{args.name}.json")
+    written = save_scenario(scenario, manifest.out_dir / f"{args.name}.json")
     for p in written:
         manifest.output_file(p)
     manifest.setting(
@@ -220,8 +226,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("simulate", args, out)
+    manifest = _Manifest("simulate", args)
     scenario, scenario_id = _load_scenario_arg(args.scenario, manifest)
     if args.rfc:
         config, config_id = olsr.rfc_default(), "rfc_default"
@@ -247,20 +252,15 @@ def cmd_simulate(args) -> int:
         rows.append(sim.metrics_row(metrics, scenario_id, config_id, args.seed))
         doc = sim.metrics_to_json(metrics)
 
-    csv_path = out / "metrics.csv"
-    _write_csv(csv_path, sim.METRICS_COLUMNS, rows)
-    json_path = out / "metrics.json"
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.output_file(csv_path)
-    manifest.output_file(json_path)
+    csv_path = manifest.output("metrics.csv", _csv_text(sim.METRICS_COLUMNS, rows))
+    json_path = manifest.output("metrics.json", _json_text(doc))
     manifest.write()
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
 def cmd_tune(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("tune", args, out)
+    manifest = _Manifest("tune", args)
     scenario, scenario_id = _load_scenario_arg(args.scenario, manifest)
     nic = sim.default_nic()
     space = olsr.default_param_space()
@@ -296,11 +296,8 @@ def cmd_tune(args) -> int:
             nic,
             ctx,
         )
-        grid_path = out / "grid.csv"
-        _write_csv(
-            grid_path, evo.GRID_COLUMNS, [[repr(r[c]) for c in evo.GRID_COLUMNS] for r in rows]
-        )
-        manifest.output_file(grid_path)
+        cells = [[repr(r[c]) for c in evo.GRID_COLUMNS] for r in rows]
+        grid_path = manifest.output("grid.csv", _csv_text(evo.GRID_COLUMNS, cells))
         manifest.write()
         print(f"wrote {grid_path}")
         return 0
@@ -308,15 +305,9 @@ def cmd_tune(args) -> int:
     best, history = evo.evolve(settings, space, scenario, nic, ctx)
     config = olsr.decode_genome(best.genes, space)
 
-    best_path = out / "best_config.json"
-    best_path.write_text(
-        json.dumps(olsr.config_to_dict(config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    hist_path = out / "history.csv"
-    _write_csv(hist_path, evo.HISTORY_COLUMNS, [evo.history_row(h) for h in history])
-    manifest.output_file(best_path)
-    manifest.output_file(hist_path)
+    best_path = manifest.output("best_config.json", _json_text(olsr.config_to_dict(config)))
+    hist_rows = [evo.history_row(h) for h in history]
+    hist_path = manifest.output("history.csv", _csv_text(evo.HISTORY_COLUMNS, hist_rows))
     manifest.write(
         extra={
             "best": {
@@ -337,8 +328,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("validate", args, out)
+    manifest = _Manifest("validate", args)
     scen_dir = Path(args.scenarios)
     if not scen_dir.is_dir():
         raise InputError(f"scenario directory not found: {scen_dir}")
@@ -369,20 +359,15 @@ def cmd_validate(args) -> int:
     )
 
     report = analysis.validation_report(configs, scenarios, sim.default_nic(), seeds)
-    csv_path = out / "report.csv"
-    csv_path.write_text(analysis.report_csv(report), encoding="utf-8")
-    txt_path = out / "report.txt"
-    txt_path.write_text(analysis.report_text(report), encoding="utf-8")
-    manifest.output_file(csv_path)
-    manifest.output_file(txt_path)
+    csv_path = manifest.output("report.csv", analysis.report_csv(report))
+    txt_path = manifest.output("report.txt", analysis.report_text(report))
     manifest.write(extra={"runs": report.runs, "failures": report.failures})
     print(f"wrote {csv_path} and {txt_path} ({report.runs} runs, {report.failures} failures)")
     return 0
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("bench", args, out)
+    manifest = _Manifest("bench", args)
     scenario, scenario_id = _load_scenario_arg(args.scenario, manifest)
     nic = sim.default_nic()
     space = olsr.default_param_space()
@@ -419,9 +404,7 @@ def cmd_bench(args) -> int:
         times[m] = samples
 
     result = analysis.bench_result(times)
-    csv_path = out / "bench.csv"
-    csv_path.write_text(analysis.bench_csv(result), encoding="utf-8")
-    manifest.output_file(csv_path)
+    csv_path = manifest.output("bench.csv", analysis.bench_csv(result))
     # wall-clock measurements: this output is honest data, not replayable
     manifest.write(extra={"deterministic_outputs": False})
     for m, t, s, e in zip(

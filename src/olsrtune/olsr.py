@@ -78,7 +78,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .errors import ConfigurationError, InputError
 
@@ -188,26 +188,13 @@ def rfc_default() -> OlsrConfig:
 
 @dataclass(frozen=True)
 class ParamSpace:
-    """Per-gene search bounds plus the standard reference vector."""
+    """Per-gene search bounds, the standard reference vector and the
+    integer genes, all fixed by PARAMS."""
 
-    bounds: tuple  # of (z_min, z_max), one per gene
-    rfc: tuple  # reference value per gene
-    integer_genes: tuple = tuple(k for k, p in enumerate(PARAMS) if p.integer)
-
-    def __post_init__(self):
-        if len(self.bounds) != len(self.rfc):
-            raise ConfigurationError("bounds and rfc vectors differ in length")
-        for k, ((lo, hi), z) in enumerate(zip(self.bounds, self.rfc)):
-            if not lo < hi:
-                raise ConfigurationError(f"gene {k}: need z_min < z_max")
-            if not lo <= z <= hi:
-                raise ConfigurationError(f"gene {k}: rfc value {z} outside bounds")
-            if k in self.integer_genes and not (float(lo).is_integer() and float(hi).is_integer()):
-                raise ConfigurationError(f"gene {k}: integer gene needs whole bounds")
-
-    @property
-    def n_genes(self) -> int:
-        return len(self.bounds)
+    bounds: ClassVar[tuple] = tuple((p.lo, p.hi) for p in PARAMS)  # (z_min, z_max) per gene
+    rfc: ClassVar[tuple] = tuple(p.rfc for p in PARAMS)  # reference value per gene
+    integer_genes: ClassVar[tuple] = tuple(k for k, p in enumerate(PARAMS) if p.integer)
+    n_genes: ClassVar[int] = len(PARAMS)
 
     def clip(self, genes) -> tuple:
         """The one rule for a legal genome: clamp every gene to its bounds
@@ -222,9 +209,7 @@ class ParamSpace:
 
 
 def default_param_space() -> ParamSpace:
-    return ParamSpace(
-        bounds=tuple((p.lo, p.hi) for p in PARAMS), rfc=tuple(p.rfc for p in PARAMS)
-    )
+    return ParamSpace()
 
 
 def decode_genome(genes, space: ParamSpace) -> OlsrConfig:

@@ -36,12 +36,14 @@ __all__ = [
     "position_at",
     "save_scenario",
     "load_scenario",
+    "scenario_files",
 ]
 
 TRACE_HEADER = "time_s,node_id,x_m,y_m"
 MAX_PACKET_BYTES = 65_535  # the IPv4 maximum (RFC 791): keeps every frame's energy finite
 MAX_DURATION_S = 86_400.0  # one day: bounds a run's periodic ticks and a generated walk
-MAX_TRACE_SAMPLES = 10**6  # generated trace samples per vehicle, duration / sample_step
+MAX_TRACE_SAMPLES = 10**6  # samples in a generated trace, all vehicles together
+MAX_STREETS = 1_000  # street lines per axis of a generated grid
 MAX_FLOW_PACKETS = 10**7  # packets one CBR flow may send, rate x duration
 
 
@@ -107,6 +109,13 @@ def position_at(trace: MobilityTrace, node: int, t: float) -> tuple:
         raise ConfigurationError(f"unknown node id {node}") from None
     if t < 0:
         raise ConfigurationError(f"negative time {t}")
+    return _interpolate(times, xs, ys, t)
+
+
+def _interpolate(times, xs, ys, t: float) -> tuple:
+    """(x, y) at `t >= 0` on the path through the points (times[k], xs[k],
+    ys[k]), `times` sorted and starting at 0: linear between points, exact
+    at a point's time, held after the last one."""
     k = bisect_right(times, t) - 1
     if k < 0:
         # first sample is at t=0 by invariant, so this only guards float noise
@@ -261,8 +270,8 @@ class GridSpec:
     def __post_init__(self):
         _require_finite(self, "area", "speed", "pause_time", "sample_step", "duration")
         rows, cols = self.streets
-        if rows < 2 or cols < 2:
-            raise ConfigurationError("streets must be at least 2x2")
+        if not (2 <= rows <= MAX_STREETS and 2 <= cols <= MAX_STREETS):
+            raise ConfigurationError(f"streets must be 2 to {MAX_STREETS} lines per axis")
         if self.vehicle_count < 1:
             raise ConfigurationError("vehicle_count must be >= 1")
         lo, hi = self.speed
@@ -274,35 +283,28 @@ class GridSpec:
             raise ConfigurationError("sample_step must be positive")
         if not 0 < self.duration <= MAX_DURATION_S:
             raise ConfigurationError(f"duration must be in (0, {MAX_DURATION_S:g}] s")
-        if self.duration / self.sample_step > MAX_TRACE_SAMPLES:
+        # samples per vehicle: duration / sample_step, plus the one at t=0
+        if self.vehicle_count > MAX_TRACE_SAMPLES / (self.duration / self.sample_step + 1):
             raise ConfigurationError(
-                f"duration / sample_step must be at most {MAX_TRACE_SAMPLES} samples per vehicle"
+                f"vehicle_count x (duration / sample_step + 1) must be at most "
+                f"{MAX_TRACE_SAMPLES} trace samples"
             )
 
 
-def _vehicle_breakpoints(spec: GridSpec, rng) -> list:
-    """Piecewise-linear (t, x, y) breakpoints of one vehicle's walk."""
-    rows, cols = spec.streets
-    w, h = spec.area
-    xs = [j * w / (cols - 1) for j in range(cols)]
-    ys = [i * h / (rows - 1) for i in range(rows)]
+def _neighbors(r: int, c: int, rows: int, cols: int) -> list:
+    """The intersections one block from (r, c), in a fixed order."""
+    steps = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+    return [(i, j) for i, j in steps if 0 <= i < rows and 0 <= j < cols]
 
-    def neighbors(r, c):
-        out = []
-        if r > 0:
-            out.append((r - 1, c))
-        if r < rows - 1:
-            out.append((r + 1, c))
-        if c > 0:
-            out.append((r, c - 1))
-        if c < cols - 1:
-            out.append((r, c + 1))
-        return out
 
+def _vehicle_breakpoints(spec: GridSpec, xs: list, ys: list, rng) -> tuple:
+    """One vehicle's walk on the streets at x = xs[j] and y = ys[i]: its
+    breakpoint times, x and y, between which it moves linearly."""
+    rows, cols = len(ys), len(xs)
     # start somewhere along a uniformly chosen street segment
     r = rng.randrange(rows)
     c = rng.randrange(cols)
-    target = rng.choice(neighbors(r, c))
+    target = rng.choice(_neighbors(r, c, rows, cols))
     frac = rng.random()
     x = xs[c] + frac * (xs[target[1]] - xs[c])
     y = ys[r] + frac * (ys[target[0]] - ys[r])
@@ -320,28 +322,8 @@ def _vehicle_breakpoints(spec: GridSpec, rng) -> list:
         if spec.pause_time > 0:
             t += spec.pause_time
             points.append((t, x, y))
-        here = target
-        target = rng.choice(neighbors(*here))
-    return points
-
-
-def _sample_walk(points: list, step: float, duration: float) -> list:
-    """Sample a breakpoint walk at 0, step, 2*step, ... duration."""
-    out = []
-    k = 0
-    n_steps = int(round(duration / step))
-    for i in range(n_steps + 1):
-        t = min(i * step, duration)
-        while k + 1 < len(points) and points[k + 1][0] <= t:
-            k += 1
-        t0, x0, y0 = points[k]
-        if k + 1 == len(points) or t0 == t:
-            out.append((t, x0, y0))
-        else:
-            t1, x1, y1 = points[k + 1]
-            f = (t - t0) / (t1 - t0)
-            out.append((t, x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-    return out
+        target = rng.choice(_neighbors(*target, rows, cols))
+    return tuple(zip(*points))
 
 
 def generate_grid_scenario(
@@ -372,11 +354,16 @@ def generate_grid_scenario(
         )
 
     mob_rng = derive_rng(seed, "mobility")
+    rows, cols = spec.streets
+    w, h = spec.area
+    xs = [j * w / (cols - 1) for j in range(cols)]
+    ys = [i * h / (rows - 1) for i in range(rows)]
+    step, duration = spec.sample_step, spec.duration
+    times = [min(i * step, duration) for i in range(int(round(duration / step)) + 1)]
     samples = []
     for node in range(n):
-        walk = _vehicle_breakpoints(spec, mob_rng)
-        for t, x, y in _sample_walk(walk, spec.sample_step, spec.duration):
-            samples.append((t, node, x, y))
+        walk = _vehicle_breakpoints(spec, xs, ys, mob_rng)
+        samples.extend((t, node, *_interpolate(*walk, t)) for t in times)
     samples.sort(key=lambda s: (s[0], s[1]))
     trace = MobilityTrace(samples=tuple(samples))
 
@@ -454,13 +441,6 @@ def load_trace(text) -> MobilityTrace:
     return MobilityTrace(samples=tuple(rows))
 
 
-def _loss_to_json(model: LossModel) -> dict:
-    out = {"kind": model.kind}
-    if model.kind == "bernoulli":
-        out["p_at_max_range"] = model.p_at_max_range
-    return out
-
-
 def _is_number(value) -> bool:
     """A JSON number (not a bool) that converts to a finite float."""
     return (
@@ -479,50 +459,104 @@ def _is_area(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
 
 
-def _field(doc: dict, key: str, ok, what: str, where: str):
-    """doc[key] if the field is present and ok(value) holds, else InputError."""
-    if key not in doc:
-        raise InputError(f"{where}: missing field {key!r}")
-    value = doc[key]
-    if not ok(value):
-        raise InputError(f"{where}: field {key!r} must be {what}, not {type(value).__name__}")
-    return value
+# a check is a predicate on a JSON value and what it asks for
+_FINITE = (_is_number, "a finite number")
+_WHOLE = (_is_whole, "a whole number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+# open() raises ValueError, not OSError, for a path holding a NUL
+_PATH = (lambda v: isinstance(v, str) and "\0" not in v, "a string with no NUL character")
+
+# The scenario file format. A row is (JSON key, field, check, cast): cast
+# turns a checked JSON value into the field's value. load_scenario checks
+# the keys in row order, every type check before the trace is read;
+# save_scenario writes the same keys from the same fields.
+_TRACE_FILE = ("trace_file", "trace", _PATH, Path)
+SCENARIO_FORMAT = (
+    _TRACE_FILE,
+    ("area", "area", (_is_area, "[width, height]"), lambda v: tuple(map(float, v))),
+    ("radio_range_m", "radio_range", _FINITE, float),
+    ("bandwidth_bps", "bandwidth", _FINITE, float),
+    ("duration_s", "sim_duration", _FINITE, float),
+    ("loss_model", "loss_model", (lambda v: isinstance(v, dict), "an object"), dict),
+    ("flows", "flows", (lambda v: isinstance(v, list), "a list"), list),
+)
+# a loss_model object: kind, then p_at_max_range, which is written for
+# bernoulli only and read as LOSS_IDEAL's value when absent
+LOSS_FORMAT = (
+    ("kind", "kind", _STRING, str),
+    ("p_at_max_range", "p_at_max_range", _FINITE, float),
+)
+# each entry of flows, its keys named as the CbrFlow fields
+FLOW_FORMAT = tuple(
+    (name, name, check, cast)
+    for name, check, cast in (
+        ("source", _WHOLE, int),
+        ("destination", _WHOLE, int),
+        ("packet_size", _WHOLE, int),
+        ("rate", _FINITE, float),
+        ("start", _FINITE, float),
+        ("duration", _FINITE, float),
+    )
+)
 
 
-def _loss_from_json(doc, where: str) -> LossModel:
-    if isinstance(doc, str):
-        return LossModel(kind=doc)
-    kind = _field(doc, "kind", lambda v: isinstance(v, str), "a string", where)
-    p = doc.get("p_at_max_range", 0.0)
-    if not _is_number(p):
-        raise InputError(f"{where}: field 'p_at_max_range' must be a finite number")
-    return LossModel(kind=kind, p_at_max_range=float(p))
+def _read(doc: dict, table: tuple, where: str) -> dict:
+    """field -> cast value for each row of `table`, checked in row order;
+    InputError for a key that is missing or fails its check."""
+    out = {}
+    for key, field, (ok, what), cast in table:
+        if key not in doc:
+            raise InputError(f"{where}: missing field {key!r}")
+        value = doc[key]
+        if not ok(value):
+            raise InputError(f"{where}: field {key!r} must be {what}, not {type(value).__name__}")
+        out[field] = cast(value)
+    return out
+
+
+def _dump(record, table: tuple) -> dict:
+    """The JSON object of `record`: one key per row of `table`."""
+    return {key: getattr(record, field) for key, field, _check, _cast in table}
+
+
+def _scenario_doc(json_path: Path) -> dict:
+    """The JSON object of a scenario file; InputError if it is not one."""
+    try:
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, too many digits
+        raise InputError(f"{json_path} is not valid JSON: {exc}") from None
+    key = _TRACE_FILE[0]
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{json_path} is not a scenario file (no {key} field)")
+    return doc
+
+
+def _trace_path(json_path: Path, doc: dict) -> Path:
+    """The trace file a scenario document names, resolved against the
+    directory of its JSON file (an absolute path stays as it is)."""
+    return json_path.parent / _read(doc, (_TRACE_FILE,), str(json_path))["trace"]
+
+
+def scenario_files(json_path) -> list:
+    """The files load_scenario reads: the scenario JSON and its trace CSV."""
+    json_path = Path(json_path)
+    return [json_path, _trace_path(json_path, _scenario_doc(json_path))]
 
 
 def save_scenario(scenario: Scenario, json_path) -> list:
     """Write scenario JSON plus its trace CSV, `<stem>_trace.csv` next to
     it; returns the written paths."""
     json_path = Path(json_path)
-    trace_filename = json_path.stem + "_trace.csv"
-    trace_path = json_path.parent / trace_filename
+    trace_path = json_path.parent / (json_path.stem + "_trace.csv")
+    loss = scenario.loss_model
+    values = {
+        "trace": trace_path.name,
+        "loss_model": _dump(loss, LOSS_FORMAT if loss.kind == "bernoulli" else LOSS_FORMAT[:1]),
+        "flows": [_dump(f, FLOW_FORMAT) for f in scenario.flows],
+    }
     doc = {
-        "area": [scenario.area[0], scenario.area[1]],
-        "radio_range_m": scenario.radio_range,
-        "bandwidth_bps": scenario.bandwidth,
-        "duration_s": scenario.sim_duration,
-        "loss_model": _loss_to_json(scenario.loss_model),
-        "trace_file": trace_filename,
-        "flows": [
-            {
-                "source": f.source,
-                "destination": f.destination,
-                "packet_size": f.packet_size,
-                "rate": f.rate,
-                "start": f.start,
-                "duration": f.duration,
-            }
-            for f in scenario.flows
-        ],
+        key: values[field] if field in values else getattr(scenario, field)
+        for key, field, _check, _cast in SCENARIO_FORMAT
     }
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -539,64 +573,22 @@ def load_scenario(json_path) -> Scenario:
     or a trace file that is not UTF-8 text.
     """
     json_path = Path(json_path)
-    try:
-        doc = json.loads(json_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, undecodable bytes, too many digits
-        raise InputError(f"{json_path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "trace_file" not in doc:
-        raise InputError(f"{json_path} is not a scenario file (no trace_file field)")
+    doc = _scenario_doc(json_path)
     where = str(json_path)
-    trace_ref = Path(_field(doc, "trace_file", lambda v: isinstance(v, str), "a string", where))
-    area = _field(doc, "area", _is_area, "[width, height]", where)
-    radio_range = _field(doc, "radio_range_m", _is_number, "a finite number", where)
-    bandwidth = _field(doc, "bandwidth_bps", _is_number, "a finite number", where)
-    duration = _field(doc, "duration_s", _is_number, "a finite number", where)
-    loss = _field(
-        doc, "loss_model", lambda v: isinstance(v, (str, dict)), "a string or an object", where
-    )
-    flow_docs = _field(doc, "flows", lambda v: isinstance(v, list), "a list", where)
-    if not all(isinstance(f, dict) for f in flow_docs):
+    values = _read(doc, SCENARIO_FORMAT, where)
+    if not all(isinstance(f, dict) for f in values["flows"]):
         raise InputError(f"{where}: every entry of 'flows' must be an object")
-    whole, finite = (_is_whole, "a whole number"), (_is_number, "a finite number")
-    flow_fields = (
-        ("source", whole),
-        ("destination", whole),
-        ("packet_size", whole),
-        ("rate", finite),
-        ("start", finite),
-        ("duration", finite),
-    )
-    flow_values = [
-        [_field(f, name, ok, what, f"{where}: flow {k}") for name, (ok, what) in flow_fields]
-        for k, f in enumerate(flow_docs)
-    ]
-    if not trace_ref.is_absolute():
-        trace_ref = json_path.parent / trace_ref
+    flows = [_read(f, FLOW_FORMAT, f"{where}: flow {k}") for k, f in enumerate(values["flows"])]
+    loss = _read({**_dump(LOSS_IDEAL, LOSS_FORMAT[1:]), **values["loss_model"]}, LOSS_FORMAT, where)
+    trace_path = _trace_path(json_path, doc)
     try:
-        with open(trace_ref, encoding="utf-8") as fh:
-            trace = load_trace(fh)
+        with open(trace_path, encoding="utf-8") as fh:
+            values["trace"] = load_trace(fh)
     except UnicodeDecodeError as exc:
-        raise InputError(f"trace file {trace_ref} is not UTF-8 text: {exc}") from None
-    flows = tuple(
-        CbrFlow(
-            source=int(src),
-            destination=int(dst),
-            packet_size=int(size),
-            rate=float(rate),
-            start=float(start),
-            duration=float(dur),
-        )
-        for src, dst, size, rate, start, dur in flow_values
-    )
-    return Scenario(
-        area=(float(area[0]), float(area[1])),
-        trace=trace,
-        flows=flows,
-        radio_range=float(radio_range),
-        bandwidth=float(bandwidth),
-        sim_duration=float(duration),
-        loss_model=_loss_from_json(loss, where),
-    )
+        raise InputError(f"trace file {trace_path} is not UTF-8 text: {exc}") from None
+    values["flows"] = tuple(CbrFlow(**f) for f in flows)
+    values["loss_model"] = LossModel(**loss)
+    return Scenario(**values)
 
 
 def relabel_scenario(scenario: Scenario, mapping: dict) -> Scenario:

@@ -1,5 +1,6 @@
 """Command-line behaviour: files written, determinism, exit codes."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -49,6 +50,30 @@ class TestGen:
         run_gen(b)
         assert (a / "scenario.json").read_bytes() == (b / "scenario.json").read_bytes()
         assert (a / "scenario_trace.csv").read_bytes() == (b / "scenario_trace.csv").read_bytes()
+
+    # sha256 of scenario.json and of the trace CSV: test_golden pins the
+    # outputs of runs on a generated scenario, not gen's own bytes
+    @pytest.mark.parametrize(
+        "extra,json_digest,trace_digest",
+        [
+            pytest.param(
+                [],
+                "ac71a0b5b27bcc8a07dd4be2794ac23f349b384c584554fdeb6de62c3191d2d4",
+                "8dd80279e5e4a8d473db6bf9e3ca2d71806268c78b25af371777d543784db4d7",
+                id="golden",
+            ),
+            pytest.param(
+                ["--loss", "bernoulli:0.2", "--pause", "0", "--sample-step", "0.7"],
+                "663597ce6d2be44388178bbc3e9473ad751726b92cb5e814597374ace7eca50f",
+                "3e6ecc3b8b5530b4b3fb90dff4873637c5521c86a613b2f6c8797e12dda3004f",
+                id="bernoulli-no-pause-odd-step",
+            ),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, extra, json_digest, trace_digest):
+        run_gen(tmp_path, seed=4, name="golden", extra=extra)  # test_golden's GEN argv
+        for name, want in (("golden.json", json_digest), ("golden_trace.csv", trace_digest)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
     def test_seed_changes_trace(self, tmp_path):
         a = tmp_path / "a"
@@ -108,7 +133,12 @@ class TestGen:
         [
             ("--duration", "1e308", "2"),  # MAX_DURATION_S
             ("--duration", "86401", "2"),
-            ("--sample-step", "1e-9", "2"),  # MAX_TRACE_SAMPLES per vehicle
+            ("--sample-step", "1e-9", "2"),  # MAX_TRACE_SAMPLES
+            ("--vehicles", "100000000", "0"),
+            ("--vehicles", "32259", "0"),  # 32,259 x 31 samples, just over
+            ("--streets", "100000000x2", "2"),  # MAX_STREETS
+            ("--streets", "2x100000000", "2"),
+            ("--streets", "1001x4", "2"),
             ("--rate", "1e12", "1"),  # MAX_FLOW_PACKETS
             ("--rate", "1e12", "0"),
         ],
@@ -248,6 +278,17 @@ MALFORMED_FILES = {
     "scenario-size-energy-infinite": ("scenario", _set_flow("packet_size", 1e305), 3),
     "scenario-duration-beyond-bound": ("scenario", _set("duration_s", 1e308), 3),
     "scenario-flow-packets-beyond-bound": ("scenario", _set_flow("rate", 1e12), 3),
+    "scenario-bandwidth-string": ("scenario", _set("bandwidth_bps", "6e6"), 2),
+    "scenario-duration-bool": ("scenario", _set("duration_s", True), 2),
+    "scenario-trace-file-number": ("scenario", _set("trace_file", 7), 2),
+    "scenario-trace-file-nul": ("scenario", _set("trace_file", "a\0b"), 2),
+    "scenario-fractional-destination": ("scenario", _set_flow("destination", 0.5), 2),
+    "scenario-flow-start-string": ("scenario", _set_flow("start", "10"), 2),
+    "scenario-loss-without-kind": ("scenario", _set("loss_model", {"p_at_max_range": 0.1}), 2),
+    "scenario-loss-p-string": (
+        "scenario", _set("loss_model", {"kind": "bernoulli", "p_at_max_range": "0.1"}), 2
+    ),
+    "scenario-loss-bare-string": ("scenario", _set("loss_model", "ideal"), 2),
     "scenario-trace-not-utf8": ("trace", lambda data: b"\xff\xfe" + data, 2),
     "trace-nan-time": ("trace", lambda data: data + b"nan,0,10.0,10.0\n", 2),
     "trace-inf-time": ("trace", lambda data: data + b"inf,0,10.0,10.0\n", 2),

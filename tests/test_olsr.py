@@ -23,6 +23,7 @@ from olsrtune.olsr import (
     Neighbor,
     OlsrConfig,
     OlsrNodeState,
+    ParamSpace,
     Tc,
     compute_routes,
     config_from_dict,
@@ -142,10 +143,14 @@ class TestDecode:
             assert self.space.clip(genes)[3] == float(expected)
 
     def test_integer_gene_needs_whole_bounds(self):
-        bounds = list(self.space.bounds)
-        bounds[3] = (0.0, 6.5)
-        with pytest.raises(ConfigurationError):
-            replace(self.space, bounds=tuple(bounds))
+        # the one space has no fields: PARAMS fixes it, so its invariants
+        # are checked here once; clip rounds an integer gene to a whole
+        # number inside its bounds, so those bounds must be whole
+        assert fields(ParamSpace) == ()
+        for k, ((lo, hi), z) in enumerate(zip(self.space.bounds, self.space.rfc)):
+            assert lo < hi and lo <= z <= hi
+            if k in self.space.integer_genes:
+                assert float(lo).is_integer() and float(hi).is_integer()
 
     def test_gene_positions(self):
         cfg = decode_genome((3, 4, 6, 1, 7, 11, 12, 13), self.space)

@@ -7,6 +7,8 @@ import pytest
 from olsrtune.errors import ConfigurationError, TraceParseError, TraceValidationError
 from olsrtune.scenario import (
     MAX_FLOW_PACKETS,
+    MAX_STREETS,
+    MAX_TRACE_SAMPLES,
     CbrFlow,
     FlowTemplate,
     GridSpec,
@@ -19,6 +21,7 @@ from olsrtune.scenario import (
     position_at,
     relabel_scenario,
     save_scenario,
+    scenario_files,
     serialize_trace,
 )
 
@@ -164,6 +167,19 @@ class TestGridGenerator:
         assert a.trace.samples == b.trace.samples
         assert a.flows == b.flows
 
+    def test_trace_and_street_bounds(self):
+        # 40 s at 0.5 s steps is 81 samples per vehicle
+        fits = MAX_TRACE_SAMPLES // 81
+        assert self.spec(vehicle_count=fits, sample_step=0.5).vehicle_count == fits
+        with pytest.raises(ConfigurationError):
+            self.spec(vehicle_count=fits + 1, sample_step=0.5)
+        with pytest.raises(ConfigurationError):
+            self.spec(vehicle_count=10**400)
+        assert self.spec(streets=(MAX_STREETS, 2)).streets == (MAX_STREETS, 2)
+        for streets in ((MAX_STREETS + 1, 2), (2, MAX_STREETS + 1), (1, 3)):
+            with pytest.raises(ConfigurationError):
+                self.spec(streets=streets)
+
     def test_seed_changes_output(self):
         tmpl = FlowTemplate(start=5.0, duration=10.0)
         a = generate_grid_scenario(self.spec(), 4, tmpl, seed=9)
@@ -217,6 +233,24 @@ class TestScenarioFiles:
         save_scenario(scn, sub / "s.json")
         # loading via a different cwd still finds the side-car trace
         assert load_scenario(sub / "s.json") == scn
+
+    def test_absolute_trace_file_and_bernoulli_round_trip(self, tmp_path):
+        scn = generate_grid_scenario(
+            GridSpec(area=(200.0, 200.0), vehicle_count=4, duration=20.0),
+            1, FlowTemplate(start=2.0, duration=10.0), seed=5,
+            loss_model=LossModel("bernoulli", 0.25),
+        )
+        save_scenario(scn, tmp_path / "s.json")
+        assert scenario_files(tmp_path / "s.json") == [tmp_path / "s.json", tmp_path / "s_trace.csv"]
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert doc["loss_model"] == {"kind": "bernoulli", "p_at_max_range": 0.25}
+        # an absolute trace_file is used as it is, wherever the JSON lives
+        doc["trace_file"] = str(tmp_path / "s_trace.csv")
+        moved = tmp_path / "elsewhere" / "s.json"
+        moved.parent.mkdir()
+        moved.write_text(json.dumps(doc))
+        assert load_scenario(moved) == scn
+        assert scenario_files(moved) == [moved, tmp_path / "s_trace.csv"]
 
     def test_non_scenario_json_rejected(self, tmp_path):
         from olsrtune.errors import InputError
