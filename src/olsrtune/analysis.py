@@ -12,6 +12,8 @@ of stochastic optimizer results calls for.
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -348,13 +350,16 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
 
 
 def report_csv(report: ValidationReport) -> str:
+    """CSV text with LF row ends; a config name such as `a,b` is quoted."""
     cols = [c for c, _d in _REPORT_COLS]
-    lines = ["section,config," + ",".join(cols)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["section", "config", *cols])
     for label, rows in report.sections:
         for row in rows:
             vals = ["" if row[c] is None else repr(row[c]) for c in cols]
-            lines.append(f"{label},{row['config']}," + ",".join(vals))
-    return "\n".join(lines) + "\n"
+            writer.writerow([label, row["config"], *vals])
+    return buf.getvalue()
 
 
 def report_text(report: ValidationReport) -> str:

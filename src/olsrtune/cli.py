@@ -460,12 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", parents=[common], help="evolve an energy-aware config")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.add_argument("--pop", type=int, default=24, help="population size (default 24)")
-    p.add_argument("--gens", type=int, default=100, help="generations (default 100)")
-    p.add_argument("--pc", type=float, default=0.7, help="crossover probability")
-    p.add_argument("--pm", type=float, default=0.25, help="mutation probability")
-    p.add_argument("--workers", type=int, default=1, help="evaluation workers")
-    p.add_argument("--elitism", type=int, default=1, help="elites kept per generation")
+    for flag, field, cast, what in (
+        ("--pop", "pop_size", int, "population size"),
+        ("--gens", "generations", int, "generations"),
+        ("--pc", "p_c", float, "crossover probability"),
+        ("--pm", "p_m", float, "mutation probability"),
+        ("--workers", "workers", int, "evaluation workers"),
+        ("--elitism", "elitism", int, "elites kept per generation"),
+    ):
+        default = getattr(evo.GaSettings, field)
+        p.add_argument(flag, type=cast, default=default, help=f"{what} (default %(default)s)")
     p.add_argument("--grid", action="store_true", help="run the p_c x p_m setting grid")
     p.add_argument("--grid-pc", default="0.5,0.7,0.9", help="grid p_c candidates")
     p.add_argument("--grid-pm", default="0.06125,0.125,0.25", help="grid p_m candidates")

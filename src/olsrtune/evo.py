@@ -232,61 +232,51 @@ def arithmetic_crossover(parent_p, parent_q, sigma: float, space: ParamSpace) ->
     return space.clip(c1), space.clip(c2)
 
 
-def _resample(genes, idxs, rng, space):
-    for i in idxs:
-        lo, hi = space.bounds[i]
-        genes[i] = lo + rng.random() * (hi - lo)
-
-
-# the 22-movement catalog over the genome
-# (hello, refresh, tc, willingness, neighb, mid, top, dup):
-#   1-8   resample one gene uniformly in its range
-#   9-12  paired resamples: hello+neighb, tc+top, tc+mid, refresh+hello
-#   13-15 standard ratios: neighb=3*hello, top=3*tc, mid=3*tc
-#   16-17 scale hello / tc by a uniform factor in [0.5, 2]
-#   18    willingness +-1
-#   19    resample the four hold times
-#   20    resample the three intervals
-#   21    reset one uniformly chosen gene to its default
-#   22    resample the full genome
-MUTATION_MOVES = 22
+# The mutation catalogue over the genome (hello, refresh, tc, willingness,
+# neighb, mid, top, dup), one (action, genes) row per movement:
+#   resample  draw each listed gene uniformly in its range, in list order
+#   triple    genes (src, dst): dst = 3 * src, a standard ratio
+#   scale     multiply the gene by a uniform factor in [0.5, 2]
+#   step      move the gene by +1 or -1
+#   reset     set one uniformly chosen listed gene to its default
+_ALL_GENES = tuple(range(ParamSpace.n_genes))
+_MOVES = (
+    *(("resample", (k,)) for k in _ALL_GENES),
+    ("resample", (0, 4)),  # hello + neighb
+    ("resample", (2, 6)),  # tc + top
+    ("resample", (2, 5)),  # tc + mid
+    ("resample", (1, 0)),  # refresh + hello
+    ("triple", (0, 4)),  # neighb = 3 * hello
+    ("triple", (2, 6)),  # top = 3 * tc
+    ("triple", (2, 5)),  # mid = 3 * tc
+    ("scale", (0,)),
+    ("scale", (2,)),
+    ("step", (3,)),  # willingness
+    ("resample", (4, 5, 6, 7)),  # the four hold times
+    ("resample", (0, 1, 2)),  # the three intervals
+    ("reset", _ALL_GENES),
+    ("resample", _ALL_GENES),
+)
+MUTATION_MOVES = len(_MOVES)
 
 
 def mutate(genes, rng, space: ParamSpace) -> tuple:
-    """Apply one uniformly chosen movement from the 22-entry catalog."""
+    """Apply one uniformly chosen movement of the _MOVES catalogue."""
     out = list(genes)
-    move = rng.randrange(MUTATION_MOVES) + 1
-    if 1 <= move <= 8:
-        _resample(out, (move - 1,), rng, space)
-    elif move == 9:
-        _resample(out, (0, 4), rng, space)
-    elif move == 10:
-        _resample(out, (2, 6), rng, space)
-    elif move == 11:
-        _resample(out, (2, 5), rng, space)
-    elif move == 12:
-        _resample(out, (1, 0), rng, space)
-    elif move == 13:
-        out[4] = 3.0 * out[0]
-    elif move == 14:
-        out[6] = 3.0 * out[2]
-    elif move == 15:
-        out[5] = 3.0 * out[2]
-    elif move == 16:
-        out[0] *= rng.uniform(0.5, 2.0)
-    elif move == 17:
-        out[2] *= rng.uniform(0.5, 2.0)
-    elif move == 18:
-        out[3] += 1.0 if rng.random() < 0.5 else -1.0
-    elif move == 19:
-        _resample(out, (4, 5, 6, 7), rng, space)
-    elif move == 20:
-        _resample(out, (0, 1, 2), rng, space)
-    elif move == 21:
-        k = rng.randrange(space.n_genes)
+    action, idxs = rng.choice(_MOVES)
+    if action == "resample":
+        for k in idxs:
+            lo, hi = space.bounds[k]
+            out[k] = lo + rng.random() * (hi - lo)
+    elif action == "triple":
+        out[idxs[1]] = 3.0 * out[idxs[0]]
+    elif action == "scale":
+        out[idxs[0]] *= rng.uniform(0.5, 2.0)
+    elif action == "step":
+        out[idxs[0]] += 1.0 if rng.random() < 0.5 else -1.0
+    else:  # reset
+        k = rng.choice(idxs)
         out[k] = space.rfc[k]
-    else:  # move == 22
-        _resample(out, range(space.n_genes), rng, space)
     return space.clip(out)
 
 
@@ -326,49 +316,23 @@ def history_row(stats: GenerationStats) -> list:
     return [repr(getattr(stats, c)) for c in HISTORY_COLUMNS]
 
 
-# worker-side cache: the constant evaluation payload is shipped once per
-# worker via the pool initializer instead of with every task
-_worker_payload = None
+# the constant evaluation payload (scenario, nic, ctx, space, master_seed,
+# pad_s): set once per pool worker by the pool initializer, or in the
+# master for an in-process run, and read by _evaluate
+_payload = None
 
 
-def _init_worker(payload):
-    global _worker_payload
-    _worker_payload = payload
+def _set_payload(payload):
+    global _payload
+    _payload = payload
 
 
-def _eval_task(args):
-    genes, ind_id = args
-    scenario, nic, ctx, space, master_seed, pad_s = _worker_payload
+def _evaluate(genes, ind_id) -> FitnessRecord:
+    """The worker entry: evaluate one individual against the payload."""
+    scenario, nic, ctx, space, master_seed, pad_s = _payload
     if pad_s > 0:
         time.sleep(pad_s)  # emulates a heavier simulator for scaling runs
     return evaluate(Individual(genes=genes, id=ind_id), scenario, nic, ctx, master_seed, space)
-
-
-class _Evaluator:
-    """Evaluates a batch of individuals, in-process or on a worker pool."""
-
-    def __init__(self, settings: GaSettings, scenario, nic, ctx, space, eval_pad_s=0.0):
-        self.payload = (scenario, nic, ctx, space, settings.master_seed, eval_pad_s)
-        self.pool = None
-        if settings.workers > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=settings.workers,
-                initializer=_init_worker,
-                initargs=(self.payload,),
-            )
-
-    def run(self, population) -> list:
-        args = [(ind.genes, ind.id) for ind in population]
-        if self.pool is None:
-            _init_worker(self.payload)
-            records = [_eval_task(a) for a in args]
-        else:
-            records = list(self.pool.map(_eval_task, args))
-        return [replace(ind, fitness=rec) for ind, rec in zip(population, records)]
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
 
 
 def _gen_stats(generation: int, population) -> GenerationStats:
@@ -403,9 +367,22 @@ def evolve(
     if ctx is None:
         ctx = calibrate_context(scenario, nic, settings.master_seed)
     rng = derive_rng(settings.master_seed, "ga")
-    evaluator = _Evaluator(settings, scenario, nic, ctx, space, eval_pad_s)
+    payload = (scenario, nic, ctx, space, settings.master_seed, eval_pad_s)
+    pool = None
+    if settings.workers > 1:
+        pool = ProcessPoolExecutor(settings.workers, initializer=_set_payload, initargs=(payload,))
+        run_map = pool.map
+    else:
+        _set_payload(payload)
+        run_map = map
+
+    def evaluated(population) -> list:
+        genes, ids = [ind.genes for ind in population], [ind.id for ind in population]
+        records = run_map(_evaluate, genes, ids)
+        return [replace(ind, fitness=rec) for ind, rec in zip(population, records)]
+
     try:
-        population = evaluator.run(diagonal_init(space, settings.pop_size, rng))
+        population = evaluated(diagonal_init(space, settings.pop_size, rng))
         history = [_gen_stats(0, population)]
         best = min(population, key=_rank_key)
 
@@ -425,7 +402,7 @@ def evolve(
                     if rng.random() < settings.p_m:
                         genes = mutate(genes, rng, space)
                     offspring.append(Individual(genes=genes, id=(g, len(offspring))))
-            offspring = evaluator.run(offspring)
+            offspring = evaluated(offspring)
 
             # the elites replace the worst offspring; elitism 0 keeps all
             elite = sorted(population, key=_rank_key)[: settings.elitism]
@@ -439,7 +416,9 @@ def evolve(
             history.append(_gen_stats(g, population))
         return best, history
     finally:
-        evaluator.close()
+        _set_payload(None)
+        if pool is not None:
+            pool.shutdown()
 
 
 GRID_COLUMNS = (

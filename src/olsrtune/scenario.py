@@ -45,6 +45,8 @@ MAX_DURATION_S = 86_400.0  # one day: bounds a run's periodic ticks and a genera
 MAX_TRACE_SAMPLES = 10**6  # samples in a generated trace, all vehicles together
 MAX_STREETS = 1_000  # street lines per axis of a generated grid
 MAX_FLOW_PACKETS = 10**7  # packets one CBR flow may send, rate x duration
+MAX_FLOWS = 10_000  # CBR flows in a scenario
+MAX_WALK_LEGS = 10**6  # street legs of a generated trace, all vehicles together
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,8 @@ class Scenario:
             raise ConfigurationError("bandwidth must be positive")
         if not 0 < self.sim_duration <= MAX_DURATION_S:
             raise ConfigurationError(f"sim_duration must be in (0, {MAX_DURATION_S:g}] s")
+        if len(self.flows) > MAX_FLOWS:
+            raise ConfigurationError(f"{len(self.flows)} flows is more than {MAX_FLOWS}")
         nodes = set(self.trace.node_ids)
         for flow in self.flows:
             if flow.source not in nodes or flow.destination not in nodes:
@@ -288,6 +292,15 @@ class GridSpec:
             raise ConfigurationError(
                 f"vehicle_count x (duration / sample_step + 1) must be at most "
                 f"{MAX_TRACE_SAMPLES} trace samples"
+            )
+        # a leg takes at least the shortest block at speed_max, plus the
+        # pause; an area that is not positive fails here or in Scenario
+        w, h = self.area
+        leg_s = min(w / (cols - 1), h / (rows - 1)) / hi + self.pause_time
+        if self.vehicle_count * self.duration > MAX_WALK_LEGS * leg_s:
+            raise ConfigurationError(
+                f"vehicle_count x duration / (shortest block / speed_max + pause_time) "
+                f"must be at most {MAX_WALK_LEGS} street legs"
             )
 
 
@@ -346,8 +359,8 @@ def generate_grid_scenario(
     (spec, seed) always yields the same scenario.
     """
     n = spec.vehicle_count
-    if flow_count < 0:
-        raise ConfigurationError("flow_count must be >= 0")
+    if not 0 <= flow_count <= MAX_FLOWS:
+        raise ConfigurationError(f"flow_count must be in 0..{MAX_FLOWS}")
     if flow_count > n * (n - 1):
         raise ConfigurationError(
             f"flow_count {flow_count} exceeds the {n * (n - 1)} distinct ordered pairs"

@@ -46,6 +46,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,19 +80,14 @@ MAX_HOPS = 64  # IP-default TTL; bounds transient routing loops
 
 @dataclass(frozen=True)
 class NicProfile:
-    """Radio energy profile: currents in mA, supply in V, bandwidth in
-    bit/s. mA x V x s works out to millijoules."""
+    """Radio energy profile, fixed constants: currents in mA, supply in
+    V, bandwidth in bit/s. mA x V x s works out to millijoules."""
 
-    i_send: float = 440.0
-    v_send: float = 5.0
-    i_recv: float = 260.0
-    v_recv: float = 5.0
-    bandwidth: float = 6e6
-
-    def __post_init__(self):
-        for name in ("i_send", "v_send", "i_recv", "v_recv", "bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"NIC {name} must be positive")
+    i_send: ClassVar[float] = 440.0
+    v_send: ClassVar[float] = 5.0
+    i_recv: ClassVar[float] = 260.0
+    v_recv: ClassVar[float] = 5.0
+    bandwidth: ClassVar[float] = 6e6
 
 
 def default_nic() -> NicProfile:
@@ -269,7 +265,6 @@ class _Simulation:
         self.scenario = scenario
         self.config = config
         self.nic = nic
-        self.seed = seed
         self.on_transmit = on_transmit
 
         self.nodes = list(scenario.trace.node_ids)

@@ -1,5 +1,6 @@
 """Command-line behaviour: files written, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -10,6 +11,7 @@ import pytest
 from olsrtune import evo
 from olsrtune.cli import main
 from olsrtune.olsr import config_to_dict, rfc_default
+from olsrtune.scenario import MAX_FLOWS
 
 GEN_BASE = [
     "gen",
@@ -125,7 +127,7 @@ class TestGen:
         ],
     )
     def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value, flows):
-        self.assert_one_line_usage_error(tmp_path, capsys, flag, value, flows)
+        self.assert_one_line_usage_error(tmp_path, capsys, flows, flag, value)
 
     # each bound keeps gen, or a run of the scenario it writes, finite
     @pytest.mark.parametrize(
@@ -141,15 +143,36 @@ class TestGen:
             ("--streets", "1001x4", "2"),
             ("--rate", "1e12", "1"),  # MAX_FLOW_PACKETS
             ("--rate", "1e12", "0"),
+            ("--vehicles", "3000", "8000000"),  # MAX_FLOWS
+            ("--vehicles", "3000", str(MAX_FLOWS + 1)),
         ],
     )
     def test_flag_beyond_bound_exits_2(self, tmp_path, capsys, flag, value, flows):
-        self.assert_one_line_usage_error(tmp_path, capsys, flag, value, flows)
+        self.assert_one_line_usage_error(tmp_path, capsys, flows, flag, value)
+
+    # MAX_WALK_LEGS: with no pause, legs this short would keep a walk
+    # going for ever
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(["--speed", "1e9:1e9"], id="speed-1e9"),
+            pytest.param(["--area", "1e-6x1e-6"], id="area-1e-6"),
+            # 100 m blocks at 100 m/s: 33,334 vehicles x 30 one-second
+            # legs, just over the bound
+            pytest.param(
+                ["--vehicles", "33334", "--streets", "3x3", "--speed", "100:100",
+                 "--sample-step", "30"],
+                id="just-over",
+            ),
+        ],
+    )
+    def test_walk_beyond_bound_exits_2(self, tmp_path, capsys, extra):
+        self.assert_one_line_usage_error(tmp_path, capsys, "0", "--pause", "0", *extra)
 
     @staticmethod
-    def assert_one_line_usage_error(tmp_path, capsys, flag, value, flows):
+    def assert_one_line_usage_error(tmp_path, capsys, flows, *extra):
         capsys.readouterr()
-        assert main(GEN_BASE + ["--out", str(tmp_path), "--flows", flows, flag, value]) == 2
+        assert main(GEN_BASE + ["--out", str(tmp_path), "--flows", flows, *extra]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
@@ -278,6 +301,9 @@ MALFORMED_FILES = {
     "scenario-size-energy-infinite": ("scenario", _set_flow("packet_size", 1e305), 3),
     "scenario-duration-beyond-bound": ("scenario", _set("duration_s", 1e308), 3),
     "scenario-flow-packets-beyond-bound": ("scenario", _set_flow("rate", 1e12), 3),
+    "scenario-flows-beyond-bound": (
+        "scenario", lambda doc: {**doc, "flows": doc["flows"][:1] * (MAX_FLOWS + 1)}, 3
+    ),
     "scenario-bandwidth-string": ("scenario", _set("bandwidth_bps", "6e6"), 2),
     "scenario-duration-bool": ("scenario", _set("duration_s", True), 2),
     "scenario-trace-file-number": ("scenario", _set("trace_file", 7), 2),
@@ -403,6 +429,21 @@ class TestValidate:
         assert (out / "report.txt").read_text().startswith("== ")
         manifest = json.loads((out / "validate_manifest.json").read_text())
         assert manifest["runs"] == 4  # 2 scenarios x 1 config x 2 seeds
+
+    def test_config_name_with_comma_stays_one_cell(self, tmp_path):
+        scen_dir = tmp_path / "scens"
+        run_gen(scen_dir)
+        cfg_path = tmp_path / "a,b.json"
+        cfg_path.write_text(json.dumps(config_to_dict(rfc_default())))
+        out = tmp_path / "rep"
+        argv = ["validate", "--scenarios", str(scen_dir), "--config", str(cfg_path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        text = (out / "report.csv").read_bytes().decode("utf-8")
+        assert "\r" not in text
+        header, *rows = list(csv.reader(text.splitlines()))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[header.index("config")] for row in rows} == {"a,b"}
 
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "none"

@@ -10,9 +10,7 @@ airtime bits/bandwidth gives millijoules. With the default profile
 
 import pytest
 
-from olsrtune.errors import ConfigurationError
 from olsrtune.sim import (
-    NicProfile,
     broadcast_energy,
     default_nic,
     energy_recv,
@@ -58,13 +56,6 @@ def test_airtime():
 
 def test_energy_scales_linearly_in_size():
     assert energy_send(NIC, 8192) == pytest.approx(2 * energy_send(NIC, 4096), rel=REL)
-
-
-def test_profile_validation():
-    with pytest.raises(ConfigurationError):
-        NicProfile(i_send=-1.0)
-    with pytest.raises(ConfigurationError):
-        NicProfile(bandwidth=0.0)
 
 
 def test_default_profile_values():

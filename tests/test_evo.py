@@ -1,8 +1,11 @@
 """Fitness function, operators, and the evolutionary loop."""
 
+import gc
+import hashlib
 import math
 import multiprocessing
 import random
+import weakref
 
 import pytest
 
@@ -171,6 +174,19 @@ class TestMutate:
     def test_catalog_size(self):
         assert MUTATION_MOVES == 22
 
+    def test_catalogue_digest(self):
+        # pins each move's action, genes and rng draws, and the order of
+        # the rows: sha256 of 5,000 chained mutations
+        rng = random.Random(14)
+        genes = tuple(map(float, SPACE.rfc))
+        digest = hashlib.sha256()
+        for _ in range(5_000):
+            genes = mutate(genes, rng, SPACE)
+            digest.update(repr(genes).encode())
+        assert digest.hexdigest() == (
+            "0b402675db253e5fdd57321c77120777d62ad8a9595548e43906b6d851038b14"
+        )
+
 
 class TestTournament:
     def pop(self, fs):
@@ -257,6 +273,14 @@ class TestEvolve:
         best, hist = evolve(self.settings(generations=0), SPACE, scn, default_nic())
         assert len(hist) == 1
         assert best.id[0] == 0
+
+    def test_in_process_evolve_frees_scenario(self):
+        scn = tiny_scenario()
+        ref = weakref.ref(scn)
+        evolve(self.settings(generations=1), SPACE, scn, default_nic())
+        del scn
+        gc.collect()
+        assert ref() is None
 
     def test_rfc_config_not_worse_than_sentinel(self):
         scn = tiny_scenario()

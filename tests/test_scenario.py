@@ -7,8 +7,10 @@ import pytest
 from olsrtune.errors import ConfigurationError, TraceParseError, TraceValidationError
 from olsrtune.scenario import (
     MAX_FLOW_PACKETS,
+    MAX_FLOWS,
     MAX_STREETS,
     MAX_TRACE_SAMPLES,
+    MAX_WALK_LEGS,
     CbrFlow,
     FlowTemplate,
     GridSpec,
@@ -116,6 +118,20 @@ class TestFlowAndScenarioValidation:
                 radio_range=100.0, bandwidth=6e6, sim_duration=10.0,
             )
 
+    def test_scenario_flow_count_bound(self):
+        tr = trace_of([(0.0, 0, 0.0, 0.0), (0.0, 1, 5.0, 5.0)])
+        flow = CbrFlow(source=0, destination=1, packet_size=64, rate=1.0, start=0.0, duration=1.0)
+
+        def scenario(count):
+            return Scenario(
+                area=(10.0, 10.0), trace=tr, flows=(flow,) * count,
+                radio_range=100.0, bandwidth=6e6, sim_duration=10.0,
+            )
+
+        assert len(scenario(MAX_FLOWS).flows) == MAX_FLOWS
+        with pytest.raises(ConfigurationError, match="flows"):
+            scenario(MAX_FLOWS + 1)
+
     def test_sample_outside_area(self):
         tr = trace_of([(0.0, 0, 50.0, 0.0)])
         with pytest.raises(ConfigurationError):
@@ -180,6 +196,21 @@ class TestGridGenerator:
             with pytest.raises(ConfigurationError):
                 self.spec(streets=streets)
 
+    def test_walk_leg_bound(self):
+        # 100 m blocks at 100 m/s with no pause make one leg a second, so
+        # 1,000 vehicles over 1,000 s walk exactly MAX_WALK_LEGS legs
+        legs = dict(area=(200.0, 200.0), streets=(3, 3), speed=(100.0, 100.0),
+                    pause_time=0.0, sample_step=1000.0, duration=1000.0)
+        fits = MAX_WALK_LEGS // 1000
+        assert GridSpec(vehicle_count=fits, **legs).vehicle_count == fits
+        with pytest.raises(ConfigurationError, match="legs"):
+            GridSpec(vehicle_count=fits + 1, **legs)
+        # a pause bounds the legs however fast the vehicles drive
+        assert self.spec(speed=(1e9, 1e9), pause_time=4.0).speed == (1e9, 1e9)
+        for kw in (dict(speed=(1e9, 1e9)), dict(area=(1e-6, 1e-6)), dict(area=(0.0, 10.0))):
+            with pytest.raises(ConfigurationError):
+                self.spec(pause_time=0.0, **kw)
+
     def test_seed_changes_output(self):
         tmpl = FlowTemplate(start=5.0, duration=10.0)
         a = generate_grid_scenario(self.spec(), 4, tmpl, seed=9)
@@ -209,6 +240,10 @@ class TestGridGenerator:
     def test_too_many_flows(self):
         with pytest.raises(ConfigurationError):
             generate_grid_scenario(self.spec(vehicle_count=2), 3,
+                                   FlowTemplate(start=0.0, duration=10.0), seed=1)
+        # enough pairs, but more than MAX_FLOWS flows
+        with pytest.raises(ConfigurationError, match=str(MAX_FLOWS)):
+            generate_grid_scenario(self.spec(vehicle_count=200), MAX_FLOWS + 1,
                                    FlowTemplate(start=0.0, duration=10.0), seed=1)
 
 
