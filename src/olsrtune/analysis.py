@@ -7,7 +7,7 @@ Scenario) pairs; `olsrtune validate` labels each scenario by its area.
 Speedup/efficiency summarize scaling benchmarks. The nonparametric
 tests (Friedman, Wilcoxon signed-rank, Kruskal-Wallis,
 Kolmogorov-Smirnov normality check) are the ones a multi-run comparison
-of stochastic optimizer results calls for.
+of stochastic optimizer results calls for; each imports SciPy itself.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from . import sim
 from .errors import DomainError, OlsrTuneError
@@ -150,6 +149,8 @@ def friedman_ranks(matrix) -> RankTestResult:
     Raises DomainError for no subjects, fewer than 2 treatments, a ragged
     matrix, or a non-finite value.
     """
+    from scipy import stats as sps
+
     rows = [_finite_floats(row) for row in matrix]
     if not rows:
         raise DomainError("no subjects")
@@ -182,6 +183,8 @@ def wilcoxon_signed_rank(a, b) -> RankTestResult:
     Raises DomainError for unpaired or empty samples, a non-finite value,
     or no nonzero difference.
     """
+    from scipy import stats as sps
+
     a = _finite_floats(a)
     b = _finite_floats(b)
     if len(a) != len(b) or not a:
@@ -222,6 +225,8 @@ def kruskal_wallis(groups) -> RankTestResult:
     correction is 0 and H is 0/0. Ties within groups are fine as long as
     the pool holds at least two distinct values.
     """
+    from scipy import stats as sps
+
     groups = [_finite_floats(g) for g in groups]
     if len(groups) < 2 or any(not g for g in groups):
         raise DomainError("need at least 2 non-empty groups")
@@ -252,6 +257,8 @@ def ks_normality(sample) -> RankTestResult:
     Raises DomainError for fewer than 2 observations, a non-finite value,
     a sample whose mean or sd overflows float64, or a constant sample.
     """
+    from scipy import stats as sps
+
     xs = _finite_floats(sample)
     if len(xs) < 2:
         raise DomainError("need at least 2 observations")

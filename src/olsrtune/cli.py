@@ -106,7 +106,7 @@ class _Manifest:
     def __init__(self, command: str, args):
         self.doc = {
             "command": command,
-            "argv": list(sys.argv[1:]),
+            "argv": args.argv,
             "version": __version__,
             "master_seed": getattr(args, "seed", None),
             "settings": {},
@@ -378,6 +378,10 @@ def cmd_bench(args) -> int:
         raise InputError("--reps must be >= 1")
     if not 0 <= args.pad_ms < math.inf:
         raise InputError(f"--pad-ms must be finite and >= 0, got {args.pad_ms}")
+    runs = [
+        evo.GaSettings(pop_size=args.pop, generations=args.gens, workers=m, master_seed=args.seed)
+        for m in worker_counts
+    ]
     ctx = evo.calibrate_context(scenario, nic, args.seed)
     manifest.setting(
         scenario=scenario_id,
@@ -389,19 +393,13 @@ def cmd_bench(args) -> int:
     )
 
     times: dict = {}
-    for m in worker_counts:
+    for settings in runs:
         samples = []
         for rep in range(args.reps):
-            settings = evo.GaSettings(
-                pop_size=args.pop,
-                generations=args.gens,
-                workers=m,
-                master_seed=args.seed,
-            )
             t0 = time.perf_counter()
             evo.evolve(settings, space, scenario, nic, ctx, eval_pad_s=args.pad_ms / 1000.0)
             samples.append(time.perf_counter() - t0)
-        times[m] = samples
+        times[settings.workers] = samples
 
     result = analysis.bench_result(times)
     csv_path = manifest.output("bench.csv", analysis.bench_csv(result))
@@ -496,8 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records the argv this call was given
     try:
         return args.func(args)
     except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -47,6 +48,7 @@ MAX_STREETS = 1_000  # street lines per axis of a generated grid
 MAX_FLOW_PACKETS = 10**7  # packets one CBR flow may send, rate x duration
 MAX_FLOWS = 10_000  # CBR flows in a scenario
 MAX_WALK_LEGS = 10**6  # street legs of a generated trace, all vehicles together
+MIN_BANDWIDTH_BPS = 1.0  # bit/s: keeps the energy and airtime of every frame finite
 
 
 @dataclass(frozen=True)
@@ -111,21 +113,11 @@ def position_at(trace: MobilityTrace, node: int, t: float) -> tuple:
         raise ConfigurationError(f"unknown node id {node}") from None
     if t < 0:
         raise ConfigurationError(f"negative time {t}")
-    return _interpolate(times, xs, ys, t)
-
-
-def _interpolate(times, xs, ys, t: float) -> tuple:
-    """(x, y) at `t >= 0` on the path through the points (times[k], xs[k],
-    ys[k]), `times` sorted and starting at 0: linear between points, exact
-    at a point's time, held after the last one."""
+    # the last sample at or before t; every node has one at t=0
     k = bisect_right(times, t) - 1
-    if k < 0:
-        # first sample is at t=0 by invariant, so this only guards float noise
-        return xs[0], ys[0]
     if k == len(times) - 1 or times[k] == t:
         return xs[k], ys[k]
-    span = times[k + 1] - times[k]
-    f = (t - times[k]) / span
+    f = (t - times[k]) / (times[k + 1] - times[k])
     return xs[k] + f * (xs[k + 1] - xs[k]), ys[k] + f * (ys[k + 1] - ys[k])
 
 
@@ -235,8 +227,8 @@ class Scenario:
             raise ConfigurationError("radio_range must be positive")
         if not math.isfinite(self.radio_range * self.radio_range):
             raise ConfigurationError(f"radio_range {self.radio_range} is too large to square")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if self.bandwidth < MIN_BANDWIDTH_BPS:
+            raise ConfigurationError(f"bandwidth must be at least {MIN_BANDWIDTH_BPS:g} bit/s")
         if not 0 < self.sim_duration <= MAX_DURATION_S:
             raise ConfigurationError(f"sim_duration must be in (0, {MAX_DURATION_S:g}] s")
         if len(self.flows) > MAX_FLOWS:
@@ -310,9 +302,10 @@ def _neighbors(r: int, c: int, rows: int, cols: int) -> list:
     return [(i, j) for i, j in steps if 0 <= i < rows and 0 <= j < cols]
 
 
-def _vehicle_breakpoints(spec: GridSpec, xs: list, ys: list, rng) -> tuple:
+def _walk(spec: GridSpec, xs: list, ys: list, rng):
     """One vehicle's walk on the streets at x = xs[j] and y = ys[i]: its
-    breakpoint times, x and y, between which it moves linearly."""
+    breakpoints (t, x, y) in time order, between which it moves linearly,
+    up to the first one after spec.duration."""
     rows, cols = len(ys), len(xs)
     # start somewhere along a uniformly chosen street segment
     r = rng.randrange(rows)
@@ -323,20 +316,38 @@ def _vehicle_breakpoints(spec: GridSpec, xs: list, ys: list, rng) -> tuple:
     y = ys[r] + frac * (ys[target[0]] - ys[r])
 
     t = 0.0
-    points = [(t, x, y)]
+    yield t, x, y
     while t <= spec.duration:
         tx, ty = xs[target[1]], ys[target[0]]
         dist = math.hypot(tx - x, ty - y)
         speed = rng.uniform(*spec.speed)
         if dist > 0:
             t += dist / speed
-            points.append((t, tx, ty))
+            yield t, tx, ty
         x, y = tx, ty
         if spec.pause_time > 0:
             t += spec.pause_time
-            points.append((t, x, y))
+            yield t, x, y
         target = rng.choice(_neighbors(*target, rows, cols))
-    return tuple(zip(*points))
+
+
+def _sample_walk(walk, times: list):
+    """(t, x, y) at each of the sorted `times` on the path through the
+    breakpoints of `walk`, by position_at's rule, holding one leg. Runs the
+    walk to its end, so the next walk draws the same random numbers."""
+    t0, x0, y0 = next(walk)
+    leg_end = next(walk, None)
+    for t in times:
+        # the last breakpoint at or before t, as bisect_right finds it
+        while leg_end is not None and leg_end[0] <= t:
+            (t0, x0, y0), leg_end = leg_end, next(walk, None)
+        if leg_end is None or t0 == t:
+            yield t, x0, y0
+        else:
+            t1, x1, y1 = leg_end
+            f = (t - t0) / (t1 - t0)
+            yield t, x0 + f * (x1 - x0), y0 + f * (y1 - y0)
+    deque(walk, maxlen=0)
 
 
 def generate_grid_scenario(
@@ -375,8 +386,8 @@ def generate_grid_scenario(
     times = [min(i * step, duration) for i in range(int(round(duration / step)) + 1)]
     samples = []
     for node in range(n):
-        walk = _vehicle_breakpoints(spec, xs, ys, mob_rng)
-        samples.extend((t, node, *_interpolate(*walk, t)) for t in times)
+        walk = _sample_walk(_walk(spec, xs, ys, mob_rng), times)
+        samples.extend((t, node, x, y) for t, x, y in walk)
     samples.sort(key=lambda s: (s[0], s[1]))
     trace = MobilityTrace(samples=tuple(samples))
 

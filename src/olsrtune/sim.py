@@ -20,9 +20,9 @@ The radio model, which every transmission goes through:
   node-index order, takes exactly one draw r = loss_rng.random() from
   the run's derive_rng(seed, "loss") stream and loses the frame when
   r < p_at_max_range * sqrt(d2) / radio_range;
-- the sender pays energy_send and every receiver energy_recv of the
-  frame size; a data frame arrives packet_airtime plus the processing
-  delay later.
+- frame_cost(nic, size_bits, scenario.bandwidth) prices a frame: the
+  sender pays its send energy, every receiver its receive energy, and a
+  data frame arrives its airtime plus the processing delay later.
 
 Changing any of these, the draw order included, changes the metrics.
 
@@ -45,6 +45,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cache, partial
 from operator import attrgetter
 from typing import ClassVar
 
@@ -61,10 +62,7 @@ __all__ = [
     "EnergyLedger",
     "SimMetrics",
     "default_nic",
-    "packet_airtime",
-    "energy_send",
-    "energy_recv",
-    "broadcast_energy",
+    "frame_cost",
     "run_simulation",
     "routing_snapshot",
     "METRICS_COLUMNS",
@@ -81,46 +79,28 @@ MAX_HOPS = 64  # IP-default TTL; bounds transient routing loops
 @dataclass(frozen=True)
 class NicProfile:
     """Radio energy profile, fixed constants: currents in mA, supply in
-    V, bandwidth in bit/s. mA x V x s works out to millijoules."""
+    V. mA x V x s works out to millijoules."""
 
     i_send: ClassVar[float] = 440.0
     v_send: ClassVar[float] = 5.0
     i_recv: ClassVar[float] = 260.0
     v_recv: ClassVar[float] = 5.0
-    bandwidth: ClassVar[float] = 6e6
 
 
 def default_nic() -> NicProfile:
     return NicProfile()
 
 
-def packet_airtime(size_bits: float, bandwidth: float) -> float:
-    if size_bits < 0:
-        raise ConfigurationError("size must be >= 0")
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be positive")
-    return size_bits / bandwidth
-
-
-def energy_send(nic: NicProfile, size_bits: float) -> float:
-    """Millijoules spent transmitting `size_bits`."""
-    if size_bits < 0:
-        raise ConfigurationError("size must be >= 0")
-    return (nic.i_send * nic.v_send) * size_bits / nic.bandwidth
-
-
-def energy_recv(nic: NicProfile, size_bits: float) -> float:
-    """Millijoules spent receiving `size_bits`."""
-    if size_bits < 0:
-        raise ConfigurationError("size must be >= 0")
-    return (nic.i_recv * nic.v_recv) * size_bits / nic.bandwidth
-
-
-def broadcast_energy(nic: NicProfile, size_bits: float, receivers: int) -> float:
-    """Total energy of one transmission heard by `receivers` nodes."""
-    if receivers < 0:
-        raise ConfigurationError("receivers must be >= 0")
-    return energy_send(nic, size_bits) + receivers * energy_recv(nic, size_bits)
+def frame_cost(nic: NicProfile, size_bits: float, bandwidth: float) -> tuple:
+    """(send mJ, receive mJ, airtime s) of one frame of `size_bits` sent
+    at `bandwidth` bit/s."""
+    if not (size_bits >= 0 and bandwidth > 0):
+        raise ConfigurationError(f"need size >= 0 and bandwidth > 0, got {size_bits}, {bandwidth}")
+    return (
+        (nic.i_send * nic.v_send) * size_bits / bandwidth,
+        (nic.i_recv * nic.v_recv) * size_bits / bandwidth,
+        size_bits / bandwidth,
+    )
 
 
 @dataclass(frozen=True)
@@ -264,7 +244,6 @@ class _Simulation:
     ):
         self.scenario = scenario
         self.config = config
-        self.nic = nic
         self.on_transmit = on_transmit
 
         self.nodes = list(scenario.trace.node_ids)
@@ -287,7 +266,8 @@ class _Simulation:
         self.loss_rng = derive_rng(seed, "loss")
         self.lossy = scenario.loss_model.kind == "bernoulli"
         self.p_max = scenario.loss_model.p_at_max_range
-        self.frame_costs: dict = {}
+        # (send energy, receive energy, airtime) of a frame, once per size
+        self._frame_cost = cache(partial(frame_cost, nic, bandwidth=scenario.bandwidth))
 
         self.heap: list = []
         self._seq = 0
@@ -348,18 +328,6 @@ class _Simulation:
             for j in hits
             if j != i and not draw() < p_max * math.sqrt(dist2[j]) / radio_range
         ]
-
-    def _frame_cost(self, size_bits: int) -> tuple:
-        """(send energy, receive energy, airtime) of a frame of `size_bits`,
-        computed once per size and run."""
-        cost = self.frame_costs.get(size_bits)
-        if cost is None:
-            cost = self.frame_costs[size_bits] = (
-                energy_send(self.nic, size_bits),
-                energy_recv(self.nic, size_bits),
-                packet_airtime(size_bits, self.scenario.bandwidth),
-            )
-        return cost
 
     def _transmit(self, sender: int, size_bits: int, t: float):
         """Charge one broadcast: sender pays send energy, every node that

@@ -44,10 +44,8 @@ from olsrtune.olsr import (
 )
 from olsrtune.scenario import CbrFlow, FlowTemplate, GridSpec, generate_grid_scenario
 from olsrtune.sim import (
-    broadcast_energy,
     default_nic,
-    energy_recv,
-    energy_send,
+    frame_cost,
     routing_snapshot,
     run_simulation,
 )
@@ -98,11 +96,12 @@ def test_criterion_04_energy_model_oracle():
     for bits in (0, 4096, 6_000_000):
         want_send = 2200.0 * bits / 6e6
         want_recv = 1300.0 * bits / 6e6
-        assert energy_send(NIC, bits) == pytest.approx(want_send, rel=rel, abs=1e-15)
-        assert energy_recv(NIC, bits) == pytest.approx(want_recv, rel=rel, abs=1e-15)
+        send, recv, _airtime = frame_cost(NIC, bits, 6e6)
+        assert send == pytest.approx(want_send, rel=rel, abs=1e-15)
+        assert recv == pytest.approx(want_recv, rel=rel, abs=1e-15)
         for r in (0, 1, 3):
             want = want_send + r * want_recv
-            assert broadcast_energy(NIC, bits, r) == pytest.approx(want, rel=rel, abs=1e-15)
+            assert send + r * recv == pytest.approx(want, rel=rel, abs=1e-15)
     ok(4, "energy model oracle")
 
 

@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import olsrtune
 from olsrtune import evo
 from olsrtune.cli import main
 from olsrtune.olsr import config_to_dict, rfc_default
@@ -145,6 +149,8 @@ class TestGen:
             ("--rate", "1e12", "0"),
             ("--vehicles", "3000", "8000000"),  # MAX_FLOWS
             ("--vehicles", "3000", str(MAX_FLOWS + 1)),
+            ("--bandwidth", "1e-300", "2"),  # MIN_BANDWIDTH_BPS
+            ("--bandwidth", "0.5", "0"),
         ],
     )
     def test_flag_beyond_bound_exits_2(self, tmp_path, capsys, flag, value, flows):
@@ -213,6 +219,14 @@ class TestSimulate:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["gap_energy"] == 0.0  # config equals the reference
         assert "reference" in doc
+
+    def test_manifest_records_the_argv_main_was_given(self, tmp_path, monkeypatch):
+        scn = run_gen(tmp_path)
+        out = tmp_path / "sim"
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "whatever"])
+        argv = ["simulate", "--scenario", str(scn), "--rfc", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "simulate_manifest.json").read_text())["argv"] == argv
 
     def test_missing_scenario_exits_2(self, tmp_path):
         argv = ["simulate", "--scenario", str(tmp_path / "nope.json"), "--rfc",
@@ -305,6 +319,7 @@ MALFORMED_FILES = {
         "scenario", lambda doc: {**doc, "flows": doc["flows"][:1] * (MAX_FLOWS + 1)}, 3
     ),
     "scenario-bandwidth-string": ("scenario", _set("bandwidth_bps", "6e6"), 2),
+    "scenario-bandwidth-below-bound": ("scenario", _set("bandwidth_bps", 1e-300), 3),
     "scenario-duration-bool": ("scenario", _set("duration_s", True), 2),
     "scenario-trace-file-number": ("scenario", _set("trace_file", 7), 2),
     "scenario-trace-file-nul": ("scenario", _set("trace_file", "a\0b"), 2),
@@ -488,6 +503,32 @@ class TestBench:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "bench.csv").exists()
+
+
+    def test_bad_worker_count_exits_3_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        scn = run_gen(tmp_path)
+
+        def no_simulation(*_args):
+            raise AssertionError("calibrated before every worker count was checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_simulation)
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        argv = ["bench", "--scenario", str(scn), "--workers", "1,0", "--reps", "2",
+                "--pop", "8", "--gens", "2", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
+        assert not (out / "bench.csv").exists()
+
+
+def test_importing_cli_does_not_load_scipy():
+    # no command runs a rank test, so only the rank tests import SciPy
+    src = str(Path(olsrtune.__file__).resolve().parent.parent)
+    code = "import sys, olsrtune.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert out.returncode == 0
 
 
 @pytest.mark.skipif(shutil.which("olsrtune") is None, reason="console script not on PATH")

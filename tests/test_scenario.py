@@ -1,22 +1,29 @@
 """Mobility traces, scenario files, and the synthetic grid generator."""
 
 import json
+import math
+import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
 from olsrtune.errors import ConfigurationError, TraceParseError, TraceValidationError
+from olsrtune.seeding import derive_rng
 from olsrtune.scenario import (
     MAX_FLOW_PACKETS,
     MAX_FLOWS,
     MAX_STREETS,
     MAX_TRACE_SAMPLES,
     MAX_WALK_LEGS,
+    MIN_BANDWIDTH_BPS,
     CbrFlow,
     FlowTemplate,
     GridSpec,
     LossModel,
     MobilityTrace,
     Scenario,
+    _neighbors,
+    _sample_walk,
     generate_grid_scenario,
     load_scenario,
     load_trace,
@@ -132,6 +139,21 @@ class TestFlowAndScenarioValidation:
         with pytest.raises(ConfigurationError, match="flows"):
             scenario(MAX_FLOWS + 1)
 
+    def test_bandwidth_bound(self):
+        # below MIN_BANDWIDTH_BPS a frame's energy could overflow to inf
+        tr = trace_of([(0.0, 0, 0.0, 0.0)])
+
+        def scenario(bandwidth):
+            return Scenario(
+                area=(10.0, 10.0), trace=tr, flows=(),
+                radio_range=100.0, bandwidth=bandwidth, sim_duration=10.0,
+            )
+
+        assert scenario(MIN_BANDWIDTH_BPS).bandwidth == MIN_BANDWIDTH_BPS
+        for bandwidth in (MIN_BANDWIDTH_BPS / 2, 1e-300, 0.0, -6e6):
+            with pytest.raises(ConfigurationError, match="bandwidth"):
+                scenario(bandwidth)
+
     def test_sample_outside_area(self):
         tr = trace_of([(0.0, 0, 50.0, 0.0)])
         with pytest.raises(ConfigurationError):
@@ -245,6 +267,113 @@ class TestGridGenerator:
         with pytest.raises(ConfigurationError, match=str(MAX_FLOWS)):
             generate_grid_scenario(self.spec(vehicle_count=200), MAX_FLOWS + 1,
                                    FlowTemplate(start=0.0, duration=10.0), seed=1)
+
+
+def reference_interpolate(times, xs, ys, t):
+    """Position at t on the path through (times[k], xs[k], ys[k]): the
+    last point at or before t by bisect_right, exact at its time, held
+    after the last point."""
+    k = bisect_right(times, t) - 1
+    if k < 0:
+        return xs[0], ys[0]
+    if k == len(times) - 1 or times[k] == t:
+        return xs[k], ys[k]
+    f = (t - times[k]) / (times[k + 1] - times[k])
+    return xs[k] + f * (xs[k + 1] - xs[k]), ys[k] + f * (ys[k + 1] - ys[k])
+
+
+def reference_breakpoints(spec, xs, ys, rng):
+    """Every breakpoint of one vehicle's walk, transposed into (times,
+    xs, ys): the two-pass generator the one-pass walk replaced."""
+    rows, cols = len(ys), len(xs)
+    r = rng.randrange(rows)
+    c = rng.randrange(cols)
+    target = rng.choice(_neighbors(r, c, rows, cols))
+    frac = rng.random()
+    x = xs[c] + frac * (xs[target[1]] - xs[c])
+    y = ys[r] + frac * (ys[target[0]] - ys[r])
+    t = 0.0
+    points = [(t, x, y)]
+    while t <= spec.duration:
+        tx, ty = xs[target[1]], ys[target[0]]
+        dist = math.hypot(tx - x, ty - y)
+        speed = rng.uniform(*spec.speed)
+        if dist > 0:
+            t += dist / speed
+            points.append((t, tx, ty))
+        x, y = tx, ty
+        if spec.pause_time > 0:
+            t += spec.pause_time
+            points.append((t, x, y))
+        target = rng.choice(_neighbors(*target, rows, cols))
+    return tuple(zip(*points))
+
+
+def reference_samples(spec, seed):
+    """The trace samples of generate_grid_scenario(spec, ..., seed) by the
+    two-pass walk: all breakpoints first, then one bisection per sample."""
+    rng = derive_rng(seed, "mobility")
+    rows, cols = spec.streets
+    w, h = spec.area
+    xs = [j * w / (cols - 1) for j in range(cols)]
+    ys = [i * h / (rows - 1) for i in range(rows)]
+    step, duration = spec.sample_step, spec.duration
+    times = [min(i * step, duration) for i in range(int(round(duration / step)) + 1)]
+    samples = []
+    for node in range(spec.vehicle_count):
+        walk = reference_breakpoints(spec, xs, ys, rng)
+        samples.extend((t, node, *reference_interpolate(*walk, t)) for t in times)
+    samples.sort(key=lambda s: (s[0], s[1]))
+    return tuple(samples)
+
+
+class TestOnePassWalk:
+    @pytest.mark.parametrize("pause", [0.0, 4.0])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(area=(400.0, 300.0), streets=(3, 3), speed=(8.0, 14.0), sample_step=1.0),
+            # many legs between two samples
+            dict(area=(60.0, 40.0), streets=(4, 3), speed=(30.0, 90.0), sample_step=7.0),
+            # many samples on one leg, and a last sample step cut short
+            dict(area=(900.0, 900.0), streets=(2, 5), speed=(1.0, 3.0), sample_step=0.45),
+        ],
+        ids=["default", "fast", "slow"],
+    )
+    def test_matches_two_pass_reference(self, pause, shape):
+        spec = GridSpec(vehicle_count=7, pause_time=pause, duration=61.0, **shape)
+        for seed in (1, 2, 77):
+            scn = generate_grid_scenario(spec, 0, FlowTemplate(start=0.0, duration=1.0), seed)
+            assert scn.trace.samples == reference_samples(spec, seed)
+
+    def test_ties_and_exact_hits_follow_bisect_right(self):
+        # two breakpoints share t=1 and two share t=3; samples land on
+        # breakpoint times, between them, and after the last one
+        points = [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 5.0, 5.0), (2.0, 6.0, 5.0),
+                  (3.0, 6.0, 5.0), (3.0, 7.0, 7.0), (4.0, 9.0, 8.0)]
+        times = [0.0, 0.5, 1.0, 1.25, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0]
+        walk = iter(points)
+        got = list(_sample_walk(walk, times))
+        columns = tuple(zip(*points))
+        assert got == [(t, *reference_interpolate(*columns, t)) for t in times]
+        assert next(walk, None) is None
+        # sampling only the start still runs the walk to its end
+        walk = iter(points)
+        assert list(_sample_walk(walk, [0.0])) == [(0.0, 0.0, 0.0)]
+        assert next(walk, None) is None
+
+    def test_walk_memory_is_one_leg(self):
+        # 86.4 m blocks at 1,000 m/s with no pause: 100,000 legs in 8,640 s,
+        # sampled twice; the two-pass walk held every breakpoint (18 MB)
+        spec = GridSpec(area=(86.4, 86.4), streets=(2, 2), speed=(1000.0, 1000.0),
+                        pause_time=0.0, vehicle_count=1, sample_step=8640.0, duration=8640.0)
+        tracemalloc.start()
+        try:
+            generate_grid_scenario(spec, 0, FlowTemplate(start=0.0, duration=1.0), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestScenarioFiles:

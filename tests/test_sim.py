@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
     _PositionIndex,
     _Simulation,
-    broadcast_energy,
     default_nic,
-    energy_recv,
+    frame_cost,
     metrics_row,
     metrics_to_json,
     routing_snapshot,
@@ -127,13 +127,27 @@ class TestDeterminism:
 
 class TestEnergyAccounting:
     def test_ledger_consistent_with_hook(self, chain3):
-        observed = []
-        m = run_simulation(
-            chain3, CFG, NIC, seed=3,
-            on_transmit=lambda s, bits, rcv, t: observed.append((s, bits, rcv)),
-        )
-        total = sum(broadcast_energy(NIC, bits, len(rcv)) for _s, bits, rcv in observed)
-        assert m.energy.e_total == pytest.approx(total, rel=1e-9)
+        # energy, like airtime, is charged at the scenario's bandwidth
+        for bandwidth in (6e6, 1e6):
+            scn = replace(chain3, bandwidth=bandwidth)
+            observed = []
+            m = run_simulation(
+                scn, CFG, NIC, seed=3,
+                on_transmit=lambda s, bits, rcv, t: observed.append((s, bits, rcv)),
+            )
+            total = 0.0
+            for _s, bits, rcv in observed:
+                send, recv, _airtime = frame_cost(NIC, bits, bandwidth)
+                total += send + len(rcv) * recv
+            assert m.energy.e_total == pytest.approx(total, rel=1e-9)
+
+    def test_frame_cost_computed_once_per_size(self, chain3):
+        sizes = set()
+        sim = _Simulation(chain3, CFG, NIC, 3, lambda s, bits, rcv, t: sizes.add(bits))
+        sim.run()
+        info = sim._frame_cost.cache_info()
+        assert info.misses == info.currsize == len(sizes) > 1
+        assert info.hits > info.misses
 
     def test_promiscuous_reception_charges_all_in_range(self):
         # 1 transmits; both 0 and 2 are in range and pay receive energy,
@@ -306,7 +320,7 @@ def reference_receivers(scn, seed, transmissions):
             heard.append(node)
         out.append(tuple(heard))
         for node in heard:
-            e_recv[node] += energy_recv(NIC, size_bits)
+            e_recv[node] += frame_cost(NIC, size_bits, scn.bandwidth)[1]
     return out, e_recv, lost
 
 
