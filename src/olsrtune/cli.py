@@ -374,6 +374,8 @@ def cmd_bench(args) -> int:
     worker_counts = _parse_list(args.workers, "workers", int)
     if not worker_counts:
         raise InputError("no worker counts given")
+    if len(set(worker_counts)) < len(worker_counts):
+        raise InputError(f"--workers lists a worker count twice: {args.workers}")
     if args.reps < 1:
         raise InputError("--reps must be >= 1")
     if not 0 <= args.pad_ms < math.inf:
@@ -483,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common], help="worker-scaling benchmark")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.add_argument("--workers", default="1", help="comma-separated worker counts")
+    p.add_argument("--workers", default="1", help="comma-separated distinct worker counts")
     p.add_argument("--reps", type=int, default=3, help="repetitions per count")
     p.add_argument("--pop", type=int, default=8, help="population size")
     p.add_argument("--gens", type=int, default=2, help="generations")

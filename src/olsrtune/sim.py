@@ -16,6 +16,15 @@ The radio model, which every transmission goes through:
   for bit;
 - node j hears sender i when d2 <= radio_range**2, where
   d2 = (x_j - x_i)**2 + (y_j - y_i)**2 in float64;
+- only i's candidates, in index order, are tested. When every node is
+  sampled on one time grid, j is left off i's list for a sample
+  interval only if their closest approach over it, both moving
+  linearly, is finite and above (radio_range + margin)**2, where the
+  margin is 2**-30 of the coordinates' magnitude plus the range, far
+  above float64 rounding; so a list never drops a receiver. Otherwise
+  every other node is a candidate. An interval's lists are built when a
+  run first reaches it and live as long as the Scenario object, so
+  every run on that object shares them;
 - under bernoulli loss, every in-range node other than the sender, in
   node-index order, takes exactly one draw r = loss_rng.random() from
   the run's derive_rng(seed, "loss") stream and loses the frame when
@@ -226,6 +235,93 @@ class _PositionIndex:
         return snap
 
 
+# A candidate list is widened by this share of the coordinates' magnitude
+# plus the range. Positions and distances are off by a few float64
+# roundings of either, about 2**-50 of it, so the margin holds them many
+# times over.
+_MARGIN_SHARE = 2.0**-30
+
+
+class _RadioIndex:
+    """Positions and candidate receivers of one scenario, for any time.
+
+    On a shared time grid there is one list per node and sample interval
+    (the rule is in the module docstring); the closest approach of two
+    nodes that both move linearly has a closed form. From the last
+    sample on, the lists come from the static snapshot. An interval's
+    lists are built the first time a run asks for a time in it and kept;
+    a row equal to the previous interval's row is that same list object.
+    """
+
+    def __init__(self, trace: MobilityTrace, radio_range: float):
+        self.pos = _PositionIndex(trace)
+        if self.pos.shared:
+            self.times = self.pos.times
+            self.lists = [None] * len(self.times)
+            mag = max(float(np.abs(snap).max()) for snap in self.pos.xy)
+            # closest approaches are computed in units of a power of two,
+            # mag < 2 * scale, so no product overflows and the division is
+            # exact
+            self.scale = math.ldexp(1.0, math.frexp(mag)[1] - 1)
+            reach = (radio_range + _MARGIN_SHARE * (mag + radio_range)) / self.scale
+            self.reach2 = reach * reach
+        else:
+            n = len(self.pos.node_ids)
+            self.times = [0.0]
+            self.lists = [[[j for j in range(n) if j != i] for i in range(n)]]
+        self._t = None
+        self._at = None
+
+    def at(self, t: float) -> tuple:
+        """(xs, ys, candidates) at time t: every node's position, as in
+        _PositionIndex.positions(t), and each node's candidate list."""
+        if t != self._t:
+            xs, ys = self.pos.positions(t).tolist()
+            k = max(bisect_right(self.times, t) - 1, 0)
+            lists = self.lists[k]
+            if lists is None:
+                lists = self.lists[k] = self._build(k)
+            self._t, self._at = t, (xs, ys, lists)
+        return self._at
+
+    def _build(self, k: int) -> list:
+        """Each node's candidates over sample interval k, in index order."""
+        x, y = self.pos.xy[k] / self.scale
+        rx = x[None, :] - x[:, None]  # rx[i, j]: how far east j is from i
+        ry = y[None, :] - y[:, None]
+        if k + 1 < len(self.times):
+            u, w = self.pos.dxy[k] / self.scale
+            vx = u[None, :] - u[:, None]  # j's motion relative to i
+            vy = w[None, :] - w[:, None]
+            vv = np.maximum(vx * vx + vy * vy, np.finfo(float).tiny)
+            # share of the interval at the closest approach (0 where the
+            # offset does not change)
+            f = np.clip(-(rx * vx + ry * vy) / vv, 0.0, 1.0)
+            rx += f * vx
+            ry += f * vy
+        d2 = rx * rx + ry * ry
+        near = ~(np.isfinite(d2) & (d2 > self.reach2))
+        np.fill_diagonal(near, False)
+        cols = near.nonzero()[1].tolist()
+        ends = near.sum(axis=1).cumsum().tolist()
+        rows = [cols[a:b] for a, b in zip([0] + ends, ends)]
+        prev = self.lists[k - 1] if k > 0 else None
+        if prev is not None:
+            rows = [old if old == row else row for old, row in zip(prev, rows)]
+        return rows
+
+
+def _radio_index(scenario: Scenario) -> _RadioIndex:
+    """The scenario's _RadioIndex, made on first use. It is kept in the
+    scenario's own attribute dict, as functools.cached_property keeps a
+    value, so every run on one Scenario object shares its lists and they
+    go when the scenario goes."""
+    index = scenario.__dict__.get("_radio_index")
+    if index is None:
+        index = scenario.__dict__["_radio_index"] = _RadioIndex(scenario.trace, scenario.radio_range)
+    return index
+
+
 # event kinds, dispatched by tag
 _EV_HELLO = 0
 _EV_TC = 1
@@ -249,7 +345,7 @@ class _Simulation:
         self.nodes = list(scenario.trace.node_ids)
         self.index = {n: i for i, n in enumerate(self.nodes)}
         self.states = {n: OlsrNodeState(node_id=n) for n in self.nodes}
-        self.pos = _PositionIndex(scenario.trace)
+        self.radio = _radio_index(scenario)
         self.range2 = scenario.radio_range**2
 
         # jitter streams are keyed by each vehicle's initial position so
@@ -311,23 +407,20 @@ class _Simulation:
             self._push(t, kind, (node, k))
 
     def _receivers(self, sender: int, t: float):
-        xy = self.pos.positions(t)
+        xs, ys, candidates = self.radio.at(t)
         i = self.index[sender]
-        d = xy - xy[:, i : i + 1]
-        d *= d
-        d2 = d[0] + d[1]
-        hits = (d2 <= self.range2).nonzero()[0].tolist()
-        nodes = self.nodes
-        if not self.lossy:
-            return [nodes[j] for j in hits if j != i]
-        dist2 = d2.tolist()
+        xi, yi = xs[i], ys[i]
+        range2, lossy, nodes = self.range2, self.lossy, self.nodes
         p_max, radio_range, draw = self.p_max, self.scenario.radio_range, self.loss_rng.random
-        # one draw per in-range node other than the sender, in index order
-        return [
-            nodes[j]
-            for j in hits
-            if j != i and not draw() < p_max * math.sqrt(dist2[j]) / radio_range
-        ]
+        heard = []
+        # under loss, one draw per in-range node other than the sender, in index order
+        for j in candidates[i]:
+            dx = xs[j] - xi
+            dy = ys[j] - yi
+            d2 = dx * dx + dy * dy
+            if d2 <= range2 and not (lossy and draw() < p_max * math.sqrt(d2) / radio_range):
+                heard.append(nodes[j])
+        return heard
 
     def _transmit(self, sender: int, size_bits: int, t: float):
         """Charge one broadcast: sender pays send energy, every node that

@@ -521,6 +521,25 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
         assert not (out / "bench.csv").exists()
 
+    def test_repeated_worker_count_exits_2_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        # timings are keyed by worker count, so a repeat would drop a group
+        scn = run_gen(tmp_path)
+
+        def no_simulation(*_args):
+            raise AssertionError("calibrated before the worker counts were checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_simulation)
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        argv = ["bench", "--scenario", str(scn), "--workers", "1,1", "--reps", "2",
+                "--pop", "4", "--gens", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
+        assert not (out / "bench.csv").exists()
+
 
 def test_importing_cli_does_not_load_scipy():
     # no command runs a rank test, so only the rank tests import SciPy

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from olsrtune.scenario import (
     GridSpec,
     LossModel,
     MobilityTrace,
+    Scenario,
     generate_grid_scenario,
     position_at,
     relabel_scenario,
@@ -31,6 +33,7 @@ from olsrtune.scenario import (
 from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
     _PositionIndex,
+    _RadioIndex,
     _Simulation,
     default_nic,
     frame_cost,
@@ -341,6 +344,96 @@ class TestRadioModelReference:
         assert len(seen) > 500
         assert sum(map(len, expected)) > len(seen)
         assert lost > 100
+
+
+def grid_trace_scenario(rng, scale, loss):
+    """A random scenario whose trace samples every node on one time grid,
+    with coordinates in units of `scale` (a power of two, so whole-unit
+    offsets are exact). Node 1 keeps the offset (r, 0) from node 0 and
+    node 2 the offset (3r/5, 4r/5), both exactly the range r; the others
+    jump anywhere at every sample."""
+    n = rng.randint(4, 9)
+    r = rng.choice([150, 250, 400])
+    times = [0.0]
+    for _ in range(rng.randint(2, 6)):
+        times.append(times[-1] + rng.choice([0.5, 1.0, rng.uniform(0.3, 3.0)]))
+    samples = []
+    a, b = rng.randint(0, 500), rng.randint(0, 500)
+    for t in times:
+        a, b = (a + rng.randint(-40, 40)) % 500, (b + rng.randint(-40, 40)) % 500
+        points = [(a, b), (a + r, b), (a + 3 * r // 5, b + 4 * r // 5)]
+        points += [(rng.uniform(0, 1400), rng.uniform(0, 1400)) for _ in range(n - 3)]
+        samples += [(t, node, x * scale, y * scale) for node, (x, y) in enumerate(points)]
+    return Scenario(area=(2000.0 * scale, 2000.0 * scale), trace=MobilityTrace(samples=tuple(samples)),
+                    flows=(), radio_range=r * scale, bandwidth=6e6, sim_duration=times[-1] + 100.0,
+                    loss_model=loss)
+
+
+class TestCandidateLists:
+    """_receivers over candidate lists equals the per-node position_at loop."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**490], ids=["metres", "2**490"])  # 2**490 is 3.2e147
+    @pytest.mark.parametrize("loss", [LossModel("ideal"), LossModel("bernoulli", 0.5)])
+    def test_equals_per_node_loop(self, scale, loss):
+        rng = random.Random(f"{scale} {loss}")
+        pruned = 0
+        for _ in range(12):
+            scn = grid_trace_scenario(rng, scale, loss)
+            times = sorted({t for t, _n, _x, _y in scn.trace.samples})
+            queries = times + [rng.uniform(0.0, times[-1]) for _ in range(12)]
+            queries += [times[-1], times[-1] + 0.5, times[-1] + 99.0]
+            calls = [(sender, 8, None, t) for t in queries for sender in scn.trace.node_ids]
+            rng.shuffle(calls)  # out of time order, with intervals built out of turn
+            sim = _Simulation(scn, CFG, NIC, 9, None)
+            got = [tuple(sim._receivers(sender, t)) for sender, _bits, _r, t in calls]
+            expected, _e_recv, _lost = reference_receivers(scn, 9, calls)
+            assert got == expected
+            lists = [row for rows in sim.radio.lists if rows is not None for row in rows]
+            pruned += sum(len(scn.trace.node_ids) - 1 - len(row) for row in lists)
+            # the pairs placed exactly at the range are heard, loss aside
+            at_range = reference_receivers(replace(scn, loss_model=LossModel("ideal")), 9,
+                                           [(0, 8, None, t) for t in times])[0]
+            assert all({1, 2} <= set(heard) for heard in at_range)
+        assert pruned > 0
+
+    def test_second_run_builds_no_list(self, monkeypatch):
+        built = []
+        build = _RadioIndex._build
+        monkeypatch.setattr(_RadioIndex, "_build", lambda index, k: built.append(k) or build(index, k))
+        # every node sends a HELLO in every 4 s sample interval, in both runs
+        spec = GridSpec(area=(900.0, 600.0), vehicle_count=14, speed=(4.0, 10.0),
+                        sample_step=4.0, duration=40.0)
+        template = FlowTemplate(packet_size=256, rate=4.0, start=10.0, duration=25.0)
+        scn = generate_grid_scenario(spec, 4, template, seed=11, radio_range=260.0)
+        run_simulation(scn, CFG, NIC, seed=5)
+        assert sorted(built) == list(range(10))
+        run_simulation(scn, replace(CFG, hello_interval=3.0), NIC, seed=6)
+        assert len(built) == 10
+
+    def test_irregular_trace_digest(self):
+        # nodes sampled at different times: every other node is a candidate
+        samples = sorted((
+            (0.0, 0, 10.0, 20.0), (0.0, 1, 120.0, 15.0), (0.0, 2, 230.0, 30.0),
+            (0.0, 3, 330.0, 10.0), (0.0, 4, 60.0, 140.0), (0.0, 5, 400.0, 150.0),
+            (3.5, 2, 250.5, 60.25), (4.0, 4, 110.0, 120.0), (7.25, 0, 40.0, 25.0),
+            (9.0, 5, 350.0, 90.0), (11.0, 1, 150.0, 70.0), (12.5, 3, 300.0, 40.0),
+            (14.0, 2, 210.0, 100.0), (18.0, 4, 170.0, 60.0), (21.5, 0, 90.0, 10.0),
+            (25.0, 5, 420.0, 20.0), (27.0, 1, 130.0, 30.0), (31.75, 3, 360.0, 120.0),
+            (34.0, 2, 240.0, 20.0),
+        ))
+        flows = (
+            CbrFlow(source=0, destination=3, packet_size=256, rate=4.0, start=8.0, duration=30.0),
+            CbrFlow(source=5, destination=4, packet_size=128, rate=2.0, start=10.0, duration=25.0),
+        )
+        scn = Scenario(area=(450.0, 160.0), trace=MobilityTrace(samples=tuple(samples)), flows=flows,
+                       radio_range=140.0, bandwidth=6e6, sim_duration=40.0,
+                       loss_model=LossModel("bernoulli", 0.3))
+        m = run_simulation(scn, CFG, NIC, seed=4)
+        text = json.dumps(metrics_to_json(m), sort_keys=True, separators=(",", ":"))
+        # recorded with the radio model that computed every distance with NumPy
+        digest = "091f38e87a322180ed3c6d472f09b9f0a0c08b6ebe912b75306136945a1e09e4"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert m.hops > 2.0 and 0 < m.data_delivered < m.data_sent
 
 
 def tie_scenario():
