@@ -7,6 +7,15 @@ messages with duplicate suppression, and minimum-hop routing-table
 calculation. Behaviour is parameterized by the eight standard knobs in
 OlsrConfig.
 
+A simulator drives a node only through five entries. Each drops lapsed
+state (expire) first, then follows RFC 3626 section 3.4's order:
+next_hello and next_tc build the node's messages (next_tc gives None
+while no neighbour selected the node as MPR), receive_hello applies a
+HELLO, receive_tc drops a TC heard over a non-symmetric link, applies
+it, then records the duplicate and returns the copy to relay or None,
+and routes(state, now) gives the routing table. The functions they call
+look one another up as module globals and never expire on their own.
+
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
 genome codec and the JSON config codec all derive from it. The rule for
@@ -100,6 +109,11 @@ __all__ = [
     "hello_emission_interval",
     "config_to_dict",
     "config_from_dict",
+    "next_hello",
+    "receive_hello",
+    "next_tc",
+    "receive_tc",
+    "routes",
     "make_hello",
     "make_tc",
     "process_hello",
@@ -348,9 +362,6 @@ class OlsrNodeState:
         if expiry < self.next_expiry:
             self.next_expiry = expiry
 
-    def symmetric_neighbors(self) -> list:
-        return sorted(n for n, nb in self.neighbors.items() if nb.sym)
-
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     """Build this node's next HELLO, advertising all current links. Its
@@ -371,16 +382,14 @@ def make_tc(state: OlsrNodeState, config: OlsrConfig) -> Tc:
     return Tc(state.node_id, state.node_id, state.tc_seq, tuple(sorted(state.mpr_selectors)))
 
 
-def process_hello(
-    state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig
-) -> OlsrNodeState:
+def process_hello(state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig) -> None:
     """Apply a received HELLO: link sensing, two-hop discovery, MPR
     bookkeeping. The link turns symmetric once the sender lists us.
     Marks MPRs and routes dirty as the module docstring sets out."""
     sender = msg.sender
     me = state.node_id
     if sender == me:
-        return state
+        return
     own_will, views = msg.will, msg.views
     expiry = now + config.neighb_hold_time
     state.note_expiry(expiry)
@@ -422,7 +431,6 @@ def process_hello(
     if sym and not was_sym:
         state.mprs_dirty = True
         state.routes_dirty = True
-    return state
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -511,15 +519,15 @@ def ensure_mprs(state: OlsrNodeState) -> set:
     return state.mpr_set
 
 
-def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> OlsrNodeState:
+def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> None:
     """Apply a received TC: refresh (dest, last_hop=originator) tuples,
     discarding stale sequence numbers."""
     orig = msg.originator
     if orig == state.node_id:
-        return state
+        return
     rec = state.topology.get(orig)
     if rec is not None and msg.seq_no < rec[0]:
-        return state
+        return
     expiry = now + config.top_hold_time
     state.note_expiry(expiry)
     if rec is None or msg.seq_no > rec[0]:
@@ -538,7 +546,6 @@ def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) ->
             dests[dest] = expiry
     # -inf opens an empty record at the next slow expire, which drops it
     rec[2] = min(dests.values(), default=-math.inf)
-    return state
 
 
 def should_forward(
@@ -573,9 +580,7 @@ def should_forward(
 def compute_routes(state: OlsrNodeState) -> dict:
     """Minimum-hop routing table over symmetric links plus topology
     tuples; ties go to the lowest next_hop id, then lowest last hop."""
-    routes = {}
-    for n in state.symmetric_neighbors():
-        routes[n] = (n, 1)
+    routes = {n: (n, 1) for n in sorted(n for n, nb in state.neighbors.items() if nb.sym)}
     frontier = list(routes)
     hops = 1
     while frontier:
@@ -608,13 +613,13 @@ def ensure_routes(state: OlsrNodeState) -> dict:
     return state.routing_table
 
 
-def expire(state: OlsrNodeState, now: float) -> OlsrNodeState:
+def expire(state: OlsrNodeState, now: float) -> None:
     """Drop every entry whose expiry is <= now and mark MPRs or routes
     dirty if an input of theirs went. O(1) when the earliest stored
     expiry is still ahead; otherwise opens only the straggler dicts and
     topology records whose minimum has passed."""
     if now < state.next_expiry:
-        return state
+        return
 
     nbrs = state.neighbors
     for n in [n for n, nb in nbrs.items() if nb.expiry <= now]:
@@ -673,4 +678,36 @@ def expire(state: OlsrNodeState, now: float) -> OlsrNodeState:
     bound = min(bound, next(iter(dups.values()), math.inf))
 
     state.next_expiry = bound
-    return state
+
+
+def next_hello(state: OlsrNodeState, now: float, config: OlsrConfig) -> Hello:
+    expire(state, now)
+    return make_hello(state, config)
+
+
+def receive_hello(state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig) -> None:
+    expire(state, now)
+    process_hello(state, msg, now, config)
+
+
+def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
+    expire(state, now)
+    return make_tc(state, config) if state.mpr_selectors else None
+
+
+def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> Tc | None:
+    """The copy of `msg` to relay, or None; a TC heard over a link that
+    is not symmetric is dropped unprocessed (RFC 3626 section 9.5)."""
+    expire(state, now)
+    nb = state.neighbors.get(msg.sender)
+    if nb is None or not nb.sym:
+        return None
+    process_tc(state, msg, now, config)
+    if should_forward(state, msg.originator, msg.seq_no, msg.sender, now, config):
+        return msg._replace(sender=state.node_id)
+    return None
+
+
+def routes(state: OlsrNodeState, now: float) -> dict:
+    expire(state, now)
+    return ensure_routes(state)

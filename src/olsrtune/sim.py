@@ -10,9 +10,14 @@ them. Only TCs flood, relayed under the MPR forwarding rule. Runs are
 fully deterministic in (scenario, config, nic, seed) and independent of
 host scheduling.
 
+This module holds the radio model, the event queue and the energy
+ledger. It reaches a node's OLSR state only through olsr's five entries
+(next_hello, receive_hello, next_tc, receive_tc and routes), which hold
+the protocol's processing rules.
+
 The radio model, which every transmission goes through:
 
-- positions come from _PositionIndex and equal scenario.position_at bit
+- positions come from _RadioIndex and equal scenario.position_at bit
   for bit;
 - node j hears sender i when d2 <= radio_range**2, where
   d2 = (x_j - x_i)**2 + (y_j - y_i)**2 in float64;
@@ -188,18 +193,27 @@ def metrics_to_json(metrics: SimMetrics) -> dict:
     return {name: get(metrics) for name, get, _optional in _METRIC_FIELDS}
 
 
-class _PositionIndex:
-    """Every node's position at a shared query time, as a (2, n) array of
-    x and y rows in node-id order.
+# A candidate list is widened by this share of the coordinates' magnitude
+# plus the range. Positions and distances are off by a few float64
+# roundings of either, about 2**-50 of it, so the margin holds them many
+# times over.
+_MARGIN_SHARE = 2.0**-30
 
-    Traces produced by the generator sample all nodes on one time grid;
-    that case keeps one (2, n) snapshot per sample plus its difference to
-    the next, so an interpolated snapshot is xy[k] + f * dxy[k], the same
-    arithmetic as position_at. Irregular traces fall back to per-node
-    position_at.
+
+class _RadioIndex:
+    """Positions and candidate receivers of one scenario, for any time.
+
+    On a shared time grid (every generated trace) it keeps one (2, n)
+    snapshot per sample and its difference to the next, so a position is
+    xy[k] + f * dxy[k] as in position_at, and one candidate list per node
+    and sample interval, by the module docstring's rule (from the last
+    sample on, from the static snapshot). An interval's lists are built
+    when a run first reaches it and kept; a row equal to the previous
+    interval's is that same list object. An irregular trace falls back to
+    per-node position_at, every other node a candidate.
     """
 
-    def __init__(self, trace: MobilityTrace):
+    def __init__(self, trace: MobilityTrace, radio_range: float):
         self.trace = trace
         self.node_ids = list(trace.node_ids)
         per_node = trace._per_node
@@ -211,54 +225,8 @@ class _PositionIndex:
             xy = np.asarray(rows, dtype=float).transpose(2, 0, 1).copy()  # (samples, 2, n)
             self.xy = list(xy)
             self.dxy = list(xy[1:] - xy[:-1])
-        self._cache_t = None
-        self._cache = None
-
-    def positions(self, t: float):
-        if t == self._cache_t:
-            return self._cache
-        if self.shared:
-            times = self.times
-            k = bisect_right(times, t) - 1
-            if k < 0:
-                k = 0
-            if k >= len(times) - 1 or times[k] == t:
-                snap = self.xy[k]
-            else:
-                f = (t - times[k]) / (times[k + 1] - times[k])
-                snap = self.xy[k] + f * self.dxy[k]
-        else:
-            pts = [position_at(self.trace, n, t) for n in self.node_ids]
-            snap = np.array(pts, dtype=float).T
-        self._cache_t = t
-        self._cache = snap
-        return snap
-
-
-# A candidate list is widened by this share of the coordinates' magnitude
-# plus the range. Positions and distances are off by a few float64
-# roundings of either, about 2**-50 of it, so the margin holds them many
-# times over.
-_MARGIN_SHARE = 2.0**-30
-
-
-class _RadioIndex:
-    """Positions and candidate receivers of one scenario, for any time.
-
-    On a shared time grid there is one list per node and sample interval
-    (the rule is in the module docstring); the closest approach of two
-    nodes that both move linearly has a closed form. From the last
-    sample on, the lists come from the static snapshot. An interval's
-    lists are built the first time a run asks for a time in it and kept;
-    a row equal to the previous interval's row is that same list object.
-    """
-
-    def __init__(self, trace: MobilityTrace, radio_range: float):
-        self.pos = _PositionIndex(trace)
-        if self.pos.shared:
-            self.times = self.pos.times
             self.lists = [None] * len(self.times)
-            mag = max(float(np.abs(snap).max()) for snap in self.pos.xy)
+            mag = max(float(np.abs(snap).max()) for snap in self.xy)
             # closest approaches are computed in units of a power of two,
             # mag < 2 * scale, so no product overflows and the division is
             # exact
@@ -266,18 +234,25 @@ class _RadioIndex:
             reach = (radio_range + _MARGIN_SHARE * (mag + radio_range)) / self.scale
             self.reach2 = reach * reach
         else:
-            n = len(self.pos.node_ids)
+            n = len(self.node_ids)
             self.times = [0.0]
             self.lists = [[[j for j in range(n) if j != i] for i in range(n)]]
         self._t = None
         self._at = None
 
     def at(self, t: float) -> tuple:
-        """(xs, ys, candidates) at time t: every node's position, as in
-        _PositionIndex.positions(t), and each node's candidate list."""
+        """(xs, ys, candidates) at time t: each node's position, equal to
+        position_at bit for bit, and its candidate list."""
         if t != self._t:
-            xs, ys = self.pos.positions(t).tolist()
-            k = max(bisect_right(self.times, t) - 1, 0)
+            times = self.times
+            k = max(bisect_right(times, t) - 1, 0)
+            if not self.shared:
+                xs, ys = zip(*[position_at(self.trace, n, t) for n in self.node_ids])
+            elif k >= len(times) - 1 or times[k] == t:
+                xs, ys = self.xy[k].tolist()
+            else:
+                f = (t - times[k]) / (times[k + 1] - times[k])
+                xs, ys = (self.xy[k] + f * self.dxy[k]).tolist()
             lists = self.lists[k]
             if lists is None:
                 lists = self.lists[k] = self._build(k)
@@ -286,11 +261,11 @@ class _RadioIndex:
 
     def _build(self, k: int) -> list:
         """Each node's candidates over sample interval k, in index order."""
-        x, y = self.pos.xy[k] / self.scale
+        x, y = self.xy[k] / self.scale
         rx = x[None, :] - x[:, None]  # rx[i, j]: how far east j is from i
         ry = y[None, :] - y[:, None]
         if k + 1 < len(self.times):
-            u, w = self.pos.dxy[k] / self.scale
+            u, w = self.dxy[k] / self.scale
             vx = u[None, :] - u[:, None]  # j's motion relative to i
             vy = w[None, :] - w[:, None]
             vv = np.maximum(vx * vx + vy * vy, np.finfo(float).tiny)
@@ -447,20 +422,12 @@ class _Simulation:
         queue = deque((r, msg) for r in self._broadcast(msg, t))
         while queue:
             node, m = queue.popleft()
-            state = self.states[node]
-            olsr.expire(state, t)
-            nb = state.neighbors.get(m.sender)
-            if nb is None or not nb.sym:
-                continue  # TCs over non-symmetric links are discarded
-            olsr.process_tc(state, m, t, self.config)
-            if olsr.should_forward(state, m.originator, m.seq_no, m.sender, t, self.config):
-                fwd = m._replace(sender=node)
+            fwd = olsr.receive_tc(self.states[node], m, t, self.config)
+            if fwd is not None:
                 queue.extend((r, fwd) for r in self._broadcast(fwd, t))
 
     def _send_data(self, node: int, dest: int, size_bytes: int, origin_t: float, hops: int, t: float):
-        state = self.states[node]
-        olsr.expire(state, t)
-        route = olsr.ensure_routes(state).get(dest)
+        route = olsr.routes(self.states[node], t).get(dest)
         if route is None:
             return  # no route: the packet dies here
         next_hop = route[0]
@@ -480,20 +447,15 @@ class _Simulation:
                 break
             if kind == _EV_HELLO:
                 node, k = payload
-                state = self.states[node]
-                olsr.expire(state, t)
-                hello = olsr.make_hello(state, self.config)
+                hello = olsr.next_hello(self.states[node], t, self.config)
                 for r in self._broadcast(hello, t):  # one hop, never forwarded
-                    state = self.states[r]
-                    olsr.expire(state, t)
-                    olsr.process_hello(state, hello, t, self.config)
+                    olsr.receive_hello(self.states[r], hello, t, self.config)
                 self._schedule_tick(_EV_HELLO, node, k + 1)
             elif kind == _EV_TC:
                 node, k = payload
-                state = self.states[node]
-                olsr.expire(state, t)
-                if state.mpr_selectors:
-                    self._flood(olsr.make_tc(state, self.config), t)
+                tc = olsr.next_tc(self.states[node], t, self.config)
+                if tc is not None:
+                    self._flood(tc, t)
                 self._schedule_tick(_EV_TC, node, k + 1)
             elif kind == _EV_CBR:
                 flow, i = payload
@@ -561,8 +523,6 @@ def routing_snapshot(
     every node's routing table as {node: {dest: (next_hop, hops)}}."""
     sim = _Simulation(scenario, config, nic, seed, None)
     sim.run()
-    tables = {}
-    for node, state in sim.states.items():
-        olsr.expire(state, scenario.sim_duration)
-        tables[node] = dict(olsr.ensure_routes(state))
-    return tables
+    return {
+        node: dict(olsr.routes(state, scenario.sim_duration)) for node, state in sim.states.items()
+    }

@@ -37,9 +37,14 @@ from olsrtune.olsr import (
     hello_emission_interval,
     make_hello,
     make_tc,
+    next_hello,
+    next_tc,
     process_hello,
     process_tc,
+    receive_hello,
+    receive_tc,
     rfc_default,
+    routes,
     select_mprs,
     should_forward,
 )
@@ -441,6 +446,76 @@ class TestExpire:
         process_tc(s, Tc(5, 5, 1, (6,)), 0.0, CFG)
         expire(s, CFG.top_hold_time + 0.01)
         assert s.topology == {}
+
+
+class TestEntries:
+    """The entries expire first: a lapsed link, selector or neighbour
+    counts for nothing at `now`, with no separate expire call."""
+
+    HOLD = CFG.neighb_hold_time
+
+    def test_next_hello_drops_lapsed_link(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        assert next_hello(s, 1.0, CFG).views.listed == {1}
+        assert next_hello(s, self.HOLD, CFG).views == HelloViews(frozenset(), frozenset(), frozenset())
+
+    def test_receive_hello_after_lapse_starts_fresh_link(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        assert link(s, 1) == (True, self.HOLD)
+        t = self.HOLD + 1.0
+        receive_hello(s, hello(1), t, CFG)
+        assert link(s, 1) == (False, t + self.HOLD)
+
+    def test_next_tc_none_once_only_selector_lapsed(self):
+        s = OlsrNodeState(node_id=0)
+        assert next_tc(s, 0.0, CFG) is None
+        assert s.tc_seq == 0
+        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        assert next_tc(s, 1.0, CFG) == Tc(0, 0, 1, (1,))
+        assert next_tc(s, self.HOLD, CFG) is None
+        assert s.tc_seq == 1
+
+    def test_receive_tc_over_lapsed_link_dropped(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        assert receive_tc(s, Tc(5, 1, 1, (6,)), self.HOLD, CFG) is None
+        assert s.topology == {}
+        assert s.duplicates == {}
+
+    def test_receive_tc_over_asymmetric_link_dropped(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1), 0.0, CFG)
+        assert receive_tc(s, Tc(5, 1, 1, (6,)), 1.0, CFG) is None
+        assert s.topology == {}
+
+    def test_routes_skip_lapsed_neighbour(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        receive_tc(s, Tc(1, 1, 1, (0, 2)), 0.0, CFG)
+        assert routes(s, 1.0) == {1: (1, 1), 2: (1, 2)}
+        assert routes(s, self.HOLD) == {}
+
+    def test_receive_tc_relays_only_for_selectors(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello(s, hello(2, sym=[0]), 0.0, CFG)
+        msg = Tc(5, 1, 1, (6,))
+        assert receive_tc(s, msg, 1.0, CFG) == msg._replace(sender=0)
+        assert receive_tc(s, Tc(5, 2, 2, (6, 7)), 1.0, CFG) is None
+        assert set(s.topology[5][1]) == {6, 7}  # applied all the same
+
+    def test_second_reception_at_same_instant(self):
+        s = OlsrNodeState(node_id=0)
+        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello(s, hello(2, mpr=[0]), 0.0, CFG)
+        msg = Tc(5, 1, 1, (6,))
+        assert receive_tc(s, msg, 1.0, CFG) is not None
+        before = copy.deepcopy(s)
+        assert receive_tc(s, msg, 1.0, CFG) is None
+        assert receive_tc(s, msg._replace(sender=2), 1.0, CFG) is None
+        assert s == before
 
 
 def full_hood(s, n):

@@ -32,7 +32,6 @@ from olsrtune.scenario import (
 )
 from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
-    _PositionIndex,
     _RadioIndex,
     _Simulation,
     default_nic,
@@ -258,16 +257,18 @@ def bits(values):
 
 
 class TestPositionIndex:
-    """_PositionIndex.positions(t) equals scenario.position_at bit for bit."""
+    """_RadioIndex(trace, r).at(t) holds positions equal to
+    scenario.position_at bit for bit."""
 
     def check_times(self, trace, times):
-        index = _PositionIndex(trace)
+        index = _RadioIndex(trace, 50.0)
         for t in times:
-            snap = index.positions(t)
-            assert snap.shape == (2, trace.node_count)
+            snap = index.at(t)
+            xs, ys, _candidates = snap
+            assert len(xs) == len(ys) == trace.node_count
             for j, node in enumerate(trace.node_ids):
-                assert bits(snap[:, j]) == bits(position_at(trace, node, t)), (node, t)
-            again = index.positions(t)
+                assert bits([xs[j], ys[j]]) == bits(position_at(trace, node, t)), (node, t)
+            again = index.at(t)
             assert again is snap  # served from the cache
         return index
 
