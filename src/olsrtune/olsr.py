@@ -13,8 +13,13 @@ next_hello and next_tc build the node's messages (next_tc gives None
 while no neighbour selected the node as MPR), receive_hello applies a
 HELLO, receive_tc drops a TC heard over a non-symmetric link, applies
 it, then records the duplicate and returns the copy to relay or None,
-and routes(state, now) gives the routing table. The functions they call
-look one another up as module globals and never expire on their own.
+and routes(state, now) gives the routing table. receive_tc returns None
+at once, before expire, for a TC whose (originator, seq_no) duplicate
+entry is live: RFC 3626 section 3.4 processes a message only once. The
+simulator delivers every copy of one TC at one instant, so a later copy
+would rewrite the same expiries and not be relayed. The functions the
+entries call look one another up as module globals and never expire on
+their own.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
@@ -64,13 +69,23 @@ neighbours), so MPRs are marked dirty exactly when:
   a symmetric neighbour;
 - expire drops such an id from a symmetric neighbour's stragglers.
 
-compute_routes reads only the symmetric neighbours and the topology
-destination sets, so routes are marked dirty when a link turns
-symmetric or a symmetric link expires, when process_tc sees a new
-destination, or a new sequence number whose destination set differs
-from the stored one, and when expire drops a topology entry. An
-asymmetric link, a lapsed duplicate or a lapsed MPR-selector entry
-marks neither.
+compute_routes reads only the symmetric neighbours and the destination
+sets of routed originators. Next to routing_table it keeps each route's
+last hop in route_last_hop (a neighbour is its own last hop). Routes are
+marked dirty when a link turns symmetric or a symmetric link expires,
+and, while they are clean, when a change to originator o's destination
+set (process_tc's new or replaced set, expire's lapsed entries) can
+change the table:
+
+- o is routed and an added destination has no route, a route longer
+  than hops(o) + 1, or one of that length whose (next_hop, last_hop)
+  key is larger than (next_hop(o), o);
+- a removed or lapsed destination's last hop is o.
+
+Any other change only adds or drops a candidate that loses at its hop
+count, or sits in the record of an unrouted originator, which
+compute_routes never reads. An asymmetric link, a lapsed duplicate or a
+lapsed MPR-selector entry marks neither MPRs nor routes.
 
 expire opens only the straggler dicts and topology records whose stored
 minimum expiry (straggler_min, the third slot of a topology record) has
@@ -350,6 +365,8 @@ class OlsrNodeState:
     duplicates: dict = field(default_factory=dict)
     # dest -> (next_hop, hop_count)
     routing_table: dict = field(default_factory=dict)
+    # dest -> the last hop of its route, valid with routing_table
+    route_last_hop: dict = field(default_factory=dict)
     routes_dirty: bool = False
     # HelloViews of the latest HELLO made
     last_hello: HelloViews | None = None
@@ -532,20 +549,43 @@ def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) ->
     state.note_expiry(expiry)
     if rec is None or msg.seq_no > rec[0]:
         dests = {dest: expiry for dest in msg.selectors if dest != state.node_id}
-        # compute_routes reads only the destination sets
-        if rec is None or dests.keys() != rec[1].keys():
-            state.routes_dirty = True
+        old = {} if rec is None else rec[1]
+        if not state.routes_dirty and dests.keys() != old.keys():
+            state.routes_dirty = _routes_change(
+                state, orig, dests.keys() - old.keys(), old.keys() - dests.keys()
+            )
         rec = state.topology[orig] = [msg.seq_no, dests, None]
     else:
         dests = rec[1]
         for dest in msg.selectors:
             if dest == state.node_id:
                 continue
-            if dest not in dests:
-                state.routes_dirty = True
+            if dest not in dests and not state.routes_dirty:
+                state.routes_dirty = _routes_change(state, orig, (dest,), ())
             dests[dest] = expiry
     # -inf opens an empty record at the next slow expire, which drops it
     rec[2] = min(dests.values(), default=-math.inf)
+
+
+def _routes_change(state: OlsrNodeState, orig: int, added, removed) -> bool:
+    """Whether the clean routing table can change when originator orig's
+    destination set gains `added` and loses `removed`, by the module
+    docstring's rule."""
+    last_hop = state.route_last_hop
+    for dest in removed:
+        if last_hop.get(dest) == orig:
+            return True
+    table = state.routing_table
+    route = table.get(orig)
+    if route is None:
+        return False  # compute_routes never reads an unrouted record
+    hops = route[1] + 1
+    key = (route[0], orig)
+    for dest in added:
+        cur = table.get(dest)
+        if cur is None or cur[1] > hops or (cur[1] == hops and (cur[0], last_hop[dest]) > key):
+            return True
+    return False
 
 
 def should_forward(
@@ -579,8 +619,10 @@ def should_forward(
 
 def compute_routes(state: OlsrNodeState) -> dict:
     """Minimum-hop routing table over symmetric links plus topology
-    tuples; ties go to the lowest next_hop id, then lowest last hop."""
+    tuples; ties go to the lowest next_hop id, then lowest last hop.
+    Stores each route's last hop in route_last_hop."""
     routes = {n: (n, 1) for n in sorted(n for n, nb in state.neighbors.items() if nb.sym)}
+    last_hops = {n: n for n in routes}
     frontier = list(routes)
     hops = 1
     while frontier:
@@ -600,9 +642,11 @@ def compute_routes(state: OlsrNodeState) -> dict:
         hops += 1
         frontier = []
         for dest in sorted(candidates):
-            routes[dest] = (candidates[dest][0], hops)
+            next_hop, last_hops[dest] = candidates[dest]
+            routes[dest] = (next_hop, hops)
             frontier.append(dest)
     state.routing_table = routes
+    state.route_last_hop = last_hops
     state.routes_dirty = False
     return routes
 
@@ -656,7 +700,8 @@ def expire(state: OlsrNodeState, now: float) -> None:
             if dead:
                 for d in dead:
                     del dests[d]
-                state.routes_dirty = True
+                if not state.routes_dirty:
+                    state.routes_dirty = _routes_change(state, orig, (), dead)
             if not dests:
                 emptied.append(orig)
                 continue
@@ -696,8 +741,11 @@ def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
 
 
 def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> Tc | None:
-    """The copy of `msg` to relay, or None; a TC heard over a link that
-    is not symmetric is dropped unprocessed (RFC 3626 section 9.5)."""
+    """The copy of `msg` to relay, or None; a TC already processed (its
+    duplicate entry is live) or heard over a link that is not symmetric
+    is dropped unprocessed (RFC 3626 sections 3.4 and 9.5)."""
+    if state.duplicates.get((msg.originator, msg.seq_no), -math.inf) > now:
+        return None
     expire(state, now)
     nb = state.neighbors.get(msg.sender)
     if nb is None or not nb.sym:

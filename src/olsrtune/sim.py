@@ -33,10 +33,16 @@ The radio model, which every transmission goes through:
 - under bernoulli loss, every in-range node other than the sender, in
   node-index order, takes exactly one draw r = loss_rng.random() from
   the run's derive_rng(seed, "loss") stream and loses the frame when
-  r < p_at_max_range * sqrt(d2) / radio_range;
-- frame_cost(nic, size_bits, scenario.bandwidth) prices a frame: the
-  sender pays its send energy, every receiver its receive energy, and a
-  data frame arrives its airtime plus the processing delay later.
+  r < p_at_max_range * sqrt(d2) / radio_range. A draw r >= cut, where
+  cut = p_at_max_range * sqrt(radio_range**2) / radio_range is set once
+  per run, skips the sqrt: correctly rounded sqrt, * and / are monotone,
+  so no in-range node's threshold is above cut. The draw is still taken,
+  so the loss stream does not change;
+- frame_cost(nic, size_bits, scenario.bandwidth) prices a frame, looked
+  up once per frame: the sender pays its send energy, every receiver its
+  receive energy, and a data frame arrives its airtime plus the
+  processing delay later. The loop that decides who hears a frame also
+  charges them, so each frame takes one pass over the candidates.
 
 Changing any of these, the draw order included, changes the metrics.
 
@@ -337,14 +343,17 @@ class _Simulation:
         self.loss_rng = derive_rng(seed, "loss")
         self.lossy = scenario.loss_model.kind == "bernoulli"
         self.p_max = scenario.loss_model.p_at_max_range
+        # no in-range node's loss threshold is above this
+        self.cut = self.p_max * math.sqrt(self.range2) / scenario.radio_range
         # (send energy, receive energy, airtime) of a frame, once per size
         self._frame_cost = cache(partial(frame_cost, nic, bandwidth=scenario.bandwidth))
 
         self.heap: list = []
         self._seq = 0
 
-        self.e_sent = {n: 0.0 for n in self.nodes}
-        self.e_recv = {n: 0.0 for n in self.nodes}
+        # per node index; _metrics keys them by node id
+        self.e_sent = [0.0] * len(self.nodes)
+        self.e_recv = [0.0] * len(self.nodes)
         self.control_tx = 0
         self.data_sent = 0
         self.data_delivered = 0
@@ -358,9 +367,10 @@ class _Simulation:
             self._schedule_tick(_EV_HELLO, n, 0)
             self._schedule_tick(_EV_TC, n, 0)
         for flow in scenario.flows:  # packet i is numbered self._seq + 1 + i
-            if flow.packet_count:
-                heapq.heappush(self.heap, (flow.start, self._seq + 1, _EV_CBR, (flow, 0)))
-            self._seq += flow.packet_count
+            count = flow.packet_count
+            if count:
+                heapq.heappush(self.heap, (flow.start, self._seq + 1, _EV_CBR, (flow, 0, count)))
+            self._seq += count
 
     def _push(self, t: float, kind: int, payload):
         self._seq += 1
@@ -381,39 +391,41 @@ class _Simulation:
         if t <= self.scenario.sim_duration:
             self._push(t, kind, (node, k))
 
-    def _receivers(self, sender: int, t: float):
+    def _transmit(self, sender: int, size_bits: int, cost: tuple, t: float):
+        """Put one frame of `size_bits` on the air, priced `cost` by
+        frame_cost, in one pass over the sender's candidates: the sender
+        pays send energy, every node that hears it receive energy.
+        Returns the receiving node ids."""
         xs, ys, candidates = self.radio.at(t)
         i = self.index[sender]
         xi, yi = xs[i], ys[i]
-        range2, lossy, nodes = self.range2, self.lossy, self.nodes
+        range2, lossy, cut, nodes = self.range2, self.lossy, self.cut, self.nodes
         p_max, radio_range, draw = self.p_max, self.scenario.radio_range, self.loss_rng.random
+        sqrt = math.sqrt
+        e_send, e_recv, _airtime = cost
+        self.e_sent[i] += e_send
+        ledger = self.e_recv
         heard = []
-        # under loss, one draw per in-range node other than the sender, in index order
+        # under loss, one draw per in-range node other than the sender, in
+        # index order; a draw r >= cut cannot lose the frame
         for j in candidates[i]:
             dx = xs[j] - xi
             dy = ys[j] - yi
             d2 = dx * dx + dy * dy
-            if d2 <= range2 and not (lossy and draw() < p_max * math.sqrt(d2) / radio_range):
+            if d2 <= range2 and not (
+                lossy and (r := draw()) < cut and r < p_max * sqrt(d2) / radio_range
+            ):
+                ledger[j] += e_recv
                 heard.append(nodes[j])
-        return heard
-
-    def _transmit(self, sender: int, size_bits: int, t: float):
-        """Charge one broadcast: sender pays send energy, every node that
-        hears it pays receive energy. Returns the receiving node ids."""
-        receivers = self._receivers(sender, t)
-        e_send, e_recv, _airtime = self._frame_cost(size_bits)
-        self.e_sent[sender] += e_send
-        ledger = self.e_recv
-        for r in receivers:
-            ledger[r] += e_recv
         if self.on_transmit is not None:
-            self.on_transmit(sender, size_bits, tuple(receivers), t)
-        return receivers
+            self.on_transmit(sender, size_bits, tuple(heard), t)
+        return heard
 
     def _broadcast(self, msg, t: float):
         """Put a Hello or Tc on the air. Returns the receiving node ids."""
         self.control_tx += 1
-        return self._transmit(msg.sender, msg.size * 8, t)
+        size_bits = msg.size * 8
+        return self._transmit(msg.sender, size_bits, self._frame_cost(size_bits), t)
 
     def _flood(self, msg: Tc, t: float):
         """Broadcast a TC and run the synchronous flood: receptions are
@@ -432,10 +444,10 @@ class _Simulation:
             return  # no route: the packet dies here
         next_hop = route[0]
         size_bits = size_bytes * 8
-        receivers = self._transmit(node, size_bits, t)
-        if next_hop not in receivers:
+        cost = self._frame_cost(size_bits)
+        if next_hop not in self._transmit(node, size_bits, cost, t):
             return  # next hop moved away or lost the frame
-        arrival = t + self._frame_cost(size_bits)[2] + PROCESSING_DELAY_S
+        arrival = t + cost[2] + PROCESSING_DELAY_S
         self._push(arrival, _EV_DATA, (next_hop, dest, size_bytes, origin_t, hops + 1))
 
     def run(self) -> SimMetrics:
@@ -458,10 +470,10 @@ class _Simulation:
                     self._flood(tc, t)
                 self._schedule_tick(_EV_TC, node, k + 1)
             elif kind == _EV_CBR:
-                flow, i = payload
-                if i + 1 < flow.packet_count:
+                flow, i, count = payload
+                if i + 1 < count:
                     t_next = flow.start + (i + 1) / flow.rate
-                    heapq.heappush(heap, (t_next, _seq + 1, _EV_CBR, (flow, i + 1)))
+                    heapq.heappush(heap, (t_next, _seq + 1, _EV_CBR, (flow, i + 1, count)))
                 self.data_sent += 1
                 self._send_data(flow.source, flow.destination, flow.packet_size, t, 0, t)
             else:  # _EV_DATA
@@ -475,7 +487,10 @@ class _Simulation:
         return self._metrics()
 
     def _metrics(self) -> SimMetrics:
-        ledger = EnergyLedger(per_node_sent=dict(self.e_sent), per_node_recv=dict(self.e_recv))
+        ledger = EnergyLedger(
+            per_node_sent=dict(zip(self.nodes, self.e_sent)),
+            per_node_recv=dict(zip(self.nodes, self.e_recv)),
+        )
         pdr = None
         if self.data_sent > 0:
             pdr = 100.0 * self.data_delivered / self.data_sent

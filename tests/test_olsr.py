@@ -338,6 +338,7 @@ class TestProcessTc:
     def test_newer_seq_same_set_refreshes_without_route_recompute(self):
         s = OlsrNodeState(node_id=0)
         s.neighbors = {5: nbr(True, 999.0)}
+        s.routes_dirty = True  # as process_hello leaves a link turned symmetric
         process_tc(s, self.make_tc_msg(5, 1, (6, 7)), 0.0, CFG)
         assert ensure_routes(s) == {5: (5, 1), 6: (5, 2), 7: (5, 2)}
         process_tc(s, self.make_tc_msg(5, 2, (7, 6, 0)), 1.0, CFG)
@@ -351,6 +352,80 @@ class TestProcessTc:
         s = OlsrNodeState(node_id=0)
         process_tc(s, self.make_tc_msg(5, 1, (0, 6)), 0.0, CFG)
         assert set(s.topology[5][1]) == {6}
+
+
+def assert_clean_routes_exact(s):
+    """A clean routing table and its last hops equal compute_routes run on
+    a deep copy of the state."""
+    if not s.routes_dirty:
+        fresh = copy.deepcopy(s)
+        compute_routes(fresh)
+        assert s.routing_table == fresh.routing_table
+        assert s.route_last_hop == fresh.route_last_hop
+
+
+class TestRouteFilter:
+    """process_tc and expire mark clean routes dirty exactly when the table
+    can change: hand-made TCs that add, remove and re-add destinations at
+    equal hop counts, a shorter route, an unrouted originator and lapses."""
+
+    def clean_state(self, *neighbours):
+        s = OlsrNodeState(node_id=0)
+        s.neighbors = {n: nbr(True, 999.0) for n in neighbours}
+        s.routes_dirty = True
+        ensure_routes(s)
+        return s
+
+    def step(self, s, now, orig, seq, dests, dirty):
+        if orig is None:
+            expire(s, now)
+        else:
+            process_tc(s, Tc(orig, orig, seq, dests), now, CFG)
+        assert s.routes_dirty is dirty
+        assert_clean_routes_exact(s)
+        return ensure_routes(s)
+
+    def test_equal_hop_add_remove_readd(self):
+        s = self.clean_state(1, 2, 3)
+        steps = [
+            # (orig, seq, dests, dirty, route to 5 after)
+            (2, 1, (5,), True, (2, 2)),  # 5 gains a route
+            (3, 1, (5,), False, (2, 2)),  # equal hops, larger key (3, 3)
+            (1, 1, (5,), True, (1, 2)),  # equal hops, smaller key (1, 1)
+            (1, 2, (), True, (2, 2)),  # the winning last hop drops 5
+            (3, 2, (), False, (2, 2)),  # a losing last hop drops 5
+            (3, 3, (5,), False, (2, 2)),  # ... and adds it back
+            (1, 3, (5,), True, (1, 2)),  # the smaller key adds it back
+            (2, 2, (), False, (1, 2)),
+            (9, 1, (5, 8), False, (1, 2)),  # 9 has no route: never read
+        ]
+        for orig, seq, dests, dirty, route in steps:
+            assert self.step(s, 1.0, orig, seq, dests, dirty)[5] == route
+        assert s.route_last_hop[5] == 1
+
+    def test_shorter_route_by_one_hop(self):
+        s = self.clean_state(1, 2, 3)
+        self.step(s, 0.0, 1, 1, (6,), True)
+        assert self.step(s, 0.0, 6, 1, (7,), True)[7] == (1, 3)
+        # 2 is one hop away, so 7 through 2 is two hops: one shorter
+        assert self.step(s, 0.0, 2, 1, (7,), True)[7] == (2, 2)
+        # the same set again, then an equal-hop route with a larger key
+        self.step(s, 0.0, 2, 2, (7,), False)
+        assert self.step(s, 0.0, 3, 1, (7,), False)[7] == (2, 2)
+        # and one with a smaller key
+        assert self.step(s, 0.0, 1, 2, (6, 7), True)[7] == (1, 2)
+
+    def test_lapsed_destinations(self):
+        s = self.clean_state(1, 2)
+        hold = CFG.top_hold_time
+        self.step(s, 0.0, 2, 1, (5,), True)
+        assert self.step(s, 5.0, 1, 1, (5,), True)[5] == (1, 2)
+        # 2's entry lapses; 5's route goes through 1
+        assert self.step(s, hold, None, None, None, False) == {1: (1, 1), 2: (2, 1), 5: (1, 2)}
+        assert 2 not in s.topology
+        self.step(s, hold + 1.0, 2, 2, (5,), False)
+        # 1's entry lapses; 5's route went through it
+        assert self.step(s, hold + 5.0, None, None, None, True)[5] == (2, 2)
 
 
 class TestShouldForward:

@@ -1,5 +1,6 @@
 """End-to-end simulator behaviour on small controlled scenarios."""
 
+import copy
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,9 +18,10 @@ import pytest
 import olsrtune
 
 from conftest import make_static_scenario, line_positions
+from olsrtune import olsr
 from olsrtune.analysis import compare_against_reference
 from olsrtune.errors import ConfigurationError
-from olsrtune.olsr import rfc_default
+from olsrtune.olsr import GENE_NAMES, decode_genome, default_param_space, rfc_default
 from olsrtune.scenario import (
     CbrFlow,
     FlowTemplate,
@@ -371,7 +374,7 @@ def grid_trace_scenario(rng, scale, loss):
 
 
 class TestCandidateLists:
-    """_receivers over candidate lists equals the per-node position_at loop."""
+    """_transmit over candidate lists hears what the per-node position_at loop hears."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**490], ids=["metres", "2**490"])  # 2**490 is 3.2e147
     @pytest.mark.parametrize("loss", [LossModel("ideal"), LossModel("bernoulli", 0.5)])
@@ -386,7 +389,8 @@ class TestCandidateLists:
             calls = [(sender, 8, None, t) for t in queries for sender in scn.trace.node_ids]
             rng.shuffle(calls)  # out of time order, with intervals built out of turn
             sim = _Simulation(scn, CFG, NIC, 9, None)
-            got = [tuple(sim._receivers(sender, t)) for sender, _bits, _r, t in calls]
+            cost = sim._frame_cost(8)
+            got = [tuple(sim._transmit(sender, 8, cost, t)) for sender, _bits, _r, t in calls]
             expected, _e_recv, _lost = reference_receivers(scn, 9, calls)
             assert got == expected
             lists = [row for rows in sim.radio.lists if rows is not None for row in rows]
@@ -484,6 +488,109 @@ class TestEventOrder:
         assert sum(f.packet_count for f in scn.flows) == 36_000
         sim = _Simulation(scn, CFG, NIC, 2, None)
         assert len(sim.heap) <= 2 * len(sim.nodes) + len(scn.flows)
+
+
+def filter_run(k):
+    """Run k of the forwarding-path checks: mobile for k % 4 < 2, else
+    static; lossy for odd k; a random config (willingness above 0, so
+    TCs flow) from k = 10 on; node ids relabelled for k % 3 == 0."""
+    rng = random.Random(f"forwarding path {k}")
+    n = rng.randint(8, 12)
+    loss = LossModel("bernoulli", rng.uniform(0.1, 0.5)) if k % 2 else LossModel("ideal")
+    radio_range = rng.uniform(200.0, 300.0)
+    template = FlowTemplate(packet_size=128, rate=1.0, start=10.0, duration=70.0)
+    if k % 4 < 2:
+        spec = GridSpec(area=(700.0, 500.0), streets=(3, 3), vehicle_count=n, speed=(5.0, 15.0),
+                        pause_time=1.0, duration=90.0)
+        scn = generate_grid_scenario(spec, 3, template, seed=k, radio_range=radio_range,
+                                     loss_model=loss)
+    else:
+        positions = {i: (rng.uniform(0.0, 700.0), rng.uniform(0.0, 500.0)) for i in range(n)}
+        flows = [CbrFlow(source=a, destination=b, packet_size=128, rate=1.0, start=10.0, duration=70.0)
+                 for a, b in (rng.sample(range(n), 2) for _ in range(3))]
+        scn = make_static_scenario(positions, duration=90.0, radio_range=radio_range, flows=flows,
+                                   loss=loss)
+    if k % 3 == 0:
+        ids = sorted(scn.trace.node_ids)
+        scn = relabel_scenario(scn, dict(zip(ids, rng.sample(range(100, 200), len(ids)))))
+    config = CFG
+    if k >= 10:
+        space = default_param_space()
+        genes = [rng.uniform(lo, hi) for lo, hi in space.bounds]
+        genes[GENE_NAMES.index("willingness")] = rng.uniform(0.5, 7.0)
+        config = decode_genome(genes, space)
+    return scn, config
+
+
+class TestForwardingPath:
+    """The route filter, the one-time TC processing and the loss cut
+    leave every result exact."""
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_clean_routes_equal_fresh_computation(self, k, monkeypatch):
+        # at every routes() read, and after every receive_tc and expire
+        # that leaves routes clean, the table equals compute_routes run on
+        # a deep copy of the state
+        checked = Counter()
+
+        def check(name, entry):
+            def wrapper(state, *args):
+                out = entry(state, *args)
+                if not state.routes_dirty:
+                    fresh = copy.deepcopy(state)
+                    olsr.compute_routes(fresh)
+                    assert state.routing_table == fresh.routing_table
+                    assert state.route_last_hop == fresh.route_last_hop
+                    checked[name] += 1
+                return out
+
+            monkeypatch.setattr(olsr, name, wrapper)
+
+        for name in ("routes", "receive_tc", "expire"):
+            check(name, getattr(olsr, name))
+        scn, config = filter_run(k)
+        run_simulation(scn, config, NIC, seed=k)
+        assert checked["routes"] > 0 and checked["receive_tc"] > 0 and checked["expire"] > 0
+
+    def test_each_tc_processed_once_per_node(self, monkeypatch):
+        processed = Counter()
+        received = Counter()
+        process_tc, receive_tc = olsr.process_tc, olsr.receive_tc
+
+        def counted_process(state, msg, now, config):
+            processed[state.node_id, msg.originator, msg.seq_no] += 1
+            return process_tc(state, msg, now, config)
+
+        def counted_receive(state, msg, now, config):
+            received[state.node_id, msg.originator, msg.seq_no] += 1
+            return receive_tc(state, msg, now, config)
+
+        monkeypatch.setattr(olsr, "process_tc", counted_process)
+        monkeypatch.setattr(olsr, "receive_tc", counted_receive)
+        spec = GridSpec(area=(900.0, 600.0), vehicle_count=14, speed=(4.0, 10.0), duration=40.0)
+        template = FlowTemplate(packet_size=256, rate=4.0, start=10.0, duration=25.0)
+        scn = generate_grid_scenario(
+            spec, 4, template, seed=11, radio_range=260.0, loss_model=LossModel("bernoulli", 0.4)
+        )
+        run_simulation(scn, CFG, NIC, seed=5)
+        assert max(processed.values()) == 1
+        assert max(received.values()) > 1  # the run has repeated receptions to skip
+
+    def test_loss_cut_bounds_every_in_range_threshold(self):
+        # a draw r >= cut cannot lose a frame: for any d2 <= range2,
+        # p_max * sqrt(d2) / radio_range <= cut in float64
+        rng = random.Random("loss cut")
+        base = make_static_scenario({0: (0.0, 0.0), 1: (1e-4, 0.0)})
+        ranges = [1e-3, 1e150] + [10.0 ** rng.uniform(-3.0, 150.0) for _ in range(300)]
+        for radio_range in ranges:
+            p_max = rng.choice([0.0, 1.0, rng.random()])
+            scn = replace(base, radio_range=radio_range, loss_model=LossModel("bernoulli", p_max))
+            sim = _Simulation(scn, CFG, NIC, 0, None)
+            range2 = sim.range2
+            d2s = [0.0, range2, math.nextafter(range2, 0.0), range2 * rng.random() ** 8]
+            d2s += [rng.uniform(0.0, range2) for _ in range(20)]
+            for d2 in d2s:
+                assert p_max * math.sqrt(d2) / radio_range <= sim.cut
 
 
 class TestMetricsSerialization:
