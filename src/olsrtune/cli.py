@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -34,7 +33,9 @@ from .scenario import (
     scenario_files,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "MAX_PAD_MS"]
+
+MAX_PAD_MS = 60_000  # bench --pad-ms, one minute per evaluation at most
 
 
 def _parse_pair(text: str, sep: str, what: str, cast=float) -> tuple:
@@ -115,7 +116,11 @@ class _Manifest:
             "started_utc": _utcnow(),
         }
         self.out_dir = Path(args.out or os.environ.get("OLSRTUNE_OUT") or ".")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            msg = f"output directory {self.out_dir} is a file or lies below one"
+            raise InputError(msg) from None
 
     def setting(self, **kv):
         self.doc["settings"].update(kv)
@@ -378,8 +383,8 @@ def cmd_bench(args) -> int:
         raise InputError(f"--workers lists a worker count twice: {args.workers}")
     if args.reps < 1:
         raise InputError("--reps must be >= 1")
-    if not 0 <= args.pad_ms < math.inf:
-        raise InputError(f"--pad-ms must be finite and >= 0, got {args.pad_ms}")
+    if not 0 <= args.pad_ms <= MAX_PAD_MS:
+        raise InputError(f"--pad-ms must be in [0, {MAX_PAD_MS}], got {args.pad_ms}")
     runs = [
         evo.GaSettings(pop_size=args.pop, generations=args.gens, workers=m, master_seed=args.seed)
         for m in worker_counts

@@ -23,10 +23,12 @@ The radio model, which every transmission goes through:
   d2 = (x_j - x_i)**2 + (y_j - y_i)**2 in float64;
 - only i's candidates, in index order, are tested. When every node is
   sampled on one time grid, j is left off i's list for a sample
-  interval only if their closest approach over it, both moving
-  linearly, is finite and above (radio_range + margin)**2, where the
-  margin is 2**-30 of the coordinates' magnitude plus the range, far
-  above float64 rounding; so a list never drops a receiver. Otherwise
+  interval only if hypot(start offset) - (|move_i| + |move_j|) is
+  finite and above radio_range + margin, where a move is a node's
+  displacement over the interval and the margin is 2**-30 of the
+  coordinates' magnitude plus the range, far above float64 rounding.
+  Two points moving linearly never come closer than their start
+  distance less both moves, so a list never drops a receiver. Otherwise
   every other node is a candidate. An interval's lists are built when a
   run first reaches it and live as long as the Scenario object, so
   every run on that object shares them;
@@ -199,10 +201,9 @@ def metrics_to_json(metrics: SimMetrics) -> dict:
     return {name: get(metrics) for name, get, _optional in _METRIC_FIELDS}
 
 
-# A candidate list is widened by this share of the coordinates' magnitude
-# plus the range. Positions and distances are off by a few float64
-# roundings of either, about 2**-50 of it, so the margin holds them many
-# times over.
+# Two points moving linearly never come closer than their start distance
+# less both moves. That bound is widened by this share of the coordinates'
+# magnitude plus the range, many times the few float64 roundings in it.
 _MARGIN_SHARE = 2.0**-30
 
 
@@ -210,13 +211,15 @@ class _RadioIndex:
     """Positions and candidate receivers of one scenario, for any time.
 
     On a shared time grid (every generated trace) it keeps one (2, n)
-    snapshot per sample and its difference to the next, so a position is
-    xy[k] + f * dxy[k] as in position_at, and one candidate list per node
-    and sample interval, by the module docstring's rule (from the last
-    sample on, from the static snapshot). An interval's lists are built
-    when a run first reaches it and kept; a row equal to the previous
-    interval's is that same list object. An irregular trace falls back to
-    per-node position_at, every other node a candidate.
+    snapshot per sample and its difference to the next (0 from the last
+    sample on), so a position is xy[k] + f * dxy[k] as in position_at,
+    and one candidate list per node and sample interval: j is on i's
+    list unless their start distance less both moves (the hypot of each
+    dxy[k] column) is above the range plus the margin, by the module
+    docstring's rule. An interval's lists are built when a run first
+    reaches it and kept; a row equal to the previous interval's is that
+    same list object. An irregular trace falls back to per-node
+    position_at, every other node a candidate.
     """
 
     def __init__(self, trace: MobilityTrace, radio_range: float):
@@ -230,15 +233,10 @@ class _RadioIndex:
             rows = [[per_node[n][axis] for n in self.node_ids] for axis in (1, 2)]
             xy = np.asarray(rows, dtype=float).transpose(2, 0, 1).copy()  # (samples, 2, n)
             self.xy = list(xy)
-            self.dxy = list(xy[1:] - xy[:-1])
+            self.dxy = list(np.diff(xy, axis=0, append=xy[-1:]))
             self.lists = [None] * len(self.times)
-            mag = max(float(np.abs(snap).max()) for snap in self.xy)
-            # closest approaches are computed in units of a power of two,
-            # mag < 2 * scale, so no product overflows and the division is
-            # exact
-            self.scale = math.ldexp(1.0, math.frexp(mag)[1] - 1)
-            reach = (radio_range + _MARGIN_SHARE * (mag + radio_range)) / self.scale
-            self.reach2 = reach * reach
+            mag = float(np.abs(xy).max())
+            self.reach = radio_range + _MARGIN_SHARE * (mag + radio_range)
         else:
             n = len(self.node_ids)
             self.times = [0.0]
@@ -267,21 +265,13 @@ class _RadioIndex:
 
     def _build(self, k: int) -> list:
         """Each node's candidates over sample interval k, in index order."""
-        x, y = self.xy[k] / self.scale
-        rx = x[None, :] - x[:, None]  # rx[i, j]: how far east j is from i
-        ry = y[None, :] - y[:, None]
-        if k + 1 < len(self.times):
-            u, w = self.dxy[k] / self.scale
-            vx = u[None, :] - u[:, None]  # j's motion relative to i
-            vy = w[None, :] - w[:, None]
-            vv = np.maximum(vx * vx + vy * vy, np.finfo(float).tiny)
-            # share of the interval at the closest approach (0 where the
-            # offset does not change)
-            f = np.clip(-(rx * vx + ry * vy) / vv, 0.0, 1.0)
-            rx += f * vx
-            ry += f * vy
-        d2 = rx * rx + ry * ry
-        near = ~(np.isfinite(d2) & (d2 > self.reach2))
+        x, y = self.xy[k]
+        # an overflow gives inf or nan, which keeps the pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            move = np.hypot(*self.dxy[k])
+            gap = np.hypot(x[None, :] - x[:, None], y[None, :] - y[:, None])
+            lower = gap - (move[None, :] + move[:, None])
+        near = ~(np.isfinite(lower) & (lower > self.reach))
         np.fill_diagonal(near, False)
         cols = near.nonzero()[1].tolist()
         ends = near.sum(axis=1).cumsum().tolist()

@@ -13,7 +13,7 @@ import pytest
 
 import olsrtune
 from olsrtune import evo
-from olsrtune.cli import main
+from olsrtune.cli import MAX_PAD_MS, main
 from olsrtune.olsr import config_to_dict, rfc_default
 from olsrtune.scenario import MAX_FLOWS
 
@@ -366,6 +366,31 @@ def test_malformed_file_gives_one_error_line(tmp_path, capsys, case):
         assert "NaN" not in text and "Infinity" not in text
 
 
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command, below, via_env):
+    scn = run_gen(tmp_path / "scn")
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken / "sub" if below else taken
+    if command == "gen":
+        argv = list(GEN_BASE)
+    else:
+        argv = ["simulate", "--scenario", str(scn), "--rfc"]
+    if via_env:
+        monkeypatch.setenv("OLSRTUNE_OUT", str(out))
+    else:
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(taken) in lines[0]
+    assert taken.read_text() == "a file"
+
+
 class TestTune:
     def tune_argv(self, scn, out, **kw):
         argv = ["tune", "--scenario", str(scn), "--pop", "4", "--gens", "1",
@@ -489,10 +514,16 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--reps", "0"), ("--pad-ms", "inf"), ("--pad-ms", "nan"), ("--pad-ms", "-5")],
+        [("--reps", "0"), ("--pad-ms", "inf"), ("--pad-ms", "nan"), ("--pad-ms", "-5"),
+         ("--pad-ms", "1e300"), ("--pad-ms", str(MAX_PAD_MS + 1))],
     )
-    def test_zero_reps_exits_2(self, tmp_path, capsys, flag, value):
+    def test_zero_reps_exits_2(self, tmp_path, capsys, monkeypatch, flag, value):
         scn = run_gen(tmp_path)
+
+        def no_simulation(*_args):
+            raise AssertionError("calibrated before the flags were checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_simulation)
         capsys.readouterr()
         out = tmp_path / "bench"
         argv = ["bench", "--scenario", str(scn), "--workers", "1", "--reps", "1",

@@ -401,6 +401,40 @@ class TestCandidateLists:
             assert all({1, 2} <= set(heard) for heard in at_range)
         assert pruned > 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loss", [LossModel("ideal"), LossModel("bernoulli", 0.5)])
+    def test_overflowing_bound_keeps_pairs(self, loss):
+        # coordinates up to 1.5e308: starting offsets and moves whose hypot
+        # overflows, with a co-located pair at each end of such a move
+        top = 1.5e308
+        far, origin = (top, top), (0.0, 0.0)
+        paths = [
+            [far, far, far, far],  # 0 and 1 never move and stay together
+            [far, far, far, far],
+            [origin, far, origin, (0.0, top)],  # 2 and 3 jump across the area together
+            [origin, far, origin, (0.0, top)],
+            [(0.0, top)] * 4,
+            [origin] * 4,
+        ]
+        times = [0.0, 1.0, 2.5, 3.0]
+        samples = tuple(sorted((t, node, x, y) for node, path in enumerate(paths)
+                               for t, (x, y) in zip(times, path)))
+        scn = Scenario(area=(1.6e308, 1.6e308), trace=MobilityTrace(samples=samples), flows=(),
+                       radio_range=1e150, bandwidth=6e6, sim_duration=10.0, loss_model=loss)
+        rng = random.Random(7)
+        queries = times + [rng.uniform(0.0, 3.0) for _ in range(20)] + [3.5, 9.0]
+        calls = [(sender, 8, None, t) for t in queries for sender in range(len(paths))]
+        sim = _Simulation(scn, CFG, NIC, 9, None)
+        cost = sim._frame_cost(8)
+        got = [tuple(sim._transmit(sender, 8, cost, t)) for sender, _bits, _r, t in calls]
+        assert got == reference_receivers(scn, 9, calls)[0]
+        heard = Counter(pair for (sender, *_), receivers in zip(calls, got)
+                        for pair in ((sender, r) for r in receivers))
+        assert heard[(0, 1)] and heard[(2, 3)] and heard[(0, 2)] and heard[(5, 2)]
+        # from the last sample on, 0 is still and 1.5e308 from 2, 3 and 4, which are
+        # left off its list; its offset to 5 overflows, which keeps 5 on it
+        assert sim.radio.lists[-1][0] == [1, 5]
+
     def test_second_run_builds_no_list(self, monkeypatch):
         built = []
         build = _RadioIndex._build
