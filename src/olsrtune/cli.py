@@ -355,13 +355,20 @@ def cmd_validate(args) -> int:
         configs.append((name, config))
     if not configs:
         raise InputError("no configurations given (use --rfc and/or --config)")
+    # report rows are keyed by config name (--rfc's, or a file's stem) and
+    # means are taken over seeds, so a repeat would merge or double-weight
+    names = [n for n, _c in configs]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise InputError(f"configurations share a name: {', '.join(repeated)}")
 
     seeds = _parse_list(args.seeds, "seeds", int)
     if not seeds:
         raise InputError("no seeds given")
-    manifest.setting(
-        scenario_count=len(scenarios), configs=[n for n, _c in configs], seeds=seeds
-    )
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise InputError(f"--seeds repeats {', '.join(map(str, repeated))}")
+    manifest.setting(scenario_count=len(scenarios), configs=names, seeds=seeds)
 
     report = analysis.validation_report(configs, scenarios, sim.default_nic(), seeds)
     csv_path = manifest.output("report.csv", analysis.report_csv(report))

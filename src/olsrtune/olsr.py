@@ -10,16 +10,17 @@ OlsrConfig.
 A simulator drives a node only through five entries. Each drops lapsed
 state (expire) first, then follows RFC 3626 section 3.4's order:
 next_hello and next_tc build the node's messages (next_tc gives None
-while no neighbour selected the node as MPR), receive_hello applies a
-HELLO, receive_tc drops a TC heard over a non-symmetric link, applies
-it, then records the duplicate and returns the copy to relay or None,
-and routes(state, now) gives the routing table. receive_tc returns None
-at once, before expire, for a TC whose (originator, seq_no) duplicate
-entry is live: RFC 3626 section 3.4 processes a message only once. The
-simulator delivers every copy of one TC at one instant, so a later copy
-would rewrite the same expiries and not be relayed. The functions the
-entries call look one another up as module globals and never expire on
-their own.
+while no neighbour selected the node as MPR), receive_hello applies one
+HELLO frame to the states of all the nodes that heard it, in one
+process_hello call, receive_tc drops a TC heard over a non-symmetric
+link, applies it, then records the duplicate and returns the copy to
+relay or None, and routes(state, now) gives the routing table.
+receive_tc returns None at once, before expire, for a TC whose
+(originator, seq_no) duplicate entry is live: RFC 3626 section 3.4
+processes a message only once. The simulator delivers every copy of one
+TC at one instant, so a later copy would rewrite the same expiries and
+not be relayed. The functions the entries call look one another up as
+module globals and never expire on their own.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
@@ -56,8 +57,13 @@ neighbour too). Its two-hop hood is stored in two parts:
 
 select_mprs reads a hood as the union of the two without our own id,
 through _strict_hood. make_hello reuses its previous views object while
-the new one is equal, so a receiver that already stores the sender's
-advertised set does no hood work at all.
+the new one is equal, and its previous advertised set while only the
+listed or MPR set changed, so a receiver that already stores the
+sender's advertised set does no hood work at all. The other receivers
+of a frame mostly store one and the same older set, so process_hello
+computes the ids gained and lost once per stored set, not once per
+receiver. Since stragglers hold no id of the stored set, the ids of adv
+to drop from them are among the gained ones.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -382,12 +388,16 @@ class OlsrNodeState:
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     """Build this node's next HELLO, advertising all current links. Its
-    views are the previous HELLO's object while equal."""
+    views are the previous HELLO's object while equal, and so is its
+    advertised set while only the listed or MPR set changed."""
     nbrs = state.neighbors
+    last = state.last_hello
     adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
+    if last is not None and adv == last.adv:
+        adv = last.adv
     views = HelloViews(frozenset(nbrs), adv.intersection(ensure_mprs(state)), adv)
-    if views == state.last_hello:
-        views = state.last_hello
+    if views == last:
+        views = last
     else:
         state.last_hello = views
     return Hello(state.node_id, config.willingness, views)
@@ -399,55 +409,66 @@ def make_tc(state: OlsrNodeState, config: OlsrConfig) -> Tc:
     return Tc(state.node_id, state.node_id, state.tc_seq, tuple(sorted(state.mpr_selectors)))
 
 
-def process_hello(state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig) -> None:
-    """Apply a received HELLO: link sensing, two-hop discovery, MPR
-    bookkeeping. The link turns symmetric once the sender lists us.
-    Marks MPRs and routes dirty as the module docstring sets out."""
-    sender = msg.sender
-    me = state.node_id
-    if sender == me:
-        return
-    own_will, views = msg.will, msg.views
+def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> None:
+    """Apply one received HELLO frame to each of its receivers' states:
+    link sensing, two-hop discovery, MPR bookkeeping. A link turns
+    symmetric once the sender lists the receiver. Marks MPRs and routes
+    dirty as the module docstring sets out.
+
+    The receivers share the frame's set differences: gained (adv less the
+    stored set) and lost (the stored set less adv) are computed once per
+    run of receivers storing the same object. The ids of adv to drop from
+    the stragglers are exactly the gained ones there: stragglers never
+    hold an id of the stored set, so adv's ids among them are not in it."""
+    sender, own_will, (listed, mprs, adv) = msg
     expiry = now + config.neighb_hold_time
-    state.note_expiry(expiry)
+    last_old = gained = lost = None
+    for state in states:
+        me = state.node_id
+        if sender == me:
+            continue
+        if expiry < state.next_expiry:
+            state.next_expiry = expiry
+        nbrs = state.neighbors
+        nb = nbrs.get(sender)
+        if nb is None:
+            nb = nbrs[sender] = Neighbor(False, expiry, own_will)
+        was_sym = nb.sym
+        old_expiry = nb.expiry
+        sym = nb.sym = was_sym or me in listed
+        nb.expiry = expiry
+        if me in mprs:
+            state.mpr_selectors[sender] = expiry
 
-    nbrs = state.neighbors
-    nb = nbrs.get(sender)
-    if nb is None:
-        nb = nbrs[sender] = Neighbor(False, expiry, own_will)
-    was_sym = nb.sym
-    old_expiry = nb.expiry
-    sym = nb.sym = was_sym or me in views.listed
-    nb.expiry = expiry
-    if me in views.mprs:
-        state.mpr_selectors[sender] = expiry
+        # the advertised set replaces the old one, whose ids the new one
+        # no longer lists stay as stragglers at the old link expiry
+        old = nb.adv
+        if old is not adv:
+            if old is not last_old:
+                last_old, gained, lost = old, adv - old, old - adv
+            nb.adv = adv
+            hood = nb.stragglers
+            if was_sym and not state.mprs_dirty:
+                for t in gained:
+                    if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
+                        state.mprs_dirty = True
+                        break
+            if hood:
+                for t in gained:
+                    if t in hood:
+                        del hood[t]
+            for t in lost:
+                if t != me:
+                    hood[t] = old_expiry
+            nb.straggler_min = min(hood.values()) if hood else math.inf
 
-    # the advertised set replaces the old one, whose ids the new one no
-    # longer lists stay as stragglers at the old link expiry
-    adv = views.adv
-    old = nb.adv
-    if adv is not old:
-        nb.adv = adv
-        hood = nb.stragglers
-        if was_sym and not state.mprs_dirty:
-            for t in adv - old:
-                if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
-                    state.mprs_dirty = True
-                    break
-        for t in adv.intersection(hood):
-            del hood[t]
-        for t in old - adv:
-            if t != me:
-                hood[t] = old_expiry
-        nb.straggler_min = min(hood.values()) if hood else math.inf
-
-    if nb.will != own_will:
-        nb.will = own_will
-        if sym:
+        if nb.will != own_will:
+            nb.will = own_will
+            if sym:
+                state.mprs_dirty = True
+        if sym and not was_sym:
             state.mprs_dirty = True
-    if sym and not was_sym:
-        state.mprs_dirty = True
-        state.routes_dirty = True
+            state.routes_dirty = True
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -730,9 +751,15 @@ def next_hello(state: OlsrNodeState, now: float, config: OlsrConfig) -> Hello:
     return make_hello(state, config)
 
 
-def receive_hello(state: OlsrNodeState, msg: Hello, now: float, config: OlsrConfig) -> None:
-    expire(state, now)
-    process_hello(state, msg, now, config)
+def receive_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> None:
+    """Apply one HELLO frame to the states of every node that heard it.
+    Their states are disjoint, so expiring them all first is the same as
+    expiring each just before its own reception."""
+    for state in states:
+        # expire's own first test, inline: most receivers have nothing lapsed
+        if now >= state.next_expiry:
+            expire(state, now)
+    process_hello(states, msg, now, config)
 
 
 def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:

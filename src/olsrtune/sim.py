@@ -442,20 +442,20 @@ class _Simulation:
 
     def run(self) -> SimMetrics:
         duration = self.scenario.sim_duration
-        heap = self.heap
+        heap, states = self.heap, self.states
         while heap:
             t, _seq, kind, payload = heapq.heappop(heap)
             if t > duration:
                 break
             if kind == _EV_HELLO:
                 node, k = payload
-                hello = olsr.next_hello(self.states[node], t, self.config)
-                for r in self._broadcast(hello, t):  # one hop, never forwarded
-                    olsr.receive_hello(self.states[r], hello, t, self.config)
+                hello = olsr.next_hello(states[node], t, self.config)
+                heard = self._broadcast(hello, t)  # one hop, never forwarded
+                olsr.receive_hello([states[r] for r in heard], hello, t, self.config)
                 self._schedule_tick(_EV_HELLO, node, k + 1)
             elif kind == _EV_TC:
                 node, k = payload
-                tc = olsr.next_tc(self.states[node], t, self.config)
+                tc = olsr.next_tc(states[node], t, self.config)
                 if tc is not None:
                     self._flood(tc, t)
                 self._schedule_tick(_EV_TC, node, k + 1)

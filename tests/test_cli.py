@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import olsrtune
-from olsrtune import evo
+from olsrtune import analysis, evo
 from olsrtune.cli import MAX_PAD_MS, main
 from olsrtune.olsr import config_to_dict, rfc_default
 from olsrtune.scenario import MAX_FLOWS
@@ -496,6 +496,41 @@ class TestValidate:
         run_gen(scen_dir)
         argv = ["validate", "--scenarios", str(scen_dir), "--out", str(tmp_path)]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("case", ["same-stem", "rfc-stem", "repeated-seed"])
+    def test_repeated_config_name_or_seed_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        # report rows are keyed by config name and means are taken over
+        # seeds, so a repeat would merge two configs or double-weight a seed
+        scen_dir = tmp_path / "scens"
+        run_gen(scen_dir)
+        doc = json.dumps(config_to_dict(rfc_default()))
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "best.json").write_text(doc)
+        (tmp_path / "rfc_default.json").write_text(doc)
+        flags, repeated = {
+            "same-stem": (["--rfc", "--config", str(tmp_path / "a" / "best.json"),
+                           "--config", str(tmp_path / "b" / "best.json")], "best"),
+            "rfc-stem": (["--rfc", "--config", str(tmp_path / "rfc_default.json")],
+                         "rfc_default"),
+            "repeated-seed": (["--rfc", "--seeds", "1,2,1"], "1"),
+        }[case]
+
+        def no_simulation(*_args):
+            raise AssertionError("simulated before the names and seeds were checked")
+
+        monkeypatch.setattr(analysis, "validation_report", no_simulation)
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        argv = ["validate", "--scenarios", str(scen_dir), *flags, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        # the line names only what repeats
+        assert err[0].endswith(f" {repeated}")
+        assert not (out / "report.csv").exists()
 
 
 class TestBench:

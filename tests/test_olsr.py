@@ -208,45 +208,45 @@ class TestLinkSensing:
     def test_handshake(self):
         a, b = OlsrNodeState(node_id=0), OlsrNodeState(node_id=1)
         # B hears A's first HELLO: one-way only
-        process_hello(b, make_hello(a, CFG), 0.0, CFG)
+        process_hello([b], make_hello(a, CFG), 0.0, CFG)
         assert link(b, 0) == (False, CFG.neighb_hold_time)
         # A hears B's HELLO, which lists A: link becomes symmetric for A
-        process_hello(a, make_hello(b, CFG), 1.0, CFG)
+        process_hello([a], make_hello(b, CFG), 1.0, CFG)
         assert a.neighbors[1].sym is True
         # B hears A's next HELLO, which lists B: symmetric both ways
-        process_hello(b, make_hello(a, CFG), 2.0, CFG)
+        process_hello([b], make_hello(a, CFG), 2.0, CFG)
         assert b.neighbors[0].sym is True
 
     def test_symmetry_is_sticky(self):
         a = OlsrNodeState(node_id=0)
-        process_hello(a, hello(1, sym=[0]), 0.0, CFG)
+        process_hello([a], hello(1, sym=[0]), 0.0, CFG)
         assert a.neighbors[1].sym is True
         # a later HELLO that no longer lists us keeps the link symmetric
         # until it expires (RFC-style link aging, not instant demotion)
-        process_hello(a, hello(1), 1.0, CFG)
+        process_hello([a], hello(1), 1.0, CFG)
         assert a.neighbors[1].sym is True
 
     def test_own_hello_ignored(self):
         a = OlsrNodeState(node_id=0)
-        process_hello(a, hello(0), 0.0, CFG)
+        process_hello([a], hello(0), 0.0, CFG)
         assert a.neighbors == {}
 
     def test_two_hop_discovery_and_mpr_selection(self):
         # chain 0-1-2 from node 0's perspective
         a = OlsrNodeState(node_id=0)
-        process_hello(a, hello(1, sym=[0]), 0.0, CFG)
-        process_hello(a, hello(1, sym=[0, 2]), 1.0, CFG)
+        process_hello([a], hello(1, sym=[0]), 0.0, CFG)
+        process_hello([a], hello(1, sym=[0, 2]), 1.0, CFG)
         assert 2 in full_hood(a, 1)
         assert ensure_mprs(a) == {1}
 
     def test_asym_entries_are_not_two_hop(self):
         a = OlsrNodeState(node_id=0)
-        process_hello(a, hello(1, sym=[0, 3], asym=[2]), 0.0, CFG)
+        process_hello([a], hello(1, sym=[0, 3], asym=[2]), 0.0, CFG)
         assert set(full_hood(a, 1)) == {3}
 
     def test_mpr_selector_recorded(self):
         b = OlsrNodeState(node_id=1)
-        process_hello(b, hello(0, mpr=[1]), 0.0, CFG)
+        process_hello([b], hello(0, mpr=[1]), 0.0, CFG)
         assert 0 in b.mpr_selectors
 
 
@@ -487,13 +487,13 @@ class TestRoutes:
     def test_asym_hello_leaves_routes_clean(self):
         s = OlsrNodeState(node_id=0)
         ensure_routes(s)
-        process_hello(s, hello(1, sym=[2]), 0.0, CFG)
+        process_hello([s], hello(1, sym=[2]), 0.0, CFG)
         assert link(s, 1) == (False, CFG.neighb_hold_time)
         assert s.routes_dirty is False
 
     def test_asym_link_expiry_leaves_routes_clean(self):
         s = OlsrNodeState(node_id=0)
-        process_hello(s, hello(1), 0.0, CFG)
+        process_hello([s], hello(1), 0.0, CFG)
         ensure_routes(s)
         expire(s, CFG.neighb_hold_time)
         assert s.neighbors == {}
@@ -503,7 +503,7 @@ class TestRoutes:
 class TestExpire:
     def test_link_expiry_drops_everything_derived(self):
         s = OlsrNodeState(node_id=0)
-        process_hello(s, hello(1, sym=[0, 2]), 0.0, CFG)
+        process_hello([s], hello(1, sym=[0, 2]), 0.0, CFG)
         assert ensure_mprs(s) == {1}
         expire(s, CFG.neighb_hold_time + 0.01)
         assert s.neighbors == {}
@@ -512,7 +512,7 @@ class TestExpire:
 
     def test_before_expiry_nothing_happens(self):
         s = OlsrNodeState(node_id=0)
-        process_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        process_hello([s], hello(1, sym=[0]), 0.0, CFG)
         expire(s, CFG.neighb_hold_time - 0.5)
         assert 1 in s.neighbors
 
@@ -531,51 +531,51 @@ class TestEntries:
 
     def test_next_hello_drops_lapsed_link(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
         assert next_hello(s, 1.0, CFG).views.listed == {1}
         assert next_hello(s, self.HOLD, CFG).views == HelloViews(frozenset(), frozenset(), frozenset())
 
     def test_receive_hello_after_lapse_starts_fresh_link(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
         assert link(s, 1) == (True, self.HOLD)
         t = self.HOLD + 1.0
-        receive_hello(s, hello(1), t, CFG)
+        receive_hello([s], hello(1), t, CFG)
         assert link(s, 1) == (False, t + self.HOLD)
 
     def test_next_tc_none_once_only_selector_lapsed(self):
         s = OlsrNodeState(node_id=0)
         assert next_tc(s, 0.0, CFG) is None
         assert s.tc_seq == 0
-        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         assert next_tc(s, 1.0, CFG) == Tc(0, 0, 1, (1,))
         assert next_tc(s, self.HOLD, CFG) is None
         assert s.tc_seq == 1
 
     def test_receive_tc_over_lapsed_link_dropped(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         assert receive_tc(s, Tc(5, 1, 1, (6,)), self.HOLD, CFG) is None
         assert s.topology == {}
         assert s.duplicates == {}
 
     def test_receive_tc_over_asymmetric_link_dropped(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1), 0.0, CFG)
+        receive_hello([s], hello(1), 0.0, CFG)
         assert receive_tc(s, Tc(5, 1, 1, (6,)), 1.0, CFG) is None
         assert s.topology == {}
 
     def test_routes_skip_lapsed_neighbour(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, sym=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
         receive_tc(s, Tc(1, 1, 1, (0, 2)), 0.0, CFG)
         assert routes(s, 1.0) == {1: (1, 1), 2: (1, 2)}
         assert routes(s, self.HOLD) == {}
 
     def test_receive_tc_relays_only_for_selectors(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
-        receive_hello(s, hello(2, sym=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(2, sym=[0]), 0.0, CFG)
         msg = Tc(5, 1, 1, (6,))
         assert receive_tc(s, msg, 1.0, CFG) == msg._replace(sender=0)
         assert receive_tc(s, Tc(5, 2, 2, (6, 7)), 1.0, CFG) is None
@@ -583,8 +583,8 @@ class TestEntries:
 
     def test_second_reception_at_same_instant(self):
         s = OlsrNodeState(node_id=0)
-        receive_hello(s, hello(1, mpr=[0]), 0.0, CFG)
-        receive_hello(s, hello(2, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(2, mpr=[0]), 0.0, CFG)
         msg = Tc(5, 1, 1, (6,))
         assert receive_tc(s, msg, 1.0, CFG) is not None
         before = copy.deepcopy(s)
@@ -724,8 +724,8 @@ class TestLazyEqualsEager:
                 op = rng.random()
                 if op < 0.45:
                     msg = self.random_hello(rng, will)
-                    process_hello(s, msg, now, cfg)
-                    process_hello(ref, msg, now, cfg)
+                    process_hello([s], msg, now, cfg)
+                    process_hello([ref], msg, now, cfg)
                 elif op < 0.65:
                     msg = self.random_tc(rng, last_seq, last_dests)
                     process_tc(s, msg, now, cfg)
@@ -908,17 +908,35 @@ class TestHoodEqualsReference:
         assert ensure_mprs(s) == reference_select_mprs(twin)
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_hello_sequences(self, seed):
-        rng = random.Random(3000 + seed)
-        cfg = replace(CFG, neighb_hold_time=rng.uniform(5.5, 12.0))
+    def make_senders(self, rng):
+        """The senders' states, with the ids their links dropped and the
+        willingness each advertises per id, for random_hello."""
         senders = {k: OlsrNodeState(node_id=k) for k in self.SENDERS}
         for k, sender in senders.items():
             sender.neighbors = {
                 n: Neighbor(rng.random() < 0.7, 1e9, WILL_DEFAULT) for n in self.IDS if n != k
             }
-        dropped = {k: [] for k in self.SENDERS}
-        wills = {k: {} for k in self.SENDERS}
+        return senders, {k: [] for k in self.SENDERS}, {k: {} for k in self.SENDERS}
+
+    def random_hello(self, rng, cfg, senders, dropped, wills):
+        """The next HELLO of a random sender whose links mutate_sender changed."""
+        k = rng.choice(self.SENDERS)
+        self.mutate_sender(rng, senders[k], dropped[k], wills[k])
+        will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
+        msg = make_hello(senders[k], replace(cfg, willingness=will))
+        views = msg.views
+        assert views.mprs <= views.adv <= views.listed  # one link code per id
+        if rng.random() < 0.15:
+            # as a hand-built message: equal views, fresh sets
+            fresh = HelloViews(*(frozenset(ids) for ids in views))
+            msg = msg._replace(views=fresh)
+        return msg
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hello_sequences(self, seed):
+        rng = random.Random(3000 + seed)
+        cfg = replace(CFG, neighb_hold_time=rng.uniform(5.5, 12.0))
+        senders = self.make_senders(rng)
         s, twin = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
         now = 0.0
         for _step in range(500):
@@ -931,19 +949,34 @@ class TestHoodEqualsReference:
                 expire(s, now)
                 reference_expire(twin, now)
             else:
-                k = rng.choice(self.SENDERS)
-                self.mutate_sender(rng, senders[k], dropped[k], wills[k])
-                will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
-                msg = make_hello(senders[k], replace(cfg, willingness=will))
-                views = msg.views
-                assert views.mprs <= views.adv <= views.listed  # one link code per id
-                if rng.random() < 0.15:
-                    # as a hand-built message: equal views, fresh sets
-                    fresh = HelloViews(*(frozenset(ids) for ids in views))
-                    msg = msg._replace(views=fresh)
-                process_hello(s, msg, now, cfg)
+                msg = self.random_hello(rng, cfg, *senders)
+                process_hello([s], msg, now, cfg)
                 reference_process_hello(twin, msg, now, cfg)
             self.check(s, twin)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_frames_with_diverging_receivers(self, seed):
+        # each receiver hears a random subset of the frames, so within one
+        # frame the receivers store different older advertised sets
+        rng = random.Random(4000 + seed)
+        cfg = replace(CFG, neighb_hold_time=rng.uniform(5.5, 12.0))
+        senders = self.make_senders(rng)
+        ids = [n for n in self.IDS if n not in self.SENDERS]
+        pairs = [(OlsrNodeState(node_id=n), OlsrNodeState(node_id=n)) for n in ids]
+        now = 0.0
+        for _step in range(300):
+            now += rng.uniform(0.0, 1.5) if rng.random() < 0.9 else rng.uniform(4.0, 10.0)
+            msg = self.random_hello(rng, cfg, *senders)
+            heard = [pair for pair in pairs if rng.random() < 0.6]
+            rng.shuffle(heard)
+            for s, twin in heard:
+                expire(s, now)
+                reference_expire(twin, now)
+            process_hello([s for s, _twin in heard], msg, now, cfg)
+            for _s, twin in heard:
+                reference_process_hello(twin, msg, now, cfg)
+            for s, twin in pairs:
+                self.check(s, twin)
 
     def test_views_reused_while_equal(self):
         sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
@@ -956,3 +989,12 @@ class TestHoodEqualsReference:
         changed = make_hello(sender, CFG).views
         assert changed == ({0, 2}, {0}, {0})
         assert changed is not first
+        assert changed.adv is first.adv  # only mprs changed
+        sender.neighbors[3] = nbr(False, 1e9)
+        listed = make_hello(sender, CFG).views
+        assert listed == ({0, 2, 3}, {0}, {0})
+        assert listed.adv is first.adv  # only listed changed
+        sender.neighbors[3].sym = True
+        grown = make_hello(sender, CFG).views
+        assert grown.adv == {0, 3}
+        assert grown.adv is not first.adv

@@ -43,6 +43,9 @@ _RADIO_REFERENCE = "tests/test_sim.py::TestRadioModelReference"
 _ROUTE_FILTER = "tests/test_olsr.py::TestRouteFilter"
 _FORWARDING = "tests/test_sim.py::TestForwardingPath::"
 _CLEAN_ROUTES = _FORWARDING + "test_clean_routes_equal_fresh_computation"
+_HOOD = "tests/test_olsr.py::TestHoodEqualsReference"
+_ENTRIES = "tests/test_olsr.py::TestEntries"
+_LAZY = "tests/test_olsr.py::TestLazyEqualsEager"
 
 MUTANTS = (
     Mutant("identity", "src/olsrtune/sim.py", "_MARGIN_SHARE = 2.0**-30",
@@ -74,6 +77,34 @@ MUTANTS = (
            "self.cut = self.p_max * math.sqrt(self.range2) / scenario.radio_range",
            "self.cut = 0.99 * self.p_max * math.sqrt(self.range2) / scenario.radio_range",
            (_FORWARDING + "test_loss_cut_bounds_every_in_range_threshold",), True),
+    # the per-frame HELLO path and make_hello's advertised-set reuse
+    Mutant("hello-diff-cache-stale", "src/olsrtune/olsr.py",
+           "if old is not last_old:", "if last_old is None:", (_HOOD,), True),
+    Mutant("hello-selector-refresh-dropped", "src/olsrtune/olsr.py",
+           "        if me in mprs:\n            state.mpr_selectors[sender] = expiry\n", "",
+           (_HOOD, _ENTRIES), True),
+    Mutant("hello-next-expiry-not-lowered", "src/olsrtune/olsr.py",
+           "        if expiry < state.next_expiry:\n            state.next_expiry = expiry\n", "",
+           (_HOOD, _ENTRIES), True),
+    Mutant("hello-adv-reused-unequal", "src/olsrtune/olsr.py",
+           "if last is not None and adv == last.adv:", "if last is not None:",
+           (_HOOD,), True),
+    # expiry bookkeeping, the mutation catalogue and the radio model's errstate
+    Mutant("straggler-min-stale-after-expire", "src/olsrtune/olsr.py",
+           "                del hood[t]\n"
+           "            nb.straggler_min = min(hood.values()) if hood else math.inf\n",
+           "                del hood[t]\n", (_LAZY,), True),
+    Mutant("sym-link-expiry-not-dirty", "src/olsrtune/olsr.py",
+           "        if nbrs.pop(n).sym:\n"
+           "            state.mprs_dirty = True\n            state.routes_dirty = True\n",
+           "        nbrs.pop(n)\n", ("tests/test_olsr.py::TestExpire", _LAZY), True),
+    Mutant("mutation-moves-swapped", "src/olsrtune/evo.py",
+           '    ("scale", (0,)),\n    ("scale", (2,)),\n',
+           '    ("scale", (2,)),\n    ("scale", (0,)),\n',
+           ("tests/test_evo.py::TestMutate::test_catalogue_digest",), True),
+    Mutant("radio-errstate-dropped", "src/olsrtune/sim.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
+           (_LISTS + "::test_overflowing_bound_keeps_pairs",), True),
 )
 
 
@@ -115,7 +146,7 @@ def main() -> int:
             ok = outcome == "survived"
         else:
             ok = outcome == "killed" or (outcome == "survived" and not mutant.must_kill)
-        print(f"{mutant.name:28} {outcome:9} {time.perf_counter() - t0:6.1f} s"
+        print(f"{mutant.name:34} {outcome:9} {time.perf_counter() - t0:6.1f} s"
               f"{'' if ok else '  <- FAILED'}", flush=True)
         if not ok:
             bad.append(mutant.name)
