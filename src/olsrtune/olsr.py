@@ -19,8 +19,19 @@ receive_tc returns None at once, before expire, for a TC whose
 (originator, seq_no) duplicate entry is live: RFC 3626 section 3.4
 processes a message only once. The simulator delivers every copy of one
 TC at one instant, so a later copy would rewrite the same expiries and
-not be relayed. The functions the entries call look one another up as
-module globals and never expire on their own.
+not be relayed. This is the only duplicate check. The functions the
+entries call look one another up as module globals and never expire on
+their own.
+
+The entries keep a contract, and the functions they call rely on it:
+
+(a) for a given state, now never decreases and the config is fixed, so
+    duplicate expiries are recorded in non-decreasing order;
+(b) a clean mpr_set is a subset of the symmetric neighbours: select_mprs
+    picks only symmetric ones, a link stays symmetric until it expires,
+    and that expiry marks the MPRs dirty;
+(c) no node hears its own frame, and no topology record or straggler
+    dict holds the owner's id: process_tc and process_hello filter it out.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
@@ -96,10 +107,8 @@ lapsed MPR-selector entry marks neither MPRs nor routes.
 expire opens only the straggler dicts and topology records whose stored
 minimum expiry (straggler_min, the third slot of a topology record) has
 passed. The duplicate set is kept in expiry order: should_forward
-re-inserts a key at the back, so expire drops lapsed entries from the
-front and stops at the first live one. An insert that expires before the
-last stored entry (time or dup_hold_time went backwards, which the
-simulator never does) re-sorts the set once.
+appends each key at the back, by (a), so expire drops lapsed entries
+from the front and stops at the first live one.
 """
 
 from __future__ import annotations
@@ -107,7 +116,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import ClassVar, NamedTuple
 
 from .errors import ConfigurationError, InputError
@@ -395,7 +403,7 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
     if last is not None and adv == last.adv:
         adv = last.adv
-    views = HelloViews(frozenset(nbrs), adv.intersection(ensure_mprs(state)), adv)
+    views = HelloViews(frozenset(nbrs), frozenset(ensure_mprs(state)), adv)
     if views == last:
         views = last
     else:
@@ -425,8 +433,6 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
     last_old = gained = lost = None
     for state in states:
         me = state.node_id
-        if sender == me:
-            continue
         if expiry < state.next_expiry:
             state.next_expiry = expiry
         nbrs = state.neighbors
@@ -617,23 +623,11 @@ def should_forward(
     now: float,
     config: OlsrConfig,
 ) -> bool:
-    """Default forwarding rule: suppress duplicates, then relay only if
-    the sender selected this node as MPR. Always records the duplicate."""
-    key = (originator, seq_no)
-    dups = state.duplicates
-    ent = dups.get(key)
-    if ent is not None and ent > now:
-        return False
+    """Default forwarding rule: record the duplicate, then relay only if
+    the sender selected this node as MPR. The key is not stored: receive_tc
+    returned early for a live entry, and its expire dropped a lapsed one."""
     expiry = now + config.dup_hold_time
-    newest = next(reversed(dups.values()), -math.inf)
-    if ent is not None:
-        del dups[key]  # re-insert at the back, keeping expiry order
-    dups[key] = expiry
-    if expiry < newest:
-        # time or dup_hold_time went backwards: restore the order
-        ordered = sorted(dups.items(), key=itemgetter(1))
-        dups.clear()
-        dups.update(ordered)
+    state.duplicates[(originator, seq_no)] = expiry
     state.note_expiry(expiry)
     return sender in state.mpr_selectors
 
@@ -654,7 +648,7 @@ def compute_routes(state: OlsrNodeState) -> dict:
                 continue
             next_hop = routes[last_hop][0]
             for dest in rec[1]:
-                if dest == state.node_id or dest in routes:
+                if dest in routes:
                     continue
                 cand = (next_hop, last_hop)
                 cur = candidates.get(dest)
@@ -692,7 +686,6 @@ def expire(state: OlsrNodeState, now: float) -> None:
             state.mprs_dirty = True
             state.routes_dirty = True
     bound = math.inf
-    me = state.node_id
     for nb in nbrs.values():
         if nb.straggler_min <= now:
             hood = nb.stragglers
@@ -700,7 +693,7 @@ def expire(state: OlsrNodeState, now: float) -> None:
             for t in dead:
                 del hood[t]
             nb.straggler_min = min(hood.values()) if hood else math.inf
-            if nb.sym and any(t != me and not (t in nbrs and nbrs[t].sym) for t in dead):
+            if nb.sym and any(not (t in nbrs and nbrs[t].sym) for t in dead):
                 state.mprs_dirty = True
         if nb.expiry < bound:
             bound = nb.expiry

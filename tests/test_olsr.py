@@ -191,6 +191,13 @@ class TestMessages:
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
         assert msg.views == HelloViews({1, 2, 3}, {3}, {1, 3})
 
+    def test_hello_advertises_fresh_mprs(self):
+        # the MPR set is dirty after a new two-hop id: make_hello selects anew
+        state = OlsrNodeState(node_id=0)
+        process_hello([state], hello(1, sym=[0, 2]), 0.0, CFG)
+        assert state.mprs_dirty
+        assert make_hello(state, CFG).views.mprs == {1}
+
     def test_tc_seq_increments(self):
         state = OlsrNodeState(node_id=0)
         assert make_tc(state, CFG).seq_no == 1
@@ -225,11 +232,6 @@ class TestLinkSensing:
         # until it expires (RFC-style link aging, not instant demotion)
         process_hello([a], hello(1), 1.0, CFG)
         assert a.neighbors[1].sym is True
-
-    def test_own_hello_ignored(self):
-        a = OlsrNodeState(node_id=0)
-        process_hello([a], hello(0), 0.0, CFG)
-        assert a.neighbors == {}
 
     def test_two_hop_discovery_and_mpr_selection(self):
         # chain 0-1-2 from node 0's perspective
@@ -429,11 +431,18 @@ class TestRouteFilter:
 
 
 class TestShouldForward:
+    """Duplicate suppression, decided in receive_tc alone: node 0 hears
+    TCs from node 1, which selected it as MPR."""
+
+    def hear(self, s, now):
+        receive_hello([s], hello(1, mpr=[0]), now, CFG)
+
     def test_duplicate_suppressed(self):
         s = OlsrNodeState(node_id=0)
-        s.mpr_selectors = {1: 999.0}
-        assert should_forward(s, 9, 1, 1, 0.0, CFG) is True
-        assert should_forward(s, 9, 1, 1, 1.0, CFG) is False
+        self.hear(s, 0.0)
+        msg = Tc(9, 1, 1, (6,))
+        assert receive_tc(s, msg, 0.0, CFG) == msg._replace(sender=0)
+        assert receive_tc(s, msg, 1.0, CFG) is None
 
     def test_non_selector_not_forwarded_but_recorded(self):
         s = OlsrNodeState(node_id=0)
@@ -442,21 +451,25 @@ class TestShouldForward:
 
     def test_expired_duplicate_reconsidered(self):
         s = OlsrNodeState(node_id=0)
-        s.mpr_selectors = {1: 1e9}
-        assert should_forward(s, 9, 1, 1, 0.0, CFG) is True
-        assert should_forward(s, 9, 1, 1, CFG.dup_hold_time + 0.1, CFG) is True
+        self.hear(s, 0.0)
+        msg = Tc(9, 1, 1, (6,))
+        assert receive_tc(s, msg, 0.0, CFG) is not None
+        t = CFG.dup_hold_time + 0.1
+        self.hear(s, t)
+        assert receive_tc(s, msg, t, CFG) is not None
 
     def test_duplicates_kept_in_expiry_order(self):
         s = OlsrNodeState(node_id=0)
-        should_forward(s, 9, 1, 1, 0.0, CFG)
-        should_forward(s, 9, 2, 1, 1.0, CFG)
-        should_forward(s, 9, 1, 1, CFG.dup_hold_time + 0.5, CFG)  # lapsed: re-inserted at the back
+        self.hear(s, 0.0)
+        receive_tc(s, Tc(9, 1, 1, (6,)), 0.0, CFG)
+        receive_tc(s, Tc(9, 1, 2, (6,)), 1.0, CFG)
+        assert list(s.duplicates) == [(9, 1), (9, 2)]
+        t = CFG.dup_hold_time + 0.5
+        self.hear(s, t)
+        receive_tc(s, Tc(9, 1, 1, (6,)), t, CFG)  # lapsed: recorded anew at the back
         assert list(s.duplicates) == [(9, 2), (9, 1)]
-        should_forward(s, 9, 3, 1, 2.0, replace(CFG, dup_hold_time=10.5))  # expires first
-        assert list(s.duplicates) == [(9, 3), (9, 2), (9, 1)]
-        expire(s, 12.5)
-        assert list(s.duplicates) == [(9, 2), (9, 1)]
-        assert s.next_expiry == 1.0 + CFG.dup_hold_time
+        expire(s, 1.0 + CFG.dup_hold_time)
+        assert s.duplicates == {(9, 1): t + CFG.dup_hold_time}
 
 
 class TestRoutes:
@@ -692,16 +705,10 @@ class TestLazyEqualsEager:
         self.run_sequence(random.Random(100 * seed + will), will)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_non_monotone_dup_hold_time(self, seed):
-        # each forwarding decision draws its own dup_hold_time, so expiries
-        # arrive out of order and the duplicate set must be re-sorted
-        self.run_sequence(random.Random(1000 + seed), 3, vary_dup_hold=True)
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_repeated_tc_sets(self, seed):
         self.run_sequence(random.Random(2000 + seed), 3, repeat_tc_sets=True)
 
-    def run_sequence(self, rng, will, *, vary_dup_hold=False, repeat_tc_sets=False):
+    def run_sequence(self, rng, will, *, repeat_tc_sets=False):
         cfg = replace(
             CFG,
             willingness=will,
@@ -731,11 +738,14 @@ class TestLazyEqualsEager:
                     process_tc(s, msg, now, cfg)
                     process_tc(ref, msg, now, cfg)
                 elif op < 0.8:
-                    fwd_cfg = cfg
-                    if vary_dup_hold:
-                        fwd_cfg = replace(cfg, dup_hold_time=rng.uniform(10.5, 20.0))
-                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, fwd_cfg)
-                    assert should_forward(s, *args) == should_forward(ref, *args)
+                    # in receive_tc's order: a key with a live entry is
+                    # dropped, and expire runs before should_forward
+                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, cfg)
+                    if s.duplicates.get(args[:2], -math.inf) <= now:
+                        expire(s, now)
+                        reference_expire(ref, now)
+                        assert args[:2] not in s.duplicates
+                        assert should_forward(s, *args) == should_forward(ref, *args)
                 else:
                     expire(s, now)
                     reference_expire(ref, now)
@@ -856,7 +866,8 @@ class TestHoodEqualsReference:
     def mutate_sender(self, rng, sender, dropped, wills):
         """Change the sender's links so that its next HELLO drops, re-adds
         or re-flags entries, or leave them as they are. `wills` keeps the
-        willingness the sender advertises for each id, linked or not."""
+        willingness the sender advertises for each id, linked or not. The
+        MPR set stays within the symmetric links, as select_mprs keeps it."""
         op = rng.random()
         links = sender.neighbors
 
@@ -865,12 +876,15 @@ class TestHoodEqualsReference:
                 links[n].sym = sym
             else:
                 links[n] = Neighbor(sym, 1e9, wills.get(n, WILL_DEFAULT))
+            if not sym:
+                sender.mpr_set.discard(n)
 
         if op < 0.35:
             return  # unchanged: make_hello resends the same views object
         if op < 0.5 and links:
             n = rng.choice(sorted(links))
             del links[n]
+            sender.mpr_set.discard(n)
             dropped.append(n)
         elif op < 0.65 and dropped:
             put(dropped.pop(rng.randrange(len(dropped))), True)

@@ -586,6 +586,50 @@ class TestForwardingPath:
         run_simulation(scn, config, NIC, seed=k)
         assert checked["routes"] > 0 and checked["receive_tc"] > 0 and checked["expire"] > 0
 
+    @pytest.mark.parametrize("k", range(20))
+    def test_runs_keep_the_entries_contract(self, k, monkeypatch):
+        # the facts olsr's module docstring states as the entries' contract,
+        # on the runs above: no node hears its own HELLO, every HELLO's
+        # MPRs are among its symmetric neighbours, should_forward gets a
+        # new key no earlier than the newest stored expiry, and no
+        # topology record or straggler dict holds the owner's id
+        checked = Counter()
+        process_hello, process_tc = olsr.process_hello, olsr.process_tc
+        should_forward = olsr.should_forward
+
+        def owner_absent(state):
+            me = state.node_id
+            assert me not in state.topology
+            assert all(me not in rec[1] for rec in state.topology.values())
+            assert all(me not in nb.stragglers for nb in state.neighbors.values())
+
+        def checked_hello(states, msg, now, config):
+            assert all(state.node_id != msg.sender for state in states)
+            assert msg.views.mprs <= msg.views.adv
+            process_hello(states, msg, now, config)
+            for state in states:
+                owner_absent(state)
+            checked["hello"] += 1
+
+        def checked_tc(state, msg, now, config):
+            process_tc(state, msg, now, config)
+            owner_absent(state)
+            checked["tc"] += 1
+
+        def checked_forward(state, originator, seq_no, sender, now, config):
+            dups = state.duplicates
+            assert (originator, seq_no) not in dups
+            assert now + config.dup_hold_time >= next(reversed(dups.values()), -math.inf)
+            checked["forward"] += 1
+            return should_forward(state, originator, seq_no, sender, now, config)
+
+        monkeypatch.setattr(olsr, "process_hello", checked_hello)
+        monkeypatch.setattr(olsr, "process_tc", checked_tc)
+        monkeypatch.setattr(olsr, "should_forward", checked_forward)
+        scn, config = filter_run(k)
+        run_simulation(scn, config, NIC, seed=k)
+        assert checked["hello"] > 0 and checked["tc"] > 0 and checked["forward"] > 0
+
     def test_each_tc_processed_once_per_node(self, monkeypatch):
         processed = Counter()
         received = Counter()

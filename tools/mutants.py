@@ -72,7 +72,9 @@ MUTANTS = (
            "    if state.duplicates.get((msg.originator, msg.seq_no), -math.inf) > now:\n"
            "        return None\n    expire(state, now)\n",
            "    expire(state, now)\n",
-           (_FORWARDING + "test_each_tc_processed_once_per_node",), True),
+           # first: the run hangs once nothing suppresses duplicates
+           (_ENTRIES + "::test_second_reception_at_same_instant",
+            _FORWARDING + "test_each_tc_processed_once_per_node"), True),
     Mutant("loss-cut-too-low", "src/olsrtune/sim.py",
            "self.cut = self.p_max * math.sqrt(self.range2) / scenario.radio_range",
            "self.cut = 0.99 * self.p_max * math.sqrt(self.range2) / scenario.radio_range",
@@ -89,7 +91,41 @@ MUTANTS = (
     Mutant("hello-adv-reused-unequal", "src/olsrtune/olsr.py",
            "if last is not None and adv == last.adv:", "if last is not None:",
            (_HOOD,), True),
-    # expiry bookkeeping, the mutation catalogue and the radio model's errstate
+    # the entries' contract: receive_tc's duplicate rule, fresh MPRs in HELLOs
+    Mutant("duplicate-not-recorded", "src/olsrtune/olsr.py",
+           "    state.duplicates[(originator, seq_no)] = expiry\n", "",
+           # first: the run hangs once nothing suppresses duplicates
+           (_ENTRIES + "::test_second_reception_at_same_instant",
+            _FORWARDING + "test_each_tc_processed_once_per_node"), True),
+    Mutant("hello-mprs-not-ensured", "src/olsrtune/olsr.py",
+           "frozenset(ensure_mprs(state))", "frozenset(state.mpr_set)",
+           ("tests/test_olsr.py::TestMessages::test_hello_advertises_fresh_mprs",
+            _FORWARDING + "test_runs_keep_the_entries_contract"), True),
+    # each entry expires first
+    Mutant("next-hello-no-expire", "src/olsrtune/olsr.py",
+           "    expire(state, now)\n    return make_hello(state, config)\n",
+           "    return make_hello(state, config)\n",
+           (_ENTRIES + "::test_next_hello_drops_lapsed_link",), True),
+    Mutant("receive-hello-no-expire", "src/olsrtune/olsr.py",
+           "            expire(state, now)\n    process_hello(states, msg, now, config)\n",
+           "            pass\n    process_hello(states, msg, now, config)\n",
+           (_ENTRIES + "::test_receive_hello_after_lapse_starts_fresh_link",), True),
+    Mutant("next-tc-no-expire", "src/olsrtune/olsr.py",
+           "    expire(state, now)\n    return make_tc(state, config) if",
+           "    return make_tc(state, config) if",
+           (_ENTRIES + "::test_next_tc_none_once_only_selector_lapsed",), True),
+    Mutant("receive-tc-no-expire", "src/olsrtune/olsr.py",
+           "    expire(state, now)\n    nb = state.neighbors.get(msg.sender)\n",
+           "    nb = state.neighbors.get(msg.sender)\n",
+           (_ENTRIES + "::test_receive_tc_over_lapsed_link_dropped",), True),
+    Mutant("routes-no-expire", "src/olsrtune/olsr.py",
+           "    expire(state, now)\n    return ensure_routes(state)\n",
+           "    return ensure_routes(state)\n",
+           (_ENTRIES + "::test_routes_skip_lapsed_neighbour",), True),
+    # expiry bookkeeping, the mutation catalogue, the CBR queue and the
+    # radio model's errstate
+    Mutant("topology-min-stale-after-expire", "src/olsrtune/olsr.py",
+           "            rec[2] = min(dests.values())\n", "", (_LAZY,), True),
     Mutant("straggler-min-stale-after-expire", "src/olsrtune/olsr.py",
            "                del hood[t]\n"
            "            nb.straggler_min = min(hood.values()) if hood else math.inf\n",
@@ -102,6 +138,14 @@ MUTANTS = (
            '    ("scale", (0,)),\n    ("scale", (2,)),\n',
            '    ("scale", (2,)),\n    ("scale", (0,)),\n',
            ("tests/test_evo.py::TestMutate::test_catalogue_digest",), True),
+    Mutant("cbr-queue-eager", "src/olsrtune/sim.py",
+           "            if count:\n                heapq.heappush(self.heap, (flow.start, self._seq + 1,"
+           " _EV_CBR, (flow, 0, count)))\n",
+           "            for i in range(count):  # every packet queued at the start\n"
+           "                heapq.heappush(self.heap, (flow.start + i / flow.rate,"
+           " self._seq + 1 + i, _EV_CBR, (flow, i, i + 1)))\n",
+           ("tests/test_sim.py::TestEventOrder::test_queue_holds_one_pending_packet_per_flow",),
+           True),
     Mutant("radio-errstate-dropped", "src/olsrtune/sim.py",
            'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
            (_LISTS + "::test_overflowing_bound_keeps_pairs",), True),
