@@ -13,25 +13,28 @@ next_hello and next_tc build the node's messages (next_tc gives None
 while no neighbour selected the node as MPR), receive_hello applies one
 HELLO frame to the states of all the nodes that heard it, in one
 process_hello call, receive_tc drops a TC heard over a non-symmetric
-link, applies it, then records the duplicate and returns the copy to
-relay or None, and routes(state, now) gives the routing table.
-receive_tc returns None at once, before expire, for a TC whose
-(originator, seq_no) duplicate entry is live: RFC 3626 section 3.4
-processes a message only once. The simulator delivers every copy of one
-TC at one instant, so a later copy would rewrite the same expiries and
-not be relayed. This is the only duplicate check. The functions the
-entries call look one another up as module globals and never expire on
-their own.
+link, applies it, then records its key and returns the copy to relay or
+None, and routes(state, now) gives the routing table. receive_tc
+returns None at once, before expire, for a TC whose (originator, seq_no)
+key equals last_tc, the key of the latest TC the node processed: RFC
+3626 section 3.4 processes a message only once, and by (d) a duplicate
+can only be a copy of that latest TC. This is the only duplicate check.
+The functions the entries call look one another up as module globals
+and never expire on their own.
 
 The entries keep a contract, and the functions they call rely on it:
 
-(a) for a given state, now never decreases and the config is fixed, so
-    duplicate expiries are recorded in non-decreasing order;
+(a) for a given state, now never decreases and the config is fixed;
 (b) a clean mpr_set is a subset of the symmetric neighbours: select_mprs
     picks only symmetric ones, a link stays symmetric until it expires,
     and that expiry marks the MPRs dirty;
 (c) no node hears its own frame, and no topology record or straggler
-    dict holds the owner's id: process_tc and process_hello filter it out.
+    dict holds the owner's id: process_tc and process_hello filter it out;
+(d) a node receives each (originator, seq_no) TC at one instant only,
+    and an originator's seq_no only rises: the simulator's flood delivers
+    every copy of a TC at the instant it is sent, and make_tc raises
+    tc_seq on every TC. So one key per node is the whole duplicate set,
+    and a TC always replaces its originator's topology record.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
@@ -39,8 +42,10 @@ genome codec and the JSON config codec all derive from it. The rule for
 a legal genome is defined once, in ParamSpace.clip.
 
 Nodes are single-interface, so no MID messages are generated and
-mid_hold_time is inert: it has no protocol effect. It stays in the
-genome so that the eight tuned parameters match the paper's.
+mid_hold_time is inert: it has no protocol effect. By (d) no duplicate
+is heard after the instant its TC was sent, so dup_hold_time has no
+protocol effect either. Both stay in the genome so that the eight tuned
+parameters match the paper's.
 
 The MPR set and the routing table are caches of the pure functions
 select_mprs(state) and compute_routes(state), recomputed only when read
@@ -91,8 +96,7 @@ sets of routed originators. Next to routing_table it keeps each route's
 last hop in route_last_hop (a neighbour is its own last hop). Routes are
 marked dirty when a link turns symmetric or a symmetric link expires,
 and, while they are clean, when a change to originator o's destination
-set (process_tc's new or replaced set, expire's lapsed entries) can
-change the table:
+set (process_tc's new set, expire's lapsed record) can change the table:
 
 - o is routed and an added destination has no route, a route longer
   than hops(o) + 1, or one of that length whose (next_hop, last_hop)
@@ -101,14 +105,12 @@ change the table:
 
 Any other change only adds or drops a candidate that loses at its hop
 count, or sits in the record of an unrouted originator, which
-compute_routes never reads. An asymmetric link, a lapsed duplicate or a
-lapsed MPR-selector entry marks neither MPRs nor routes.
+compute_routes never reads. An asymmetric link or a lapsed MPR-selector
+entry marks neither MPRs nor routes.
 
-expire opens only the straggler dicts and topology records whose stored
-minimum expiry (straggler_min, the third slot of a topology record) has
-passed. The duplicate set is kept in expiry order: should_forward
-appends each key at the back, by (a), so expire drops lapsed entries
-from the front and stops at the first live one.
+A topology record is (dests, expiry): one TC's destinations share its
+expiry. expire opens only the straggler dicts whose minimum
+(straggler_min) has passed, and drops topology records whole.
 """
 
 from __future__ import annotations
@@ -372,11 +374,10 @@ class OlsrNodeState:
     mprs_dirty: bool = False
     # neighbor that selected us as MPR -> expiry
     mpr_selectors: dict = field(default_factory=dict)
-    # originator (last hop) -> [seq_no, {dest -> expiry}, min expiry],
-    # the minimum -inf while the record has no dest
+    # originator (last hop) -> (frozenset of dests, expiry), never empty
     topology: dict = field(default_factory=dict)
-    # (originator, seq_no) -> expiry, in insertion order = expiry order
-    duplicates: dict = field(default_factory=dict)
+    # (originator, seq_no) of the latest TC processed
+    last_tc: tuple | None = None
     # dest -> (next_hop, hop_count)
     routing_table: dict = field(default_factory=dict)
     # dest -> the last hop of its route, valid with routing_table
@@ -564,34 +565,25 @@ def ensure_mprs(state: OlsrNodeState) -> set:
 
 
 def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> None:
-    """Apply a received TC: refresh (dest, last_hop=originator) tuples,
-    discarding stale sequence numbers."""
+    """Apply a received TC: its destinations replace the originator's
+    (dest, last_hop=originator) tuples, and an empty set drops them. By
+    (d) the TC is newer than the record it replaces."""
     orig = msg.originator
-    if orig == state.node_id:
+    me = state.node_id
+    if orig == me:
         return
-    rec = state.topology.get(orig)
-    if rec is not None and msg.seq_no < rec[0]:
-        return
-    expiry = now + config.top_hold_time
-    state.note_expiry(expiry)
-    if rec is None or msg.seq_no > rec[0]:
-        dests = {dest: expiry for dest in msg.selectors if dest != state.node_id}
-        old = {} if rec is None else rec[1]
-        if not state.routes_dirty and dests.keys() != old.keys():
-            state.routes_dirty = _routes_change(
-                state, orig, dests.keys() - old.keys(), old.keys() - dests.keys()
-            )
-        rec = state.topology[orig] = [msg.seq_no, dests, None]
-    else:
-        dests = rec[1]
-        for dest in msg.selectors:
-            if dest == state.node_id:
-                continue
-            if dest not in dests and not state.routes_dirty:
-                state.routes_dirty = _routes_change(state, orig, (dest,), ())
-            dests[dest] = expiry
-    # -inf opens an empty record at the next slow expire, which drops it
-    rec[2] = min(dests.values(), default=-math.inf)
+    topology = state.topology
+    dests = frozenset([dest for dest in msg.selectors if dest != me])
+    rec = topology.get(orig)
+    old = _NO_IDS if rec is None else rec[0]
+    if not state.routes_dirty and dests != old:
+        state.routes_dirty = _routes_change(state, orig, dests - old, old - dests)
+    if dests:
+        expiry = now + config.top_hold_time
+        state.note_expiry(expiry)
+        topology[orig] = (dests, expiry)
+    elif rec is not None:
+        del topology[orig]
 
 
 def _routes_change(state: OlsrNodeState, orig: int, added, removed) -> bool:
@@ -615,20 +607,9 @@ def _routes_change(state: OlsrNodeState, orig: int, added, removed) -> bool:
     return False
 
 
-def should_forward(
-    state: OlsrNodeState,
-    originator: int,
-    seq_no: int,
-    sender: int,
-    now: float,
-    config: OlsrConfig,
-) -> bool:
-    """Default forwarding rule: record the duplicate, then relay only if
-    the sender selected this node as MPR. The key is not stored: receive_tc
-    returned early for a live entry, and its expire dropped a lapsed one."""
-    expiry = now + config.dup_hold_time
-    state.duplicates[(originator, seq_no)] = expiry
-    state.note_expiry(expiry)
+def should_forward(state: OlsrNodeState, sender: int) -> bool:
+    """Default forwarding rule: relay only if the sender selected this
+    node as MPR."""
     return sender in state.mpr_selectors
 
 
@@ -647,7 +628,7 @@ def compute_routes(state: OlsrNodeState) -> dict:
             if rec is None:
                 continue
             next_hop = routes[last_hop][0]
-            for dest in rec[1]:
+            for dest in rec[0]:
                 if dest in routes:
                     continue
                 cand = (next_hop, last_hop)
@@ -675,8 +656,8 @@ def ensure_routes(state: OlsrNodeState) -> dict:
 def expire(state: OlsrNodeState, now: float) -> None:
     """Drop every entry whose expiry is <= now and mark MPRs or routes
     dirty if an input of theirs went. O(1) when the earliest stored
-    expiry is still ahead; otherwise opens only the straggler dicts and
-    topology records whose minimum has passed."""
+    expiry is still ahead; otherwise opens only the straggler dicts whose
+    minimum has passed."""
     if now < state.next_expiry:
         return
 
@@ -706,35 +687,16 @@ def expire(state: OlsrNodeState, now: float) -> None:
     bound = min(bound, min(selectors.values(), default=math.inf))
 
     topology = state.topology
-    emptied = []
-    for orig, rec in topology.items():
-        if rec[2] <= now:
-            dests = rec[1]
-            dead = [d for d, exp in dests.items() if exp <= now]
-            if dead:
-                for d in dead:
-                    del dests[d]
-                if not state.routes_dirty:
-                    state.routes_dirty = _routes_change(state, orig, (), dead)
-            if not dests:
-                emptied.append(orig)
-                continue
-            rec[2] = min(dests.values())
-        if rec[2] < bound:
-            bound = rec[2]
-    for orig in emptied:
-        del topology[orig]
-
-    # duplicates are in expiry order: the lapsed ones are a prefix
-    dups = state.duplicates
-    dead = []
-    for k, exp in dups.items():
-        if exp > now:
-            break
-        dead.append(k)
-    for k in dead:
-        del dups[k]
-    bound = min(bound, next(iter(dups.values()), math.inf))
+    lapsed = []
+    for orig, (_dests, exp) in topology.items():
+        if exp <= now:
+            lapsed.append(orig)
+        elif exp < bound:
+            bound = exp
+    for orig in lapsed:
+        dests = topology.pop(orig)[0]
+        if not state.routes_dirty:
+            state.routes_dirty = _routes_change(state, orig, (), dests)
 
     state.next_expiry = bound
 
@@ -762,16 +724,18 @@ def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
 
 def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> Tc | None:
     """The copy of `msg` to relay, or None; a TC already processed (its
-    duplicate entry is live) or heard over a link that is not symmetric
-    is dropped unprocessed (RFC 3626 sections 3.4 and 9.5)."""
-    if state.duplicates.get((msg.originator, msg.seq_no), -math.inf) > now:
+    key is last_tc) or heard over a link that is not symmetric is dropped
+    unprocessed (RFC 3626 sections 3.4 and 9.5)."""
+    key = (msg.originator, msg.seq_no)
+    if key == state.last_tc:
         return None
     expire(state, now)
     nb = state.neighbors.get(msg.sender)
     if nb is None or not nb.sym:
         return None
     process_tc(state, msg, now, config)
-    if should_forward(state, msg.originator, msg.seq_no, msg.sender, now, config):
+    state.last_tc = key
+    if should_forward(state, msg.sender):
         return msg._replace(sender=state.node_id)
     return None
 

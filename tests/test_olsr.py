@@ -318,19 +318,13 @@ class TestProcessTc:
     def test_topology_recorded(self):
         s = OlsrNodeState(node_id=0)
         process_tc(s, self.make_tc_msg(5, 1, (6, 7)), 0.0, CFG)
-        assert set(s.topology[5][1]) == {6, 7}
-
-    def test_stale_seq_ignored(self):
-        s = OlsrNodeState(node_id=0)
-        process_tc(s, self.make_tc_msg(5, 4, (6,)), 0.0, CFG)
-        process_tc(s, self.make_tc_msg(5, 3, (7,)), 1.0, CFG)
-        assert set(s.topology[5][1]) == {6}
+        assert set(s.topology[5][0]) == {6, 7}
 
     def test_newer_seq_replaces(self):
         s = OlsrNodeState(node_id=0)
         process_tc(s, self.make_tc_msg(5, 1, (6,)), 0.0, CFG)
         process_tc(s, self.make_tc_msg(5, 2, (7,)), 1.0, CFG)
-        assert set(s.topology[5][1]) == {7}
+        assert set(s.topology[5][0]) == {7}
 
     def test_own_tc_ignored(self):
         s = OlsrNodeState(node_id=0)
@@ -345,15 +339,14 @@ class TestProcessTc:
         assert ensure_routes(s) == {5: (5, 1), 6: (5, 2), 7: (5, 2)}
         process_tc(s, self.make_tc_msg(5, 2, (7, 6, 0)), 1.0, CFG)
         assert s.routes_dirty is False
-        assert s.topology[5][:2] == [2, {6: 1.0 + CFG.top_hold_time, 7: 1.0 + CFG.top_hold_time}]
-        assert s.topology[5][2] == 1.0 + CFG.top_hold_time
+        assert s.topology[5] == ({6, 7}, 1.0 + CFG.top_hold_time)
         process_tc(s, self.make_tc_msg(5, 3, (6,)), 2.0, CFG)
         assert s.routes_dirty is True
 
     def test_self_as_dest_skipped(self):
         s = OlsrNodeState(node_id=0)
         process_tc(s, self.make_tc_msg(5, 1, (0, 6)), 0.0, CFG)
-        assert set(s.topology[5][1]) == {6}
+        assert set(s.topology[5][0]) == {6}
 
 
 def assert_clean_routes_exact(s):
@@ -446,44 +439,24 @@ class TestShouldForward:
 
     def test_non_selector_not_forwarded_but_recorded(self):
         s = OlsrNodeState(node_id=0)
-        assert should_forward(s, 9, 1, 1, 0.0, CFG) is False
-        assert (9, 1) in s.duplicates
-
-    def test_expired_duplicate_reconsidered(self):
-        s = OlsrNodeState(node_id=0)
-        self.hear(s, 0.0)
-        msg = Tc(9, 1, 1, (6,))
-        assert receive_tc(s, msg, 0.0, CFG) is not None
-        t = CFG.dup_hold_time + 0.1
-        self.hear(s, t)
-        assert receive_tc(s, msg, t, CFG) is not None
-
-    def test_duplicates_kept_in_expiry_order(self):
-        s = OlsrNodeState(node_id=0)
-        self.hear(s, 0.0)
-        receive_tc(s, Tc(9, 1, 1, (6,)), 0.0, CFG)
-        receive_tc(s, Tc(9, 1, 2, (6,)), 1.0, CFG)
-        assert list(s.duplicates) == [(9, 1), (9, 2)]
-        t = CFG.dup_hold_time + 0.5
-        self.hear(s, t)
-        receive_tc(s, Tc(9, 1, 1, (6,)), t, CFG)  # lapsed: recorded anew at the back
-        assert list(s.duplicates) == [(9, 2), (9, 1)]
-        expire(s, 1.0 + CFG.dup_hold_time)
-        assert s.duplicates == {(9, 1): t + CFG.dup_hold_time}
+        receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
+        assert should_forward(s, 1) is False
+        assert receive_tc(s, Tc(9, 1, 1, (6,)), 0.0, CFG) is None
+        assert s.last_tc == (9, 1)
 
 
 class TestRoutes:
     def test_bfs_over_topology(self):
         s = OlsrNodeState(node_id=0)
         s.neighbors = {1: nbr(True, 999.0)}
-        s.topology = {1: [1, {2: 999.0}, 999.0], 2: [1, {3: 999.0}, 999.0]}
+        s.topology = {1: (frozenset({2}), 999.0), 2: (frozenset({3}), 999.0)}
         routes = compute_routes(s)
         assert routes == {1: (1, 1), 2: (1, 2), 3: (1, 3)}
 
     def test_tie_breaks_to_lowest_next_hop(self):
         s = OlsrNodeState(node_id=0)
         s.neighbors = {1: nbr(True, 999.0), 2: nbr(True, 999.0)}
-        s.topology = {1: [1, {5: 999.0}, 999.0], 2: [1, {5: 999.0}, 999.0]}
+        s.topology = {1: (frozenset({5}), 999.0), 2: (frozenset({5}), 999.0)}
         assert compute_routes(s)[5] == (1, 2)
 
     def test_asymmetric_links_unused(self):
@@ -494,7 +467,7 @@ class TestRoutes:
     def test_unreachable_absent(self):
         s = OlsrNodeState(node_id=0)
         s.neighbors = {1: nbr(True, 999.0)}
-        s.topology = {7: [1, {8: 999.0}, 999.0]}  # island not connected to us
+        s.topology = {7: (frozenset({8}), 999.0)}  # island not connected to us
         assert compute_routes(s) == {1: (1, 1)}
 
     def test_asym_hello_leaves_routes_clean(self):
@@ -570,7 +543,7 @@ class TestEntries:
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         assert receive_tc(s, Tc(5, 1, 1, (6,)), self.HOLD, CFG) is None
         assert s.topology == {}
-        assert s.duplicates == {}
+        assert s.last_tc is None
 
     def test_receive_tc_over_asymmetric_link_dropped(self):
         s = OlsrNodeState(node_id=0)
@@ -592,7 +565,7 @@ class TestEntries:
         msg = Tc(5, 1, 1, (6,))
         assert receive_tc(s, msg, 1.0, CFG) == msg._replace(sender=0)
         assert receive_tc(s, Tc(5, 2, 2, (6, 7)), 1.0, CFG) is None
-        assert set(s.topology[5][1]) == {6, 7}  # applied all the same
+        assert set(s.topology[5][0]) == {6, 7}  # applied all the same
 
     def test_second_reception_at_same_instant(self):
         s = OlsrNodeState(node_id=0)
@@ -619,20 +592,18 @@ def stored_expiries(s):
     out = [nb.expiry for nb in s.neighbors.values()]
     out += [exp for nb in s.neighbors.values() for exp in nb.stragglers.values()]
     out += list(s.mpr_selectors.values())
-    out += [exp for _seq, dests, _min in s.topology.values() for exp in dests.values()]
-    out += list(s.duplicates.values())
+    out += [exp for _dests, exp in s.topology.values()]
     return out
 
 
 def tables(s):
-    """Every stored table, without the per-record minima."""
+    """Every stored table, without the per-neighbour straggler minima."""
     return {
         "neighbors": {
             n: (nb.sym, nb.expiry, nb.will, nb.adv, nb.stragglers) for n, nb in s.neighbors.items()
         },
         "mpr_selectors": s.mpr_selectors,
-        "topology": {o: rec[:2] for o, rec in s.topology.items()},
-        "duplicates": s.duplicates,
+        "topology": s.topology,
     }
 
 
@@ -644,11 +615,10 @@ def reference_expire(s, now):
     for n in [n for n, nb in s.neighbors.items() if nb.expiry <= now]:
         del s.neighbors[n]
     hoods = [nb.stragglers for nb in s.neighbors.values()]
-    dest_tables = [rec[1] for rec in s.topology.values()]
-    for table in [*hoods, s.mpr_selectors, *dest_tables, s.duplicates]:
+    for table in [*hoods, s.mpr_selectors]:
         for k in [k for k, exp in table.items() if exp <= now]:
             del table[k]
-    s.topology = {o: rec for o, rec in s.topology.items() if rec[1]}
+    s.topology = {o: rec for o, rec in s.topology.items() if rec[1] > now}
     s.next_expiry = min(stored_expiries(s), default=math.inf)
 
 
@@ -669,11 +639,11 @@ class TestLazyEqualsEager:
         return hello(sender, will=own, **links)
 
     def random_tc(self, rng, last_seq, last_dests=None):
-        """A TC with a random destination set, or with `orig`'s previous
-        one half the time when `last_dests` keeps them."""
+        """A TC with a seq_no above `orig`'s previous one, as contract
+        clause (d) has it, and a random destination set, or `orig`'s
+        previous one half the time when `last_dests` keeps them."""
         orig = rng.randint(1, 10)
-        seq = max(1, last_seq.get(orig, 1) + rng.randint(-1, 1))
-        last_seq[orig] = max(seq, last_seq.get(orig, 1))
+        seq = last_seq[orig] = last_seq.get(orig, 0) + 2 + rng.randint(-1, 1)
         dests = tuple(n for n in self.IDS if rng.random() < 0.3)
         if last_dests is not None:
             if orig in last_dests and rng.random() < 0.5:
@@ -684,7 +654,8 @@ class TestLazyEqualsEager:
 
     def check(self, s, ref):
         """Caches equal fresh evaluations, tables equal those of the
-        full-scan reference, and the per-table minima are exact."""
+        full-scan reference, the straggler minima are exact and no
+        topology record is empty."""
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
         got, want = tables(s), tables(ref)
@@ -694,10 +665,7 @@ class TestLazyEqualsEager:
         assert all(s.next_expiry <= exp for exp in stored_expiries(s))
         for nb in s.neighbors.values():
             assert nb.straggler_min == min(nb.stragglers.values(), default=math.inf)
-        for _seq, dests, least in s.topology.values():
-            assert least == min(dests.values(), default=-math.inf)
-        dup_expiries = list(s.duplicates.values())
-        assert dup_expiries == sorted(dup_expiries)
+        assert all(dests for dests, _exp in s.topology.values())
 
     @pytest.mark.parametrize("will", (0, 3, 7))
     @pytest.mark.parametrize("seed", range(4))
@@ -738,14 +706,14 @@ class TestLazyEqualsEager:
                     process_tc(s, msg, now, cfg)
                     process_tc(ref, msg, now, cfg)
                 elif op < 0.8:
-                    # in receive_tc's order: a key with a live entry is
-                    # dropped, and expire runs before should_forward
-                    args = (rng.randint(1, 10), rng.randint(1, 4), rng.randint(1, 8), now, cfg)
-                    if s.duplicates.get(args[:2], -math.inf) <= now:
-                        expire(s, now)
-                        reference_expire(ref, now)
-                        assert args[:2] not in s.duplicates
-                        assert should_forward(s, *args) == should_forward(ref, *args)
+                    # in receive_tc's order: expire runs before should_forward;
+                    # two unused draws keep each seed's draws as they were
+                    rng.randint(1, 10)
+                    rng.randint(1, 4)
+                    sender = rng.randint(1, 8)
+                    expire(s, now)
+                    reference_expire(ref, now)
+                    assert should_forward(s, sender) == should_forward(ref, sender)
                 else:
                     expire(s, now)
                     reference_expire(ref, now)

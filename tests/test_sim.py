@@ -590,17 +590,20 @@ class TestForwardingPath:
     def test_runs_keep_the_entries_contract(self, k, monkeypatch):
         # the facts olsr's module docstring states as the entries' contract,
         # on the runs above: no node hears its own HELLO, every HELLO's
-        # MPRs are among its symmetric neighbours, should_forward gets a
-        # new key no earlier than the newest stored expiry, and no
-        # topology record or straggler dict holds the owner's id
+        # MPRs are among its symmetric neighbours, no topology record or
+        # straggler dict holds the owner's id, and (d) a node receives
+        # each TC key at one instant only and processes an originator's
+        # seq_no only rising
         checked = Counter()
         process_hello, process_tc = olsr.process_hello, olsr.process_tc
-        should_forward = olsr.should_forward
+        receive_tc = olsr.receive_tc
+        heard_at = {}  # (node, originator, seq_no) -> instant
+        last_seq = {}  # (node, originator) -> seq_no
 
         def owner_absent(state):
             me = state.node_id
             assert me not in state.topology
-            assert all(me not in rec[1] for rec in state.topology.values())
+            assert all(me not in rec[0] for rec in state.topology.values())
             assert all(me not in nb.stragglers for nb in state.neighbors.values())
 
         def checked_hello(states, msg, now, config):
@@ -612,23 +615,25 @@ class TestForwardingPath:
             checked["hello"] += 1
 
         def checked_tc(state, msg, now, config):
+            pair = (state.node_id, msg.originator)
+            assert msg.seq_no > last_seq.get(pair, 0)
+            last_seq[pair] = msg.seq_no
             process_tc(state, msg, now, config)
             owner_absent(state)
             checked["tc"] += 1
 
-        def checked_forward(state, originator, seq_no, sender, now, config):
-            dups = state.duplicates
-            assert (originator, seq_no) not in dups
-            assert now + config.dup_hold_time >= next(reversed(dups.values()), -math.inf)
-            checked["forward"] += 1
-            return should_forward(state, originator, seq_no, sender, now, config)
+        def checked_receive(state, msg, now, config):
+            key = (state.node_id, msg.originator, msg.seq_no)
+            assert heard_at.setdefault(key, now) == now
+            checked["receive"] += 1
+            return receive_tc(state, msg, now, config)
 
         monkeypatch.setattr(olsr, "process_hello", checked_hello)
         monkeypatch.setattr(olsr, "process_tc", checked_tc)
-        monkeypatch.setattr(olsr, "should_forward", checked_forward)
+        monkeypatch.setattr(olsr, "receive_tc", checked_receive)
         scn, config = filter_run(k)
         run_simulation(scn, config, NIC, seed=k)
-        assert checked["hello"] > 0 and checked["tc"] > 0 and checked["forward"] > 0
+        assert checked["hello"] > 0 and checked["tc"] > 0 and checked["receive"] > 0
 
     def test_each_tc_processed_once_per_node(self, monkeypatch):
         processed = Counter()

@@ -69,8 +69,7 @@ MUTANTS = (
     Mutant("longer-route-by-two", "src/olsrtune/olsr.py",
            "cur[1] > hops or", "cur[1] > hops + 1 or", (_ROUTE_FILTER, _CLEAN_ROUTES), True),
     Mutant("tc-duplicate-skip-dropped", "src/olsrtune/olsr.py",
-           "    if state.duplicates.get((msg.originator, msg.seq_no), -math.inf) > now:\n"
-           "        return None\n    expire(state, now)\n",
+           "    if key == state.last_tc:\n        return None\n    expire(state, now)\n",
            "    expire(state, now)\n",
            # first: the run hangs once nothing suppresses duplicates
            (_ENTRIES + "::test_second_reception_at_same_instant",
@@ -91,12 +90,17 @@ MUTANTS = (
     Mutant("hello-adv-reused-unequal", "src/olsrtune/olsr.py",
            "if last is not None and adv == last.adv:", "if last is not None:",
            (_HOOD,), True),
-    # the entries' contract: receive_tc's duplicate rule, fresh MPRs in HELLOs
+    # the entries' contract: receive_tc's one-key duplicate rule, fresh MPRs
+    # in HELLOs
     Mutant("duplicate-not-recorded", "src/olsrtune/olsr.py",
-           "    state.duplicates[(originator, seq_no)] = expiry\n", "",
+           "    state.last_tc = key\n", "",
            # first: the run hangs once nothing suppresses duplicates
            (_ENTRIES + "::test_second_reception_at_same_instant",
             _FORWARDING + "test_each_tc_processed_once_per_node"), True),
+    Mutant("tc-key-originator-only", "src/olsrtune/olsr.py",
+           "    if key == state.last_tc:\n",
+           "    if state.last_tc is not None and key[0] == state.last_tc[0]:\n",
+           (_ENTRIES + "::test_receive_tc_relays_only_for_selectors",), True),
     Mutant("hello-mprs-not-ensured", "src/olsrtune/olsr.py",
            "frozenset(ensure_mprs(state))", "frozenset(state.mpr_set)",
            ("tests/test_olsr.py::TestMessages::test_hello_advertises_fresh_mprs",
@@ -124,8 +128,8 @@ MUTANTS = (
            (_ENTRIES + "::test_routes_skip_lapsed_neighbour",), True),
     # expiry bookkeeping, the mutation catalogue, the CBR queue and the
     # radio model's errstate
-    Mutant("topology-min-stale-after-expire", "src/olsrtune/olsr.py",
-           "            rec[2] = min(dests.values())\n", "", (_LAZY,), True),
+    Mutant("topology-expiry-not-in-bound", "src/olsrtune/olsr.py",
+           "        elif exp < bound:\n            bound = exp\n", "", (_LAZY,), True),
     Mutant("straggler-min-stale-after-expire", "src/olsrtune/olsr.py",
            "                del hood[t]\n"
            "            nb.straggler_min = min(hood.values()) if hood else math.inf\n",
