@@ -445,15 +445,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", required=True, help="area in meters, WxH (e.g. 400x300)")
     p.add_argument("--vehicles", required=True, type=int, help="number of vehicles")
     p.add_argument("--flows", required=True, type=int, help="number of CBR flows")
-    p.add_argument("--streets", default="4x4", help="street grid RxC (default 4x4)")
-    p.add_argument("--speed", default="8:14", help="speed range m/s MIN:MAX (default 8:14)")
-    p.add_argument("--pause", type=float, default=4.0, help="intersection pause s")
-    p.add_argument("--sample-step", type=float, default=1.0, help="trace sampling step s")
-    p.add_argument("--duration", type=float, default=180.0, help="scenario duration s")
-    p.add_argument("--packet-size", type=int, default=512, help="CBR packet bytes")
-    p.add_argument("--rate", type=float, default=4.0, help="CBR packets per second")
+    for flag, cast, default, what in (
+        ("--streets", str, "%dx%d" % GridSpec.streets, "street grid RxC"),
+        ("--speed", str, "%g:%g" % GridSpec.speed, "speed range m/s MIN:MAX"),
+        ("--pause", float, GridSpec.pause_time, "intersection pause s"),
+        ("--sample-step", float, GridSpec.sample_step, "trace sampling step s"),
+        ("--duration", float, GridSpec.duration, "scenario duration s"),
+        ("--packet-size", int, FlowTemplate.packet_size, "CBR packet bytes"),
+        ("--rate", float, FlowTemplate.rate, "CBR packets per second"),
+        ("--flow-duration", float, FlowTemplate.duration, "flow duration s"),
+    ):
+        p.add_argument(flag, type=cast, default=default, help=f"{what} (default %(default)s)")
     p.add_argument("--flow-start", type=float, default=None, help="flow start s (default centered)")
-    p.add_argument("--flow-duration", type=float, default=60.0, help="flow duration s")
     p.add_argument("--range", type=float, default=500.0, help="radio range m")
     p.add_argument("--bandwidth", type=float, default=6e6, help="bandwidth bit/s")
     p.add_argument("--loss", default="ideal", help="loss model: ideal | bernoulli:P")

@@ -24,7 +24,8 @@ and never expire on their own.
 
 The entries keep a contract, and the functions they call rely on it:
 
-(a) for a given state, now never decreases and the config is fixed;
+(a) for a given state, now never decreases and the config is fixed, so
+    a dict that gains entries only at now + a hold time is in expiry order;
 (b) a clean mpr_set is a subset of the symmetric neighbours: select_mprs
     picks only symmetric ones, a link stays symmetric until it expires,
     and that expiry marks the MPRs dirty;
@@ -68,18 +69,17 @@ neighbour too). Its two-hop hood is stored in two parts:
   our own id. Its entries expire with the link, at expiry;
 - stragglers holds ids an older HELLO listed and the latest one does
   not, each with the expiry of the last HELLO that listed it. It never
-  holds our own id or an id of adv, and straggler_min is its minimum
-  (inf while it is empty).
+  holds our own id or an id of adv, so an id it gains is a new key, at
+  the link's previous expiry: by (a) the dict is in expiry order.
 
 select_mprs reads a hood as the union of the two without our own id,
-through _strict_hood. make_hello reuses its previous views object while
-the new one is equal, and its previous advertised set while only the
-listed or MPR set changed, so a receiver that already stores the
-sender's advertised set does no hood work at all. The other receivers
-of a frame mostly store one and the same older set, so process_hello
-computes the ids gained and lost once per stored set, not once per
-receiver. Since stragglers hold no id of the stored set, the ids of adv
-to drop from them are among the gained ones.
+through _strict_hood. make_hello reuses its previous advertised set
+while it is equal, so a receiver that already stores the sender's
+advertised set does no hood work at all. The other receivers of a frame
+mostly store one and the same older set, so process_hello computes the
+ids gained and lost once per stored set, not once per receiver. Since
+stragglers hold no id of the stored set, the ids of adv to drop from
+them are among the gained ones.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -105,12 +105,16 @@ set (process_tc's new set, expire's lapsed record) can change the table:
 
 Any other change only adds or drops a candidate that loses at its hop
 count, or sits in the record of an unrouted originator, which
-compute_routes never reads. An asymmetric link or a lapsed MPR-selector
-entry marks neither MPRs nor routes.
+compute_routes never reads. An asymmetric link or a lapsed MPR
+selection marks neither MPRs nor routes.
 
 A topology record is (dests, expiry): one TC's destinations share its
-expiry. expire opens only the straggler dicts whose minimum
-(straggler_min) has passed, and drops topology records whole.
+expiry. process_tc moves the originator's record to the end, so by (a)
+the topology dict is in expiry order too, and expire drops lapsed
+entries of it and of each straggler dict from the front. A neighbour's
+selector_expiry, that of its latest HELLO that named us as MPR, never
+exceeds its link's expiry, so expire leaves it alone: readers compare
+it with now.
 """
 
 from __future__ import annotations
@@ -352,7 +356,7 @@ class Tc(NamedTuple):
 
 @dataclass(slots=True)
 class Neighbor:
-    """One neighbour's link, willingness and two-hop hood."""
+    """One neighbour's link, willingness, two-hop hood and MPR selection."""
 
     sym: bool
     expiry: float  # of the link, and of every id in adv
@@ -361,7 +365,8 @@ class Neighbor:
     adv: frozenset = _NO_IDS
     # id an older HELLO listed and the latest one does not -> expiry
     stragglers: dict = field(default_factory=dict)
-    straggler_min: float = math.inf  # min(stragglers.values())
+    # of the latest HELLO that selected us as MPR; selected while > now
+    selector_expiry: float = -math.inf
 
 
 @dataclass
@@ -372,8 +377,6 @@ class OlsrNodeState:
     neighbors: dict = field(default_factory=dict)  # id -> Neighbor
     mpr_set: set = field(default_factory=set)
     mprs_dirty: bool = False
-    # neighbor that selected us as MPR -> expiry
-    mpr_selectors: dict = field(default_factory=dict)
     # originator (last hop) -> (frozenset of dests, expiry), never empty
     topology: dict = field(default_factory=dict)
     # (originator, seq_no) of the latest TC processed
@@ -383,39 +386,31 @@ class OlsrNodeState:
     # dest -> the last hop of its route, valid with routing_table
     route_last_hop: dict = field(default_factory=dict)
     routes_dirty: bool = False
-    # HelloViews of the latest HELLO made
-    last_hello: HelloViews | None = None
+    # advertised set of the latest HELLO made
+    last_adv: frozenset = _NO_IDS
     tc_seq: int = 0
     # conservative lower bound on the earliest stored expiry; lets
     # expire() return in O(1) when nothing can have lapsed
     next_expiry: float = math.inf
 
-    def note_expiry(self, expiry: float):
-        if expiry < self.next_expiry:
-            self.next_expiry = expiry
-
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     """Build this node's next HELLO, advertising all current links. Its
-    views are the previous HELLO's object while equal, and so is its
-    advertised set while only the listed or MPR set changed."""
+    advertised set is the previous HELLO's object while equal."""
     nbrs = state.neighbors
-    last = state.last_hello
     adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
-    if last is not None and adv == last.adv:
-        adv = last.adv
-    views = HelloViews(frozenset(nbrs), frozenset(ensure_mprs(state)), adv)
-    if views == last:
-        views = last
+    if adv == state.last_adv:
+        adv = state.last_adv
     else:
-        state.last_hello = views
+        state.last_adv = adv
+    views = HelloViews(frozenset(nbrs), frozenset(ensure_mprs(state)), adv)
     return Hello(state.node_id, config.willingness, views)
 
 
-def make_tc(state: OlsrNodeState, config: OlsrConfig) -> Tc:
-    """Build this node's next TC, advertising its MPR selectors."""
+def make_tc(state: OlsrNodeState, selectors: tuple) -> Tc:
+    """Build this node's next TC, advertising its MPR selectors, sorted."""
     state.tc_seq += 1
-    return Tc(state.node_id, state.node_id, state.tc_seq, tuple(sorted(state.mpr_selectors)))
+    return Tc(state.node_id, state.node_id, state.tc_seq, selectors)
 
 
 def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> None:
@@ -445,7 +440,7 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
         sym = nb.sym = was_sym or me in listed
         nb.expiry = expiry
         if me in mprs:
-            state.mpr_selectors[sender] = expiry
+            nb.selector_expiry = expiry
 
         # the advertised set replaces the old one, whose ids the new one
         # no longer lists stay as stragglers at the old link expiry
@@ -467,7 +462,6 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
             for t in lost:
                 if t != me:
                     hood[t] = old_expiry
-            nb.straggler_min = min(hood.values()) if hood else math.inf
 
         if nb.will != own_will:
             nb.will = own_will
@@ -548,8 +542,7 @@ def select_mprs(state: OlsrNodeState) -> set:
             key = (nbrs[n].will, gain, -n)
             if best_key is None or key > best_key:
                 best, best_key = n, key
-        if best is None:
-            break  # leftovers are uncoverable
+        # best is set: every uncovered id lies in cover[n] for an n not in mprs
         mprs.add(best)
         uncovered -= cover[best]
 
@@ -567,23 +560,22 @@ def ensure_mprs(state: OlsrNodeState) -> set:
 def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> None:
     """Apply a received TC: its destinations replace the originator's
     (dest, last_hop=originator) tuples, and an empty set drops them. By
-    (d) the TC is newer than the record it replaces."""
+    (d) the TC is newer than the record it replaces; its record goes last."""
     orig = msg.originator
     me = state.node_id
     if orig == me:
         return
     topology = state.topology
     dests = frozenset([dest for dest in msg.selectors if dest != me])
-    rec = topology.get(orig)
+    rec = topology.pop(orig, None)
     old = _NO_IDS if rec is None else rec[0]
     if not state.routes_dirty and dests != old:
         state.routes_dirty = _routes_change(state, orig, dests - old, old - dests)
     if dests:
         expiry = now + config.top_hold_time
-        state.note_expiry(expiry)
+        if expiry < state.next_expiry:
+            state.next_expiry = expiry
         topology[orig] = (dests, expiry)
-    elif rec is not None:
-        del topology[orig]
 
 
 def _routes_change(state: OlsrNodeState, orig: int, added, removed) -> bool:
@@ -607,10 +599,10 @@ def _routes_change(state: OlsrNodeState, orig: int, added, removed) -> bool:
     return False
 
 
-def should_forward(state: OlsrNodeState, sender: int) -> bool:
-    """Default forwarding rule: relay only if the sender selected this
-    node as MPR."""
-    return sender in state.mpr_selectors
+def should_forward(state: OlsrNodeState, sender: int, now: float) -> bool:
+    """Default forwarding rule: relay only if the sender, a neighbour,
+    selected this node as MPR in a HELLO that has not lapsed."""
+    return state.neighbors[sender].selector_expiry > now
 
 
 def compute_routes(state: OlsrNodeState) -> dict:
@@ -656,8 +648,8 @@ def ensure_routes(state: OlsrNodeState) -> dict:
 def expire(state: OlsrNodeState, now: float) -> None:
     """Drop every entry whose expiry is <= now and mark MPRs or routes
     dirty if an input of theirs went. O(1) when the earliest stored
-    expiry is still ahead; otherwise opens only the straggler dicts whose
-    minimum has passed."""
+    expiry is still ahead; otherwise scans the links and reads the
+    straggler and topology dicts, in expiry order, from the front."""
     if now < state.next_expiry:
         return
 
@@ -668,31 +660,29 @@ def expire(state: OlsrNodeState, now: float) -> None:
             state.routes_dirty = True
     bound = math.inf
     for nb in nbrs.values():
-        if nb.straggler_min <= now:
-            hood = nb.stragglers
-            dead = [t for t, exp in hood.items() if exp <= now]
-            for t in dead:
-                del hood[t]
-            nb.straggler_min = min(hood.values()) if hood else math.inf
-            if nb.sym and any(not (t in nbrs and nbrs[t].sym) for t in dead):
-                state.mprs_dirty = True
         if nb.expiry < bound:
             bound = nb.expiry
-        if nb.straggler_min < bound:
-            bound = nb.straggler_min
-
-    selectors = state.mpr_selectors
-    for n in [n for n, exp in selectors.items() if exp <= now]:
-        del selectors[n]
-    bound = min(bound, min(selectors.values(), default=math.inf))
+        hood = nb.stragglers
+        if hood:
+            head = next(iter(hood.values()))
+            if head <= now:
+                dead = [t for t, exp in hood.items() if exp <= now]
+                for t in dead:
+                    del hood[t]
+                if nb.sym and any(not (t in nbrs and nbrs[t].sym) for t in dead):
+                    state.mprs_dirty = True
+                head = next(iter(hood.values()), math.inf)
+            if head < bound:
+                bound = head
 
     topology = state.topology
     lapsed = []
     for orig, (_dests, exp) in topology.items():
-        if exp <= now:
-            lapsed.append(orig)
-        elif exp < bound:
-            bound = exp
+        if exp > now:
+            if exp < bound:
+                bound = exp
+            break
+        lapsed.append(orig)
     for orig in lapsed:
         dests = topology.pop(orig)[0]
         if not state.routes_dirty:
@@ -719,7 +709,8 @@ def receive_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
 
 def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
     expire(state, now)
-    return make_tc(state, config) if state.mpr_selectors else None
+    selectors = tuple(sorted([n for n, nb in state.neighbors.items() if nb.selector_expiry > now]))
+    return make_tc(state, selectors) if selectors else None
 
 
 def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> Tc | None:
@@ -735,7 +726,7 @@ def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) ->
         return None
     process_tc(state, msg, now, config)
     state.last_tc = key
-    if should_forward(state, msg.sender):
+    if should_forward(state, msg.sender, now):
         return msg._replace(sender=state.node_id)
     return None
 

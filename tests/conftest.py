@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: static topologies and tiny scenarios."""
+"""Shared builders and checks for the test suite: static topologies, tiny
+scenarios and the expiry order of a node's OLSR tables."""
 
 import pytest
 
@@ -36,6 +37,15 @@ def make_static_scenario(
 def line_positions(n, spacing=100.0):
     """n nodes on a line, each `spacing` meters apart."""
     return {i: (i * spacing, 0.0) for i in range(n)}
+
+
+def assert_expiry_order(state):
+    """Every straggler dict and the topology dict of an OLSR node state
+    hold their entries in non-decreasing expiry order."""
+    tables = [list(nb.stragglers.values()) for nb in state.neighbors.values()]
+    tables.append([exp for _dests, exp in state.topology.values()])
+    for expiries in tables:
+        assert expiries == sorted(expiries)
 
 
 @pytest.fixture

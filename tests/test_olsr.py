@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from conftest import assert_expiry_order
 from olsrtune.errors import ConfigurationError
 from olsrtune.olsr import (
     GENE_NAMES,
@@ -53,11 +54,8 @@ CFG = rfc_default()
 
 
 def nbr(sym, expiry, will=WILL_DEFAULT, adv=(), stragglers=None):
-    """A Neighbor record with its straggler minimum filled in."""
-    stragglers = dict(stragglers or {})
-    return Neighbor(
-        sym, expiry, will, frozenset(adv), stragglers, min(stragglers.values(), default=math.inf)
-    )
+    """A Neighbor record."""
+    return Neighbor(sym, expiry, will, frozenset(adv), dict(stragglers or {}))
 
 
 def hello(sender, *, sym=(), asym=(), mpr=(), will=WILL_DEFAULT):
@@ -200,13 +198,14 @@ class TestMessages:
 
     def test_tc_seq_increments(self):
         state = OlsrNodeState(node_id=0)
-        assert make_tc(state, CFG).seq_no == 1
-        assert make_tc(state, CFG).seq_no == 2
+        assert make_tc(state, ()).seq_no == 1
+        assert make_tc(state, ()).seq_no == 2
 
     def test_tc_lists_sorted_selectors(self):
         state = OlsrNodeState(node_id=0)
-        state.mpr_selectors = {5: 99.0, 2: 99.0}
-        msg = make_tc(state, CFG)
+        state.neighbors = {n: nbr(True, 99.0) for n in (5, 3, 2)}
+        state.neighbors[5].selector_expiry = state.neighbors[2].selector_expiry = 99.0
+        msg = next_tc(state, 0.0, CFG)
         assert msg.selectors == (2, 5)
         assert msg.size == TC_HEADER_BYTES + 2 * TC_ENTRY_BYTES
 
@@ -249,7 +248,7 @@ class TestLinkSensing:
     def test_mpr_selector_recorded(self):
         b = OlsrNodeState(node_id=1)
         process_hello([b], hello(0, mpr=[1]), 0.0, CFG)
-        assert 0 in b.mpr_selectors
+        assert b.neighbors[0].selector_expiry == CFG.neighb_hold_time
 
 
 class TestSelectMprs:
@@ -440,7 +439,7 @@ class TestShouldForward:
     def test_non_selector_not_forwarded_but_recorded(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
-        assert should_forward(s, 1) is False
+        assert should_forward(s, 1, 0.0) is False
         assert receive_tc(s, Tc(9, 1, 1, (6,)), 0.0, CFG) is None
         assert s.last_tc == (9, 1)
 
@@ -510,7 +509,7 @@ class TestExpire:
 
 
 class TestEntries:
-    """The entries expire first: a lapsed link, selector or neighbour
+    """The entries expire first: a lapsed link, MPR selection or neighbour
     counts for nothing at `now`, with no separate expire call."""
 
     HOLD = CFG.neighb_hold_time
@@ -537,6 +536,19 @@ class TestEntries:
         assert next_tc(s, 1.0, CFG) == Tc(0, 0, 1, (1,))
         assert next_tc(s, self.HOLD, CFG) is None
         assert s.tc_seq == 1
+        assert s.neighbors == {}  # the lapsed link went first
+
+    def test_selection_lapses_before_the_link(self):
+        # 1 selects us at 0 and lists us as SYM only at 1: at HOLD + 0.5
+        # the link is live, but the selection lapsed at HOLD
+        s = OlsrNodeState(node_id=0)
+        receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
+        receive_hello([s], hello(1, sym=[0]), 1.0, CFG)
+        t = self.HOLD + 0.5
+        assert receive_tc(s, Tc(5, 1, 1, (6,)), t, CFG) is None
+        assert link(s, 1) == (True, 1.0 + self.HOLD)
+        assert set(s.topology[5][0]) == {6}  # applied all the same
+        assert next_tc(s, t, CFG) is None
 
     def test_receive_tc_over_lapsed_link_dropped(self):
         s = OlsrNodeState(node_id=0)
@@ -589,20 +601,28 @@ def full_hood(s, n):
 
 
 def stored_expiries(s):
+    """The expiries that expire drops entries at, so next_expiry bounds
+    them: links, stragglers and topology records. MPR selections lapse by
+    their readers' comparison with now instead."""
     out = [nb.expiry for nb in s.neighbors.values()]
     out += [exp for nb in s.neighbors.values() for exp in nb.stragglers.values()]
-    out += list(s.mpr_selectors.values())
     out += [exp for _dests, exp in s.topology.values()]
     return out
 
 
+def lapse_instants(s):
+    """Every stored expiry, MPR selections' included: instants at which
+    something lapses."""
+    return stored_expiries(s) + [nb.selector_expiry for nb in s.neighbors.values()]
+
+
 def tables(s):
-    """Every stored table, without the per-neighbour straggler minima."""
+    """Every stored table."""
     return {
         "neighbors": {
-            n: (nb.sym, nb.expiry, nb.will, nb.adv, nb.stragglers) for n, nb in s.neighbors.items()
+            n: (nb.sym, nb.expiry, nb.will, nb.adv, nb.stragglers, nb.selector_expiry)
+            for n, nb in s.neighbors.items()
         },
-        "mpr_selectors": s.mpr_selectors,
         "topology": s.topology,
     }
 
@@ -614,8 +634,7 @@ def reference_expire(s, now):
         return
     for n in [n for n, nb in s.neighbors.items() if nb.expiry <= now]:
         del s.neighbors[n]
-    hoods = [nb.stragglers for nb in s.neighbors.values()]
-    for table in [*hoods, s.mpr_selectors]:
+    for table in [nb.stragglers for nb in s.neighbors.values()]:
         for k in [k for k, exp in table.items() if exp <= now]:
             del table[k]
     s.topology = {o: rec for o, rec in s.topology.items() if rec[1] > now}
@@ -654,8 +673,8 @@ class TestLazyEqualsEager:
 
     def check(self, s, ref):
         """Caches equal fresh evaluations, tables equal those of the
-        full-scan reference, the straggler minima are exact and no
-        topology record is empty."""
+        full-scan reference, the straggler and topology dicts are in
+        expiry order and no topology record is empty."""
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
         got, want = tables(s), tables(ref)
@@ -663,8 +682,7 @@ class TestLazyEqualsEager:
             assert got[name] == want[name], name
         assert s.next_expiry == ref.next_expiry
         assert all(s.next_expiry <= exp for exp in stored_expiries(s))
-        for nb in s.neighbors.values():
-            assert nb.straggler_min == min(nb.stragglers.values(), default=math.inf)
+        assert_expiry_order(s)
         assert all(dests for dests, _exp in s.topology.values())
 
     @pytest.mark.parametrize("will", (0, 3, 7))
@@ -691,7 +709,7 @@ class TestLazyEqualsEager:
         for _step in range(400):
             # a step is a burst of calls, so dirty flags can pile up between reads
             for _call in range(rng.randint(1, 3)):
-                due = [exp for exp in stored_expiries(s) if exp > now]
+                due = [exp for exp in lapse_instants(s) if exp > now]
                 if due and rng.random() < 0.1:
                     now = min(due)  # land exactly on an expiry: it lapses at <= now
                 else:
@@ -713,7 +731,8 @@ class TestLazyEqualsEager:
                     sender = rng.randint(1, 8)
                     expire(s, now)
                     reference_expire(ref, now)
-                    assert should_forward(s, sender) == should_forward(ref, sender)
+                    if sender in s.neighbors:
+                        assert should_forward(s, sender, now) == should_forward(ref, sender, now)
                 else:
                     expire(s, now)
                     reference_expire(ref, now)
@@ -732,7 +751,7 @@ def reference_process_hello(
         return state
     own_will, views = msg.will, msg.views
     expiry = now + config.neighb_hold_time
-    state.note_expiry(expiry)
+    state.next_expiry = min(state.next_expiry, expiry)
 
     # one pass: spot ourselves in the list, refresh the sender's hood,
     # stored whole in stragglers (adv stays empty)
@@ -745,8 +764,6 @@ def reference_process_hello(
     for nbr in views.adv:
         if nbr != me:
             hood[nbr] = expiry
-    if hood:
-        nb.straggler_min = min(hood.values())
 
     was_sym = prev is not None and prev.sym
     sym = listed or was_sym
@@ -755,7 +772,7 @@ def reference_process_hello(
     link_changed = prev is None or was_sym != sym
 
     if listed_as_mpr:
-        state.mpr_selectors[sender] = expiry
+        nb.selector_expiry = expiry
 
     if nb.will != own_will:
         nb.will = own_will
@@ -848,7 +865,7 @@ class TestHoodEqualsReference:
                 sender.mpr_set.discard(n)
 
         if op < 0.35:
-            return  # unchanged: make_hello resends the same views object
+            return  # unchanged: make_hello resends the same advertised set
         if op < 0.5 and links:
             n = rng.choice(sorted(links))
             del links[n]
@@ -878,13 +895,15 @@ class TestHoodEqualsReference:
         for nb in s.neighbors.values():
             assert s.node_id not in nb.stragglers
             assert not nb.stragglers.keys() & nb.adv
-            assert nb.straggler_min == min(nb.stragglers.values(), default=math.inf)
+        assert_expiry_order(s)
 
         def links(state):
-            return {n: (nb.sym, nb.expiry, nb.will) for n, nb in state.neighbors.items()}
+            return {
+                n: (nb.sym, nb.expiry, nb.will, nb.selector_expiry)
+                for n, nb in state.neighbors.items()
+            }
 
         assert links(s) == links(twin)
-        assert s.mpr_selectors == twin.mpr_selectors
         assert s.next_expiry <= min(stored_expiries(s), default=math.inf)
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert ensure_mprs(s) == reference_select_mprs(twin)
@@ -922,7 +941,7 @@ class TestHoodEqualsReference:
         s, twin = OlsrNodeState(node_id=0), OlsrNodeState(node_id=0)
         now = 0.0
         for _step in range(500):
-            due = [exp for exp in stored_expiries(s) if exp > now]
+            due = [exp for exp in lapse_instants(s) if exp > now]
             if due and rng.random() < 0.1:
                 now = min(due)  # land exactly on an expiry
             else:
@@ -963,10 +982,9 @@ class TestHoodEqualsReference:
     def test_views_reused_while_equal(self):
         sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
         first = make_hello(sender, CFG).views
-        assert make_hello(sender, CFG).views is first
         assert first == ({0, 2}, set(), {0})
         sender.neighbors[0].will = WILL_ALWAYS  # HELLOs do not carry it
-        assert make_hello(sender, CFG).views is first
+        assert make_hello(sender, CFG).views.adv is first.adv
         sender.mpr_set = {0}
         changed = make_hello(sender, CFG).views
         assert changed == ({0, 2}, {0}, {0})

@@ -17,7 +17,7 @@ import pytest
 
 import olsrtune
 
-from conftest import make_static_scenario, line_positions
+from conftest import assert_expiry_order, make_static_scenario, line_positions
 from olsrtune import olsr
 from olsrtune.analysis import compare_against_reference
 from olsrtune.errors import ConfigurationError
@@ -591,7 +591,8 @@ class TestForwardingPath:
         # the facts olsr's module docstring states as the entries' contract,
         # on the runs above: no node hears its own HELLO, every HELLO's
         # MPRs are among its symmetric neighbours, no topology record or
-        # straggler dict holds the owner's id, and (d) a node receives
+        # straggler dict holds the owner's id, (a) each straggler dict and
+        # the topology dict stay in expiry order, and (d) a node receives
         # each TC key at one instant only and processes an originator's
         # seq_no only rising
         checked = Counter()
@@ -600,18 +601,19 @@ class TestForwardingPath:
         heard_at = {}  # (node, originator, seq_no) -> instant
         last_seq = {}  # (node, originator) -> seq_no
 
-        def owner_absent(state):
+        def check_tables(state):
             me = state.node_id
             assert me not in state.topology
             assert all(me not in rec[0] for rec in state.topology.values())
             assert all(me not in nb.stragglers for nb in state.neighbors.values())
+            assert_expiry_order(state)
 
         def checked_hello(states, msg, now, config):
             assert all(state.node_id != msg.sender for state in states)
             assert msg.views.mprs <= msg.views.adv
             process_hello(states, msg, now, config)
             for state in states:
-                owner_absent(state)
+                check_tables(state)
             checked["hello"] += 1
 
         def checked_tc(state, msg, now, config):
@@ -619,7 +621,7 @@ class TestForwardingPath:
             assert msg.seq_no > last_seq.get(pair, 0)
             last_seq[pair] = msg.seq_no
             process_tc(state, msg, now, config)
-            owner_absent(state)
+            check_tables(state)
             checked["tc"] += 1
 
         def checked_receive(state, msg, now, config):

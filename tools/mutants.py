@@ -82,13 +82,14 @@ MUTANTS = (
     Mutant("hello-diff-cache-stale", "src/olsrtune/olsr.py",
            "if old is not last_old:", "if last_old is None:", (_HOOD,), True),
     Mutant("hello-selector-refresh-dropped", "src/olsrtune/olsr.py",
-           "        if me in mprs:\n            state.mpr_selectors[sender] = expiry\n", "",
+           "        if me in mprs:\n            nb.selector_expiry = expiry\n", "",
            (_HOOD, _ENTRIES), True),
     Mutant("hello-next-expiry-not-lowered", "src/olsrtune/olsr.py",
-           "        if expiry < state.next_expiry:\n            state.next_expiry = expiry\n", "",
+           "        if expiry < state.next_expiry:\n            state.next_expiry = expiry\n"
+           "        nbrs = state.neighbors\n", "        nbrs = state.neighbors\n",
            (_HOOD, _ENTRIES), True),
     Mutant("hello-adv-reused-unequal", "src/olsrtune/olsr.py",
-           "if last is not None and adv == last.adv:", "if last is not None:",
+           "    if adv == state.last_adv:\n", "    if state.last_adv:\n",
            (_HOOD,), True),
     # the entries' contract: receive_tc's one-key duplicate rule, fresh MPRs
     # in HELLOs
@@ -115,8 +116,8 @@ MUTANTS = (
            "            pass\n    process_hello(states, msg, now, config)\n",
            (_ENTRIES + "::test_receive_hello_after_lapse_starts_fresh_link",), True),
     Mutant("next-tc-no-expire", "src/olsrtune/olsr.py",
-           "    expire(state, now)\n    return make_tc(state, config) if",
-           "    return make_tc(state, config) if",
+           "    expire(state, now)\n    selectors = tuple(sorted(",
+           "    selectors = tuple(sorted(",
            (_ENTRIES + "::test_next_tc_none_once_only_selector_lapsed",), True),
     Mutant("receive-tc-no-expire", "src/olsrtune/olsr.py",
            "    expire(state, now)\n    nb = state.neighbors.get(msg.sender)\n",
@@ -126,14 +127,20 @@ MUTANTS = (
            "    expire(state, now)\n    return ensure_routes(state)\n",
            "    return ensure_routes(state)\n",
            (_ENTRIES + "::test_routes_skip_lapsed_neighbour",), True),
-    # expiry bookkeeping, the mutation catalogue, the CBR queue and the
-    # radio model's errstate
+    # expiry bookkeeping: tables in expiry order, the MPR selection's lapse;
+    # the mutation catalogue, the CBR queue and the radio model's errstate
     Mutant("topology-expiry-not-in-bound", "src/olsrtune/olsr.py",
-           "        elif exp < bound:\n            bound = exp\n", "", (_LAZY,), True),
-    Mutant("straggler-min-stale-after-expire", "src/olsrtune/olsr.py",
-           "                del hood[t]\n"
-           "            nb.straggler_min = min(hood.values()) if hood else math.inf\n",
-           "                del hood[t]\n", (_LAZY,), True),
+           "            if exp < bound:\n                bound = exp\n", "", (_LAZY,), True),
+    Mutant("tc-next-expiry-not-lowered", "src/olsrtune/olsr.py",
+           "        if expiry < state.next_expiry:\n            state.next_expiry = expiry\n"
+           "        topology[orig]", "        topology[orig]", (_LAZY,), True),
+    Mutant("topology-record-updated-in-place", "src/olsrtune/olsr.py",
+           "rec = topology.pop(orig, None)", "rec = topology.get(orig)", (_LAZY,), True),
+    Mutant("straggler-head-not-reread", "src/olsrtune/olsr.py",
+           "                head = next(iter(hood.values()), math.inf)\n", "", (_LAZY,), True),
+    Mutant("selector-lapse-ignored", "src/olsrtune/olsr.py",
+           "selector_expiry > now\n", "selector_expiry > -math.inf\n",
+           (_ENTRIES + "::test_selection_lapses_before_the_link",), True),
     Mutant("sym-link-expiry-not-dirty", "src/olsrtune/olsr.py",
            "        if nbrs.pop(n).sym:\n"
            "            state.mprs_dirty = True\n            state.routes_dirty = True\n",
