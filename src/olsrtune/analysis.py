@@ -12,8 +12,6 @@ of stochastic optimizer results calls for; each imports SciPy itself.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -34,14 +32,13 @@ __all__ = [
     "speedup",
     "efficiency",
     "bench_result",
-    "bench_csv",
     "friedman_ranks",
     "wilcoxon_signed_rank",
     "kruskal_wallis",
     "ks_normality",
     "ValidationReport",
     "validation_report",
-    "report_csv",
+    "REPORT_COLUMNS",
     "report_text",
 ]
 
@@ -113,15 +110,6 @@ def bench_result(times: dict) -> BenchResult:
     sp = tuple(speedup(base, t) for t in means)
     eff = tuple(efficiency(s, m) for s, m in zip(sp, counts))
     return BenchResult(worker_counts=counts, mean_times=means, speedups=sp, efficiencies=eff)
-
-
-def bench_csv(result: BenchResult) -> str:
-    lines = ["m,mean_time_s,speedup,efficiency"]
-    for m, t, s, e in zip(
-        result.worker_counts, result.mean_times, result.speedups, result.efficiencies
-    ):
-        lines.append(f"{m},{t!r},{s!r},{e!r}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -292,6 +280,8 @@ _REPORT_COLS = (
     ("nrl", "min"),
     ("hops", "min"),
 )
+# the metric columns of a report, in order, after its section and config
+REPORT_COLUMNS = tuple(col for col, _dir in _REPORT_COLS)
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,7 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
                 doc = sim.metrics_to_json(m)
                 for key in (label, "overall"):
                     bucket = cells.setdefault((key, name), {})
-                    for col, _dir in _REPORT_COLS:
+                    for col in REPORT_COLUMNS:
                         if doc[col] is not None:
                             bucket.setdefault(col, []).append(doc[col])
 
@@ -342,7 +332,7 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
         for name, _config in configs:
             bucket = cells.get((label, name), {})
             row = {"config": name}
-            for col, _dir in _REPORT_COLS:
+            for col in REPORT_COLUMNS:
                 vals = bucket.get(col)
                 row[col] = float(np.mean(vals)) if vals else None
             rows.append(row)
@@ -356,29 +346,15 @@ def validation_report(configs, scenarios, nic, seeds) -> ValidationReport:
     return ValidationReport(sections=tuple(sections), runs=runs, failures=failures)
 
 
-def report_csv(report: ValidationReport) -> str:
-    """CSV text with LF row ends; a config name such as `a,b` is quoted."""
-    cols = [c for c, _d in _REPORT_COLS]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "config", *cols])
-    for label, rows in report.sections:
-        for row in rows:
-            vals = ["" if row[c] is None else repr(row[c]) for c in cols]
-            writer.writerow([label, row["config"], *vals])
-    return buf.getvalue()
-
-
 def report_text(report: ValidationReport) -> str:
-    cols = [c for c, _d in _REPORT_COLS]
-    headers = ["config"] + cols
+    headers = ["config", *REPORT_COLUMNS]
     out = []
     for label, rows in report.sections:
         out.append(f"== {label} ==")
         table = [headers]
         for row in rows:
             cells = [row["config"]]
-            for c in cols:
+            for c in REPORT_COLUMNS:
                 v = row[c]
                 mark = "*" if row.get(f"{c}_best") else ""
                 cells.append("-" if v is None else f"{v:.2f}{mark}")

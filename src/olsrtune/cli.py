@@ -18,12 +18,16 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, analysis, evo, olsr, sim
 from .errors import DomainError, InputError
 from .scenario import (
+    DEFAULT_BANDWIDTH_BPS,
+    DEFAULT_RADIO_RANGE_M,
+    LOSS_IDEAL,
     FlowTemplate,
     GridSpec,
     LossModel,
@@ -90,12 +94,18 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text with the csv module's CRLF row ends, which the golden digests pin."""
+def _csv_text(header, rows, lineterminator="\r\n") -> str:
+    """The CSV text of every output table. A str cell stays as it is, None
+    is an empty cell (an undefined metric) and any other value is its repr,
+    for a float Python's shortest round-trip form. Rows end in the csv
+    module's CRLF, or in LF for report.csv and bench.csv; the golden
+    digests pin both."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator=lineterminator)
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(
+        [v if isinstance(v, str) else "" if v is None else repr(v) for v in row] for row in rows
+    )
     return buf.getvalue()
 
 
@@ -240,23 +250,16 @@ def cmd_simulate(args) -> int:
     nic = sim.default_nic()
     manifest.setting(scenario=scenario_id, config=config_id, compare_rfc=args.compare_rfc)
 
-    rows = []
-    doc: dict = {}
     if args.compare_rfc:
         m_cfg, m_rfc, gaps = analysis.compare_against_reference(scenario, config, nic, args.seed)
-        rows.append(sim.metrics_row(m_cfg, scenario_id, config_id, args.seed))
-        rows.append(sim.metrics_row(m_rfc, scenario_id, "rfc_default", args.seed))
-        doc = {
-            "config": sim.metrics_to_json(m_cfg),
-            "reference": sim.metrics_to_json(m_rfc),
-            "gap_energy": gaps[0],
-            "gap_pdr": gaps[1],
-        }
+        doc_cfg, doc_rfc = sim.metrics_to_json(m_cfg), sim.metrics_to_json(m_rfc)
+        runs = [(config_id, doc_cfg), ("rfc_default", doc_rfc)]
+        doc = {"config": doc_cfg, "reference": doc_rfc, "gap_energy": gaps[0], "gap_pdr": gaps[1]}
     else:
-        metrics = sim.run_simulation(scenario, config, nic, args.seed)
-        rows.append(sim.metrics_row(metrics, scenario_id, config_id, args.seed))
-        doc = sim.metrics_to_json(metrics)
-
+        doc = sim.metrics_to_json(sim.run_simulation(scenario, config, nic, args.seed))
+        runs = [(config_id, doc)]
+    # the dicts of metrics.json fill metrics.csv too
+    rows = [[scenario_id, cid, args.seed, *values.values()] for cid, values in runs]
     csv_path = manifest.output("metrics.csv", _csv_text(sim.METRICS_COLUMNS, rows))
     json_path = manifest.output("metrics.json", _json_text(doc))
     manifest.write()
@@ -301,8 +304,8 @@ def cmd_tune(args) -> int:
             nic,
             ctx,
         )
-        cells = [[repr(r[c]) for c in evo.GRID_COLUMNS] for r in rows]
-        grid_path = manifest.output("grid.csv", _csv_text(evo.GRID_COLUMNS, cells))
+        grid_text = _csv_text(evo.GRID_COLUMNS, [r.values() for r in rows])
+        grid_path = manifest.output("grid.csv", grid_text)
         manifest.write()
         print(f"wrote {grid_path}")
         return 0
@@ -311,8 +314,8 @@ def cmd_tune(args) -> int:
     config = olsr.decode_genome(best.genes, space)
 
     best_path = manifest.output("best_config.json", _json_text(olsr.config_to_dict(config)))
-    hist_rows = [evo.history_row(h) for h in history]
-    hist_path = manifest.output("history.csv", _csv_text(evo.HISTORY_COLUMNS, hist_rows))
+    hist_header = [f.name for f in fields(evo.GenerationStats)]
+    hist_path = manifest.output("history.csv", _csv_text(hist_header, map(astuple, history)))
     manifest.write(
         extra={
             "best": {
@@ -371,7 +374,13 @@ def cmd_validate(args) -> int:
     manifest.setting(scenario_count=len(scenarios), configs=names, seeds=seeds)
 
     report = analysis.validation_report(configs, scenarios, sim.default_nic(), seeds)
-    csv_path = manifest.output("report.csv", analysis.report_csv(report))
+    cols = analysis.REPORT_COLUMNS
+    rows = [
+        [label, row["config"], *(row[c] for c in cols)]
+        for label, section in report.sections
+        for row in section
+    ]
+    csv_path = manifest.output("report.csv", _csv_text(["section", "config", *cols], rows, "\n"))
     txt_path = manifest.output("report.txt", analysis.report_text(report))
     manifest.write(extra={"runs": report.runs, "failures": report.failures})
     print(f"wrote {csv_path} and {txt_path} ({report.runs} runs, {report.failures} failures)")
@@ -416,12 +425,12 @@ def cmd_bench(args) -> int:
         times[settings.workers] = samples
 
     result = analysis.bench_result(times)
-    csv_path = manifest.output("bench.csv", analysis.bench_csv(result))
+    rows = list(zip(result.worker_counts, result.mean_times, result.speedups, result.efficiencies))
+    header = ["m", "mean_time_s", "speedup", "efficiency"]
+    csv_path = manifest.output("bench.csv", _csv_text(header, rows, "\n"))
     # wall-clock measurements: this output is honest data, not replayable
     manifest.write(extra={"deterministic_outputs": False})
-    for m, t, s, e in zip(
-        result.worker_counts, result.mean_times, result.speedups, result.efficiencies
-    ):
+    for m, t, s, e in rows:
         print(f"workers={m} mean={t:.3f}s speedup={s:.2f} efficiency={e:.2f}")
     print(f"wrote {csv_path}")
     return 0
@@ -454,12 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--packet-size", int, FlowTemplate.packet_size, "CBR packet bytes"),
         ("--rate", float, FlowTemplate.rate, "CBR packets per second"),
         ("--flow-duration", float, FlowTemplate.duration, "flow duration s"),
+        ("--range", float, DEFAULT_RADIO_RANGE_M, "radio range m"),
+        ("--bandwidth", float, DEFAULT_BANDWIDTH_BPS, "bandwidth bit/s"),
+        ("--loss", str, LOSS_IDEAL.kind, "loss model: ideal | bernoulli:P"),
     ):
         p.add_argument(flag, type=cast, default=default, help=f"{what} (default %(default)s)")
     p.add_argument("--flow-start", type=float, default=None, help="flow start s (default centered)")
-    p.add_argument("--range", type=float, default=500.0, help="radio range m")
-    p.add_argument("--bandwidth", type=float, default=6e6, help="bandwidth bit/s")
-    p.add_argument("--loss", default="ideal", help="loss model: ideal | bernoulli:P")
     p.add_argument("--name", default="scenario", help="output base name")
     p.set_defaults(func=cmd_gen)
 

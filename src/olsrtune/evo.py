@@ -53,8 +53,6 @@ __all__ = [
     "tournament_select",
     "evolve",
     "parameter_setting_grid",
-    "HISTORY_COLUMNS",
-    "history_row",
     "GRID_COLUMNS",
 ]
 
@@ -305,15 +303,6 @@ class GenerationStats:
     best_energy: float
     best_pdr: float
     penalized_count: int
-
-
-HISTORY_COLUMNS = ("generation", "best_f", "avg_f", "best_energy", "best_pdr", "penalized_count")
-
-
-def history_row(stats: GenerationStats) -> list:
-    """One history.csv row: repr of each HISTORY_COLUMNS field (repr of
-    an int equals its str)."""
-    return [repr(getattr(stats, c)) for c in HISTORY_COLUMNS]
 
 
 # the constant evaluation payload (scenario, nic, ctx, space, master_seed,

@@ -55,10 +55,10 @@ clean, so readers go through ensure_mprs and ensure_routes.
 
 Each message kind is one type holding only what its receivers read. A
 Hello goes one hop and is never forwarded (RFC 3626 section 6): it holds
-its sender's willingness and a HelloViews, the three link sets its
-receivers read (every neighbour the sender hears, its symmetric
-neighbours, and those it selected as MPR), which RFC 3626 section 6.1
-encodes as one link code per address. Only a Tc floods, relayed by MPRs.
+its sender's willingness and the three link sets its receivers read
+(every neighbour the sender hears, its symmetric neighbours, and those
+it selected as MPR), which RFC 3626 section 6.1 encodes as one link code
+per address. Only a Tc floods, relayed by MPRs.
 
 Each neighbour is one Neighbor record, dropped as a whole when its link
 expires (RFC 3626 section 4 keeps link, neighbour and two-hop tuples per
@@ -135,7 +135,6 @@ __all__ = [
     "Neighbor",
     "Hello",
     "Tc",
-    "HelloViews",
     "GENE_NAMES",
     "rfc_default",
     "default_param_space",
@@ -316,28 +315,22 @@ def config_from_dict(doc) -> OlsrConfig:
     return OlsrConfig(**values)
 
 
-class HelloViews(NamedTuple):
-    """The link sets a HELLO advertises, one per question its receivers
-    ask: is my link to the sender symmetric (listed), did the sender pick
-    me as MPR (mprs), and which nodes are two hops away through it (adv)."""
+class Hello(NamedTuple):
+    """A HELLO, one hop and never forwarded. Its three link sets hold the
+    RFC 3626 link codes, one set per question its receivers ask: is my
+    link to the sender symmetric (listed), did the sender pick me as MPR
+    (mprs), and which nodes are two hops away through it (adv). An id in
+    listed but not adv is ASYM, in adv but not mprs is SYM, in mprs is MPR."""
 
+    sender: int
+    will: int  # the sender's willingness
     listed: frozenset  # every neighbour the sender hears
     mprs: frozenset  # symmetric neighbours the sender selected as MPR
     adv: frozenset  # symmetric neighbours
 
-
-class Hello(NamedTuple):
-    """A HELLO, one hop and never forwarded. views holds the RFC 3626 link
-    codes as three sets: an id in listed but not adv is ASYM, in adv but
-    not mprs is SYM, in mprs is MPR."""
-
-    sender: int
-    will: int  # the sender's willingness
-    views: HelloViews
-
     @property
     def size(self) -> int:  # bytes
-        return HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(self.views.listed)
+        return HELLO_HEADER_BYTES + HELLO_ENTRY_BYTES * len(self.listed)
 
 
 class Tc(NamedTuple):
@@ -403,8 +396,9 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
         adv = state.last_adv
     else:
         state.last_adv = adv
-    views = HelloViews(frozenset(nbrs), frozenset(ensure_mprs(state)), adv)
-    return Hello(state.node_id, config.willingness, views)
+    return Hello(
+        state.node_id, config.willingness, frozenset(nbrs), frozenset(ensure_mprs(state)), adv
+    )
 
 
 def make_tc(state: OlsrNodeState, selectors: tuple) -> Tc:
@@ -424,7 +418,7 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
     run of receivers storing the same object. The ids of adv to drop from
     the stragglers are exactly the gained ones there: stragglers never
     hold an id of the stored set, so adv's ids among them are not in it."""
-    sender, own_will, (listed, mprs, adv) = msg
+    sender, own_will, listed, mprs, adv = msg
     expiry = now + config.neighb_hold_time
     last_old = gained = lost = None
     for state in states:

@@ -204,6 +204,9 @@ class LossModel:
 
 
 LOSS_IDEAL = LossModel("ideal")
+# generate_grid_scenario's radio defaults, and those of `olsrtune gen`
+DEFAULT_RADIO_RANGE_M = 500.0
+DEFAULT_BANDWIDTH_BPS = 6e6
 
 
 @dataclass(frozen=True)
@@ -356,8 +359,8 @@ def generate_grid_scenario(
     flow_params: FlowTemplate,
     seed: int,
     *,
-    radio_range: float = 500.0,
-    bandwidth: float = 6e6,
+    radio_range: float = DEFAULT_RADIO_RANGE_M,
+    bandwidth: float = DEFAULT_BANDWIDTH_BPS,
     loss_model: LossModel = LOSS_IDEAL,
 ) -> Scenario:
     """Build a deterministic grid-mobility scenario.

@@ -88,7 +88,6 @@ __all__ = [
     "run_simulation",
     "routing_snapshot",
     "METRICS_COLUMNS",
-    "metrics_row",
     "metrics_to_json",
     "PROCESSING_DELAY_S",
     "MAX_HOPS",
@@ -164,41 +163,30 @@ class SimMetrics:
     control_tx: int
 
 
-# One entry per metric, in column order: (name, getter, optional). An
-# optional metric is None when undefined and its CSV cell is then empty.
+# One entry per metric, in column order: (name, getter).
 _METRIC_FIELDS = tuple(
-    (name, attrgetter(path), optional)
-    for name, path, optional in (
-        ("pdr", "pdr", True),
-        ("e2ed_ms", "e2ed_ms", True),
-        ("nrl", "nrl", True),
-        ("hops", "hops", True),
-        ("e_sent_mj", "energy.e_sent", False),
-        ("e_recv_mj", "energy.e_recv", False),
-        ("e_total_mj", "energy.e_total", False),
-        ("e_total_per_vehicle_mj", "energy.e_total_per_vehicle", False),
-        ("data_sent", "data_sent", False),
-        ("data_delivered", "data_delivered", False),
-        ("control_tx", "control_tx", False),
+    (name, attrgetter(path))
+    for name, path in (
+        ("pdr", "pdr"),
+        ("e2ed_ms", "e2ed_ms"),
+        ("nrl", "nrl"),
+        ("hops", "hops"),
+        ("e_sent_mj", "energy.e_sent"),
+        ("e_recv_mj", "energy.e_recv"),
+        ("e_total_mj", "energy.e_total"),
+        ("e_total_per_vehicle_mj", "energy.e_total_per_vehicle"),
+        ("data_sent", "data_sent"),
+        ("data_delivered", "data_delivered"),
+        ("control_tx", "control_tx"),
     )
 )
 
 METRICS_COLUMNS = ("scenario_id", "config_id", "seed") + tuple(f[0] for f in _METRIC_FIELDS)
 
 
-def _cell(value, optional: bool) -> str:
-    if optional:
-        return "" if value is None else repr(float(value))
-    return repr(value)
-
-
-def metrics_row(metrics: SimMetrics, scenario_id: str, config_id: str, seed: int) -> list:
-    cells = [_cell(get(metrics), optional) for _name, get, optional in _METRIC_FIELDS]
-    return [scenario_id, config_id, str(seed)] + cells
-
-
 def metrics_to_json(metrics: SimMetrics) -> dict:
-    return {name: get(metrics) for name, get, _optional in _METRIC_FIELDS}
+    """Each metric by name, in METRICS_COLUMNS order; None where undefined."""
+    return {name: get(metrics) for name, get in _METRIC_FIELDS}
 
 
 # Two points moving linearly never come closer than their start distance

@@ -8,7 +8,6 @@ import pytest
 from conftest import make_static_scenario, line_positions
 from olsrtune import sim
 from olsrtune.analysis import (
-    bench_csv,
     bench_result,
     efficiency,
     friedman_ranks,
@@ -16,7 +15,6 @@ from olsrtune.analysis import (
     gap_pdr,
     kruskal_wallis,
     ks_normality,
-    report_csv,
     report_text,
     speedup,
     validation_report,
@@ -86,12 +84,6 @@ class TestBenchResult:
     def test_count_without_samples_rejected(self):
         with pytest.raises(DomainError):
             bench_result({1: [2.0], 2: []})
-
-    def test_csv_shape(self):
-        res = bench_result({1: [2.0], 2: [1.0]})
-        lines = bench_csv(res).strip().splitlines()
-        assert lines[0] == "m,mean_time_s,speedup,efficiency"
-        assert len(lines) == 3
 
 
 class TestFriedman:
@@ -304,11 +296,8 @@ class TestValidationReport:
             validation_report([("rfc", rfc_default())], self.scenarios(),
                               default_nic(), seeds=[1])
 
-    def test_csv_and_text_render(self):
+    def test_text_render(self):
         report = validation_report([("rfc", rfc_default())], self.scenarios(),
                                    default_nic(), seeds=[1])
-        csv_text = report_csv(report)
-        assert csv_text.startswith("section,config,")
-        assert "small,rfc," in csv_text
         txt = report_text(report)
         assert "== small ==" in txt and "*" in txt

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import olsrtune
-from olsrtune import analysis, evo
-from olsrtune.cli import MAX_PAD_MS, main
+from conftest import make_static_scenario
+from olsrtune import analysis, evo, sim
+from olsrtune.cli import MAX_PAD_MS, _csv_text, main
 from olsrtune.olsr import config_to_dict, rfc_default
 from olsrtune.scenario import MAX_FLOWS
 
@@ -540,8 +541,11 @@ class TestBench:
         argv = ["bench", "--scenario", str(scn), "--workers", "1", "--reps", "1",
                 "--pop", "4", "--gens", "1", "--out", str(out)]
         assert main(argv) == 0
-        rows = (out / "bench.csv").read_text().strip().splitlines()
-        assert rows[0] == "m,mean_time_s,speedup,efficiency"
+        data = (out / "bench.csv").read_bytes()
+        assert data.startswith(b"m,mean_time_s,speedup,efficiency\n")
+        assert b"\r" not in data and data.endswith(b"\n")
+        rows = data.decode().splitlines()
+        assert len(rows) == 2 and all(len(row.split(",")) == 4 for row in rows)
         m, _t, s, e = rows[1].split(",")
         assert m == "1" and float(s) == 1.0 and float(e) == 1.0
         manifest = json.loads((out / "bench_manifest.json").read_text())
@@ -605,6 +609,30 @@ class TestBench:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
         assert not (out / "bench.csv").exists()
+
+
+class TestCsvText:
+    """The one writer of every output table and its cell rule."""
+
+    def test_cell_rule(self):
+        rows = [["a,b", None, 0.1, 7], ["x", "", 2 / 3, -2]]
+        text = _csv_text(["name", "none", "float", "int"], rows)
+        assert text == 'name,none,float,int\r\n"a,b",,0.1,7\r\nx,,0.6666666666666666,-2\r\n'
+
+    def test_lf_row_ends_when_asked(self):
+        assert _csv_text(["a", "b"], [[1, None]], "\n") == "a,b\n1,\n"
+
+    def test_metrics_row_as_long_as_columns(self):
+        scn = make_static_scenario({0: (0.0, 0.0), 1: (50.0, 0.0)})
+        m = sim.run_simulation(scn, rfc_default(), sim.default_nic(), seed=1, allow_no_flows=True)
+        values = sim.metrics_to_json(m)
+        assert list(values) == list(sim.METRICS_COLUMNS[3:])
+        text = _csv_text(sim.METRICS_COLUMNS, [["s1", "rfc", 1, *values.values()]])
+        header, row = csv.reader(text.splitlines())
+        assert len(row) == len(header) == len(sim.METRICS_COLUMNS)
+        assert row[:3] == ["s1", "rfc", "1"]
+        assert row[3] == ""  # pdr, undefined without flows
+        assert float(row[header.index("e_total_mj")]) == values["e_total_mj"]
 
 
 def test_importing_cli_does_not_load_scipy():

@@ -1,4 +1,5 @@
-"""Golden digests of a small gen -> simulate -> tune -> validate chain.
+"""Golden digests of a small gen -> simulate -> tune -> validate chain,
+and of a `tune --grid` run on the same scenario.
 
 The digests pin every byte of the primary outputs, so a refactor that
 changes behaviour, number formatting or field order shows up here. If a
@@ -45,6 +46,7 @@ GOLDEN = {
     "tune/history.csv": "af94cf090477448880fc8f9b938eb9dda46d0e463d168a203b33027be5e5dd68",
     "validate/report.csv": "73fe1ef0e5beb4102a01b2831a566bb31494aa8803a0dff837b8677db900800c",
     "validate/report.txt": "afac6962880d3a0efba847be91df50cfa9850f31eb0b090c527938f99d878e4d",
+    "grid/grid.csv": "c94c2c71c97cadfd6ba6c8803ff27d539fb2d7bdd6969dbc2c92db6c22c800a0",
 }
 
 
@@ -68,6 +70,10 @@ def test_chain_outputs_match_golden_digests(tmp_path):
     argv = ["validate", "--scenarios", str(scen_dir), "--rfc",
             "--config", str(cfg_path), "--config", str(tmp_path / "tune" / "best_config.json"),
             "--seeds", "1,2", "--out", str(tmp_path / "validate")]
+    assert main(argv) == 0
+    argv = ["tune", "--scenario", str(scn), "--grid", "--grid-pc", "0.5,0.9", "--grid-pm", "0.1",
+            "--reps", "2", "--pop", "4", "--gens", "1", "--seed", "6",
+            "--out", str(tmp_path / "grid")]
     assert main(argv) == 0
 
     digests = {name: _sha256(tmp_path / name) for name in GOLDEN}

@@ -20,7 +20,6 @@ from olsrtune.olsr import (
     WILL_DEFAULT,
     WILL_NEVER,
     Hello,
-    HelloViews,
     Neighbor,
     OlsrConfig,
     OlsrNodeState,
@@ -62,7 +61,7 @@ def hello(sender, *, sym=(), asym=(), mpr=(), will=WILL_DEFAULT):
     """A HELLO from `sender` listing `sym` as symmetric, `asym` as
     asymmetric and `mpr` as symmetric and selected as MPR."""
     adv = frozenset(sym) | frozenset(mpr)
-    return Hello(sender, will, HelloViews(adv | frozenset(asym), frozenset(mpr), adv))
+    return Hello(sender, will, adv | frozenset(asym), frozenset(mpr), adv)
 
 
 def link(s, n):
@@ -179,7 +178,7 @@ class TestMessages:
         msg = make_hello(OlsrNodeState(node_id=0), CFG)
         assert msg.size == HELLO_HEADER_BYTES
         assert msg.will == CFG.willingness
-        assert msg.views == (set(), set(), set())
+        assert msg[2:] == (set(), set(), set())  # listed, mprs, adv
 
     def test_hello_size_grows_per_entry(self):
         state = OlsrNodeState(node_id=0)
@@ -187,14 +186,14 @@ class TestMessages:
         state.mpr_set = {3}
         msg = make_hello(state, CFG)
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
-        assert msg.views == HelloViews({1, 2, 3}, {3}, {1, 3})
+        assert msg[2:] == ({1, 2, 3}, {3}, {1, 3})
 
     def test_hello_advertises_fresh_mprs(self):
         # the MPR set is dirty after a new two-hop id: make_hello selects anew
         state = OlsrNodeState(node_id=0)
         process_hello([state], hello(1, sym=[0, 2]), 0.0, CFG)
         assert state.mprs_dirty
-        assert make_hello(state, CFG).views.mprs == {1}
+        assert make_hello(state, CFG).mprs == {1}
 
     def test_tc_seq_increments(self):
         state = OlsrNodeState(node_id=0)
@@ -517,8 +516,8 @@ class TestEntries:
     def test_next_hello_drops_lapsed_link(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
-        assert next_hello(s, 1.0, CFG).views.listed == {1}
-        assert next_hello(s, self.HOLD, CFG).views == HelloViews(frozenset(), frozenset(), frozenset())
+        assert next_hello(s, 1.0, CFG).listed == {1}
+        assert next_hello(s, self.HOLD, CFG)[2:] == (set(), set(), set())
 
     def test_receive_hello_after_lapse_starts_fresh_link(self):
         s = OlsrNodeState(node_id=0)
@@ -749,7 +748,7 @@ def reference_process_hello(
     me = state.node_id
     if sender == me:
         return state
-    own_will, views = msg.will, msg.views
+    own_will = msg.will
     expiry = now + config.neighb_hold_time
     state.next_expiry = min(state.next_expiry, expiry)
 
@@ -757,11 +756,11 @@ def reference_process_hello(
     # stored whole in stragglers (adv stays empty)
     prev = state.neighbors.get(sender)
     nb = prev if prev is not None else Neighbor(False, expiry, None)
-    listed = me in views.listed
-    listed_as_mpr = me in views.mprs
+    listed = me in msg.listed
+    listed_as_mpr = me in msg.mprs
     hood = nb.stragglers
     known = len(hood)
-    for nbr in views.adv:
+    for nbr in msg.adv:
         if nbr != me:
             hood[nbr] = expiry
 
@@ -925,12 +924,11 @@ class TestHoodEqualsReference:
         self.mutate_sender(rng, senders[k], dropped[k], wills[k])
         will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
         msg = make_hello(senders[k], replace(cfg, willingness=will))
-        views = msg.views
-        assert views.mprs <= views.adv <= views.listed  # one link code per id
+        assert msg.mprs <= msg.adv <= msg.listed  # one link code per id
         if rng.random() < 0.15:
-            # as a hand-built message: equal views, fresh sets
-            fresh = HelloViews(*(frozenset(ids) for ids in views))
-            msg = msg._replace(views=fresh)
+            # as a hand-built message: equal sets, fresh objects (frozenset()
+            # of a frozenset returns that same object, so copy through a list)
+            msg = msg._replace(**{k: frozenset(list(getattr(msg, k))) for k in Hello._fields[2:]})
         return msg
 
     @pytest.mark.parametrize("seed", range(6))
@@ -981,20 +979,19 @@ class TestHoodEqualsReference:
 
     def test_views_reused_while_equal(self):
         sender = OlsrNodeState(node_id=1, neighbors={0: nbr(True, 1e9), 2: nbr(False, 1e9)})
-        first = make_hello(sender, CFG).views
-        assert first == ({0, 2}, set(), {0})
+        first = make_hello(sender, CFG)
+        assert first[2:] == ({0, 2}, set(), {0})
         sender.neighbors[0].will = WILL_ALWAYS  # HELLOs do not carry it
-        assert make_hello(sender, CFG).views.adv is first.adv
+        assert make_hello(sender, CFG).adv is first.adv
         sender.mpr_set = {0}
-        changed = make_hello(sender, CFG).views
-        assert changed == ({0, 2}, {0}, {0})
-        assert changed is not first
+        changed = make_hello(sender, CFG)
+        assert changed[2:] == ({0, 2}, {0}, {0})
         assert changed.adv is first.adv  # only mprs changed
         sender.neighbors[3] = nbr(False, 1e9)
-        listed = make_hello(sender, CFG).views
-        assert listed == ({0, 2, 3}, {0}, {0})
+        listed = make_hello(sender, CFG)
+        assert listed[2:] == ({0, 2, 3}, {0}, {0})
         assert listed.adv is first.adv  # only listed changed
         sender.neighbors[3].sym = True
-        grown = make_hello(sender, CFG).views
+        grown = make_hello(sender, CFG)
         assert grown.adv == {0, 3}
         assert grown.adv is not first.adv
