@@ -25,7 +25,11 @@ and never expire on their own.
 The entries keep a contract, and the functions they call rely on it:
 
 (a) for a given state, now never decreases and the config is fixed, so
-    a dict that gains entries only at now + a hold time is in expiry order;
+    a dict that gains entries only at now + a hold time is in expiry order.
+    neighbors is one: process_hello moves the sender's record to the end,
+    at its new link expiry. Nothing reads neighbors in an order-dependent
+    way: compute_routes and next_tc sort, make_hello builds sets, and
+    select_mprs counts gains and breaks every tie by id;
 (b) a clean mpr_set is a subset of the symmetric neighbours: select_mprs
     picks only symmetric ones, a link stays symmetric until it expires,
     and that expiry marks the MPRs dirty;
@@ -47,6 +51,22 @@ mid_hold_time is inert: it has no protocol effect. By (d) no duplicate
 is heard after the instant its TC was sent, so dup_hold_time has no
 protocol effect either. Both stay in the genome so that the eight tuned
 parameters match the paper's.
+
+Two RFC 3626 rules are left out, and both bear on routes. Counts are
+from multihop_data's first scenario in the benchmark (scenario seed 10,
+simulation seed 0), over data sends to a node in a willing symmetric
+neighbour's strict hood:
+
+- two-hop routes from HELLO state (section 10, step 3, routes every
+  two-hop neighbour in 2 hops through a willing symmetric neighbour):
+  compute_routes reads only symmetric links and TC records, so a two-hop
+  neighbour gets a route only if some TC lists it. Under the RFC config
+  2,463 of 26,458 such sends used a route longer than 2 hops; under the
+  best config, of 29,766, 823 had no route and 3,301 a longer one;
+- LOST_LINK (sections 6.2 and 8.2.1): a link that stops being symmetric
+  is not advertised as lost, so no receiver drops the two-hop tuple at
+  once. An id that drops out of a neighbour's HELLO stays in its
+  stragglers until the neighbour's previous link expiry.
 
 The MPR set and the routing table are caches of the pure functions
 select_mprs(state) and compute_routes(state), recomputed only when read
@@ -72,14 +92,14 @@ neighbour too). Its two-hop hood is stored in two parts:
   holds our own id or an id of adv, so an id it gains is a new key, at
   the link's previous expiry: by (a) the dict is in expiry order.
 
-select_mprs reads a hood as the union of the two without our own id,
-through _strict_hood. make_hello reuses its previous advertised set
-while it is equal, so a receiver that already stores the sender's
-advertised set does no hood work at all. The other receivers of a frame
-mostly store one and the same older set, so process_hello computes the
-ids gained and lost once per stored set, not once per receiver. Since
-stragglers hold no id of the stored set, the ids of adv to drop from
-them are among the gained ones.
+A hood is the union of the two without our own id (_strict_hood).
+make_hello reuses its previous advertised set while it is equal, so a
+receiver that already stores the sender's advertised set does no hood
+work at all. The other receivers of a frame mostly store one and the
+same older set, so process_hello computes the ids gained and lost once
+per stored set, not once per receiver. Since stragglers hold no id of
+the stored set, the ids of adv to drop from them are among the gained
+ones.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -90,6 +110,17 @@ neighbours), so MPRs are marked dirty exactly when:
 - a symmetric neighbour's hood gains an id that is not our own and not
   a symmetric neighbour;
 - expire drops such an id from a symmetric neighbour's stragglers.
+
+select_mprs reads the coverage from providers, which maps each strict
+two-hop id to the willing symmetric neighbours whose hood holds it, and
+runs the greedy target by target over these lists. The map is kept
+between calls and changes only where the last two marks above are set:
+process_hello appends a willing sender to the list of each strict id its
+hood gains, and expire removes a willing neighbour from the list of each
+strict id its stragglers drop. The first two marks change which ids are
+strict or which neighbours provide, so they reset the map to None, the
+state a fresh or hand-built state starts in, and select_mprs builds it
+again when it next runs. Between resets it runs the greedy alone.
 
 compute_routes reads only the symmetric neighbours and the destination
 sets of routed originators. Next to routing_table it keeps each route's
@@ -110,8 +141,16 @@ selection marks neither MPRs nor routes.
 
 A topology record is (dests, expiry): one TC's destinations share its
 expiry. process_tc moves the originator's record to the end, so by (a)
-the topology dict is in expiry order too, and expire drops lapsed
-entries of it and of each straggler dict from the front. A neighbour's
+the topology dict is in expiry order too, and expire drops lapsed links
+and records from the front of their dicts. The stragglers one HELLO
+makes share the link's previous expiry: process_hello pushes each such
+batch on straggler_batches, a heap of (expiry, neighbour), and expire
+pops the lapsed batches and drops lapsed stragglers, from the front, of
+those neighbours only. A batch whose ids went before it lapsed (listed
+again, or with their link) leaves a stale entry: its neighbour is gone,
+or the head of its straggler dict lies past the entry. expire pops stale
+entries off the top before it reads the top as the straggler bound, so
+next_expiry is exactly the earliest stored expiry. A neighbour's
 selector_expiry, that of its latest HELLO that named us as MPR, never
 exceeds its link's expiry, so expire leaves it alone: readers compare
 it with now.
@@ -122,6 +161,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import ClassVar, NamedTuple
 
 from .errors import ConfigurationError, InputError
@@ -379,6 +419,11 @@ class OlsrNodeState:
     # dest -> the last hop of its route, valid with routing_table
     route_last_hop: dict = field(default_factory=dict)
     routes_dirty: bool = False
+    # strict two-hop id -> the willing symmetric neighbours whose hood
+    # holds it; None until select_mprs builds it, and after a reset
+    providers: dict | None = None
+    # heap of (expiry, neighbour), one entry per batch of stragglers
+    straggler_batches: list = field(default_factory=list)
     # advertised set of the latest HELLO made
     last_adv: frozenset = _NO_IDS
     tc_seq: int = 0
@@ -411,24 +456,27 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
     """Apply one received HELLO frame to each of its receivers' states:
     link sensing, two-hop discovery, MPR bookkeeping. A link turns
     symmetric once the sender lists the receiver. Marks MPRs and routes
-    dirty as the module docstring sets out.
+    dirty, and keeps the MPR provider map and the straggler batches, as
+    the module docstring sets out.
 
     The receivers share the frame's set differences: gained (adv less the
     stored set) and lost (the stored set less adv) are computed once per
     run of receivers storing the same object. The ids of adv to drop from
     the stragglers are exactly the gained ones there: stragglers never
-    hold an id of the stored set, so adv's ids among them are not in it."""
+    hold an id of the stored set, so adv's ids among them are not in it.
+    Receivers whose old link expiry is equal share one batch entry."""
     sender, own_will, listed, mprs, adv = msg
     expiry = now + config.neighb_hold_time
-    last_old = gained = lost = None
+    last_old = gained = lost = batch = None
     for state in states:
         me = state.node_id
         if expiry < state.next_expiry:
             state.next_expiry = expiry
         nbrs = state.neighbors
-        nb = nbrs.get(sender)
+        nb = nbrs.pop(sender, None)
         if nb is None:
-            nb = nbrs[sender] = Neighbor(False, expiry, own_will)
+            nb = Neighbor(False, expiry, own_will)
+        nbrs[sender] = nb  # last: by (a) the links are in expiry order
         was_sym = nb.sym
         old_expiry = nb.expiry
         sym = nb.sym = was_sym or me in listed
@@ -444,26 +492,38 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
                 last_old, gained, lost = old, adv - old, old - adv
             nb.adv = adv
             hood = nb.stragglers
-            if was_sym and not state.mprs_dirty:
-                for t in gained:
-                    if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
-                        state.mprs_dirty = True
-                        break
+            if was_sym:
+                # a kept map takes every strict id, the dirty mark the first
+                providers = state.providers if nb.will != WILL_NEVER else None
+                if providers is not None or not state.mprs_dirty:
+                    for t in gained:
+                        if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
+                            state.mprs_dirty = True
+                            if providers is None:
+                                break
+                            providers.setdefault(t, []).append(sender)
             if hood:
                 for t in gained:
                     if t in hood:
                         del hood[t]
+            size = len(hood)
             for t in lost:
                 if t != me:
                     hood[t] = old_expiry
+            if len(hood) != size:
+                if batch is None or batch[0] != old_expiry:
+                    batch = (old_expiry, sender)
+                heappush(state.straggler_batches, batch)
 
         if nb.will != own_will:
             nb.will = own_will
             if sym:
                 state.mprs_dirty = True
+                state.providers = None
         if sym and not was_sym:
             state.mprs_dirty = True
             state.routes_dirty = True
+            state.providers = None
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -475,35 +535,41 @@ def _strict_hood(nb: Neighbor, near: set) -> frozenset:
     return hood
 
 
+def _build_providers(state: OlsrNodeState) -> dict:
+    """Each strict two-hop id mapped to the willing symmetric neighbours
+    whose hood holds it."""
+    nbrs = state.neighbors
+    near = {n for n, nb in nbrs.items() if nb.sym}
+    near.add(state.node_id)
+    providers = {}
+    for n, nb in nbrs.items():
+        if nb.sym and nb.will != WILL_NEVER:
+            for t in _strict_hood(nb, near):
+                providers.setdefault(t, []).append(n)
+    return providers
+
+
 def select_mprs(state: OlsrNodeState) -> set:
     """Greedy MPR selection over the strict two-hop neighborhood.
 
     Willingness-7 neighbors are always chosen and willingness-0 ones
     never; remaining two-hop nodes are covered by first taking sole
     providers, then repeatedly the candidate with highest willingness,
-    then widest uncovered coverage, then lowest id.
+    then widest uncovered coverage, then lowest id. Reads the coverage
+    from state.providers, which it builds first when it is None.
     """
     nbrs = state.neighbors
-    sym = {n for n, nb in nbrs.items() if nb.sym}
-    near = sym | {state.node_id}
-    cover = {}
-    mprs = set()
-    for n in sym:
-        nb = nbrs[n]
-        if nb.will == WILL_NEVER:
-            continue
-        if nb.will == WILL_ALWAYS:
-            mprs.add(n)
-        strict = _strict_hood(nb, near)
-        if strict:
-            cover[n] = strict
-
-    targets = set().union(*cover.values())
+    providers = state.providers
+    if providers is None:
+        providers = state.providers = _build_providers(state)
     if log.isEnabledFor(logging.DEBUG):
+        near = {n for n, nb in nbrs.items() if nb.sym}
+        near.add(state.node_id)
         dropped = set()
-        for n in sym:
-            if nbrs[n].will == WILL_NEVER:
-                dropped |= _strict_hood(nbrs[n], near) - targets
+        for nb in nbrs.values():
+            if nb.sym and nb.will == WILL_NEVER:
+                dropped |= _strict_hood(nb, near)
+        dropped.difference_update(providers)
         if dropped:
             log.debug(
                 "node %d: two-hop nodes %s reachable only via willingness-0 neighbors",
@@ -511,34 +577,19 @@ def select_mprs(state: OlsrNodeState) -> set:
                 sorted(dropped),
             )
 
-    uncovered = set(targets)
-    for m in mprs:
-        uncovered -= cover.get(m, _NO_IDS)
-
-    # sole providers first
-    provider = {}
-    for n, strict in cover.items():
-        for t in strict & uncovered:
-            provider[t] = None if t in provider else n
-    mprs.update(n for n in provider.values() if n is not None)
-    for m in mprs:
-        uncovered -= cover.get(m, _NO_IDS)
-
+    mprs = {n for n, nb in nbrs.items() if nb.sym and nb.will == WILL_ALWAYS}
+    # sole providers
+    mprs.update([ids[0] for ids in providers.values() if len(ids) == 1])
+    # the provider lists of the ids no MPR covers yet
+    uncovered = [ids for ids in providers.values() if mprs.isdisjoint(ids)]
     while uncovered:
-        best = None
-        best_key = None
-        for n in sorted(cover):
-            if n in mprs:
-                continue
-            gain = len(cover[n] & uncovered)
-            if gain == 0:
-                continue
-            key = (nbrs[n].will, gain, -n)
-            if best_key is None or key > best_key:
-                best, best_key = n, key
-        # best is set: every uncovered id lies in cover[n] for an n not in mprs
+        gain = {}
+        for ids in uncovered:
+            for n in ids:
+                gain[n] = gain.get(n, 0) + 1
+        best = max(gain, key=lambda n: (nbrs[n].will, gain[n], -n))
         mprs.add(best)
-        uncovered -= cover[best]
+        uncovered = [ids for ids in uncovered if best not in ids]
 
     state.mpr_set = mprs
     state.mprs_dirty = False
@@ -642,32 +693,62 @@ def ensure_routes(state: OlsrNodeState) -> dict:
 def expire(state: OlsrNodeState, now: float) -> None:
     """Drop every entry whose expiry is <= now and mark MPRs or routes
     dirty if an input of theirs went. O(1) when the earliest stored
-    expiry is still ahead; otherwise scans the links and reads the
-    straggler and topology dicts, in expiry order, from the front."""
+    expiry is still ahead; otherwise drops lapsed links and topology
+    records from the front of their dicts, and lapsed stragglers of the
+    neighbours whose batches lapsed."""
     if now < state.next_expiry:
         return
 
     nbrs = state.neighbors
-    for n in [n for n, nb in nbrs.items() if nb.expiry <= now]:
+    lapsed = []
+    for n, nb in nbrs.items():
+        if nb.expiry > now:
+            break
+        lapsed.append(n)
+    for n in lapsed:
         if nbrs.pop(n).sym:
             state.mprs_dirty = True
             state.routes_dirty = True
-    bound = math.inf
-    for nb in nbrs.values():
-        if nb.expiry < bound:
-            bound = nb.expiry
+            state.providers = None
+
+    batches = state.straggler_batches
+    while batches and batches[0][0] <= now:
+        n = heappop(batches)[1]
+        nb = nbrs.get(n)
+        if nb is None:
+            continue
         hood = nb.stragglers
-        if hood:
-            head = next(iter(hood.values()))
-            if head <= now:
-                dead = [t for t, exp in hood.items() if exp <= now]
-                for t in dead:
-                    del hood[t]
-                if nb.sym and any(not (t in nbrs and nbrs[t].sym) for t in dead):
+        dead = []
+        for t, exp in hood.items():
+            if exp > now:
+                break
+            dead.append(t)
+        for t in dead:
+            del hood[t]
+        if nb.sym:
+            providers = state.providers if nb.will != WILL_NEVER else None
+            for t in dead:
+                if not (t in nbrs and nbrs[t].sym):
                     state.mprs_dirty = True
-                head = next(iter(hood.values()), math.inf)
-            if head < bound:
-                bound = head
+                    if providers is None:
+                        break
+                    ids = providers[t]
+                    if len(ids) == 1:
+                        del providers[t]
+                    else:
+                        ids.remove(n)
+
+    # drop stale entries, whose batch went before it lapsed (re-listed, or
+    # its link lapsed), so the first entry's expiry is the straggler bound
+    while batches:
+        exp, n = batches[0]
+        nb = nbrs.get(n)
+        if nb is not None and next(iter(nb.stragglers.values()), math.inf) == exp:
+            break
+        heappop(batches)
+    bound = batches[0][0] if batches else math.inf
+    if nbrs:
+        bound = min(bound, next(iter(nbrs.values())).expiry)
 
     topology = state.topology
     lapsed = []

@@ -1,8 +1,10 @@
 """Shared builders and checks for the test suite: static topologies, tiny
-scenarios and the expiry order of a node's OLSR tables."""
+scenarios, the expiry order of a node's OLSR tables and its kept MPR
+provider map."""
 
 import pytest
 
+from olsrtune.olsr import WILL_NEVER
 from olsrtune.scenario import CbrFlow, LossModel, MobilityTrace, Scenario
 
 
@@ -40,12 +42,30 @@ def line_positions(n, spacing=100.0):
 
 
 def assert_expiry_order(state):
-    """Every straggler dict and the topology dict of an OLSR node state
-    hold their entries in non-decreasing expiry order."""
-    tables = [list(nb.stragglers.values()) for nb in state.neighbors.values()]
+    """The links, every straggler dict and the topology dict of an OLSR
+    node state hold their entries in non-decreasing expiry order."""
+    tables = [[nb.expiry for nb in state.neighbors.values()]]
+    tables += [list(nb.stragglers.values()) for nb in state.neighbors.values()]
     tables.append([exp for _dests, exp in state.topology.values()])
     for expiries in tables:
         assert expiries == sorted(expiries)
+
+
+def assert_providers_fresh(state):
+    """A kept MPR provider map equals one built afresh from the neighbour
+    records, each id's providers compared as a set, and lists no provider
+    twice. A map of None is one that select_mprs will build."""
+    if state.providers is None:
+        return
+    nbrs = state.neighbors
+    near = {n for n, nb in nbrs.items() if nb.sym} | {state.node_id}
+    fresh = {}
+    for n, nb in nbrs.items():
+        if nb.sym and nb.will != WILL_NEVER:
+            for t in (nb.adv | nb.stragglers.keys()) - near:
+                fresh.setdefault(t, set()).add(n)
+    assert {t: set(ids) for t, ids in state.providers.items()} == fresh
+    assert all(len(ids) == len(set(ids)) for ids in state.providers.values())
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import assert_expiry_order
+from conftest import assert_expiry_order, assert_providers_fresh
 from olsrtune.errors import ConfigurationError
 from olsrtune.olsr import (
     GENE_NAMES,
@@ -671,10 +671,12 @@ class TestLazyEqualsEager:
         return Tc(orig, sender, seq, dests)
 
     def check(self, s, ref):
-        """Caches equal fresh evaluations, tables equal those of the
-        full-scan reference, the straggler and topology dicts are in
-        expiry order and no topology record is empty."""
+        """Caches equal fresh evaluations, a kept MPR provider map equals
+        a fresh build, tables equal those of the full-scan reference, the
+        links and the straggler and topology dicts are in expiry order and
+        no topology record is empty."""
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
+        assert_providers_fresh(s)
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
         got, want = tables(s), tables(ref)
         for name in want:
@@ -905,6 +907,7 @@ class TestHoodEqualsReference:
         assert links(s) == links(twin)
         assert s.next_expiry <= min(stored_expiries(s), default=math.inf)
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
+        assert_providers_fresh(s)
         assert ensure_mprs(s) == reference_select_mprs(twin)
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
 

@@ -17,7 +17,12 @@ import pytest
 
 import olsrtune
 
-from conftest import assert_expiry_order, make_static_scenario, line_positions
+from conftest import (
+    assert_expiry_order,
+    assert_providers_fresh,
+    line_positions,
+    make_static_scenario,
+)
 from olsrtune import olsr
 from olsrtune.analysis import compare_against_reference
 from olsrtune.errors import ConfigurationError
@@ -590,10 +595,11 @@ class TestForwardingPath:
         # the facts olsr's module docstring states as the entries' contract,
         # on the runs above: no node hears its own HELLO, every HELLO's
         # MPRs are among its symmetric neighbours, no topology record or
-        # straggler dict holds the owner's id, (a) each straggler dict and
-        # the topology dict stay in expiry order, and (d) a node receives
-        # each TC key at one instant only and processes an originator's
-        # seq_no only rising
+        # straggler dict holds the owner's id, (a) the links, each straggler
+        # dict and the topology dict stay in expiry order, and (d) a node
+        # receives each TC key at one instant only and processes an
+        # originator's seq_no only rising; and a kept MPR provider map
+        # equals a fresh build
         checked = Counter()
         process_hello, process_tc = olsr.process_hello, olsr.process_tc
         receive_tc = olsr.receive_tc
@@ -606,6 +612,7 @@ class TestForwardingPath:
             assert all(me not in rec[0] for rec in state.topology.values())
             assert all(me not in nb.stragglers for nb in state.neighbors.values())
             assert_expiry_order(state)
+            assert_providers_fresh(state)
 
         def checked_hello(states, msg, now, config):
             assert all(state.node_id != msg.sender for state in states)

@@ -136,15 +136,47 @@ MUTANTS = (
            "        topology[orig]", "        topology[orig]", (_LAZY,), True),
     Mutant("topology-record-updated-in-place", "src/olsrtune/olsr.py",
            "rec = topology.pop(orig, None)", "rec = topology.get(orig)", (_LAZY,), True),
-    Mutant("straggler-head-not-reread", "src/olsrtune/olsr.py",
-           "                head = next(iter(hood.values()), math.inf)\n", "", (_LAZY,), True),
+    # the straggler batch heap: each batch pushed, stale entries dropped
+    # before the bound is read
+    Mutant("stale-batch-head-not-compared", "src/olsrtune/olsr.py",
+           "next(iter(nb.stragglers.values()), math.inf) == exp", "nb.stragglers",
+           (_LAZY,), True),
+    Mutant("stale-batch-read-as-live", "src/olsrtune/olsr.py",
+           "        if nb is not None and next(iter(nb.stragglers.values()), math.inf) == exp:\n",
+           "        if True:\n", (_LAZY,), True),
+    Mutant("straggler-batch-never-pushed", "src/olsrtune/olsr.py",
+           "                heappush(state.straggler_batches, batch)\n",
+           "                pass\n", (_LAZY,), True),
+    Mutant("straggler-batch-shared-across-expiries", "src/olsrtune/olsr.py",
+           "if batch is None or batch[0] != old_expiry:", "if batch is None:",
+           (_HOOD,), True),
+    Mutant("link-not-moved-to-end", "src/olsrtune/olsr.py",
+           "nb = nbrs.pop(sender, None)", "nb = nbrs.get(sender)", (_LAZY,), True),
     Mutant("selector-lapse-ignored", "src/olsrtune/olsr.py",
            "selector_expiry > now\n", "selector_expiry > -math.inf\n",
            (_ENTRIES + "::test_selection_lapses_before_the_link",), True),
     Mutant("sym-link-expiry-not-dirty", "src/olsrtune/olsr.py",
            "        if nbrs.pop(n).sym:\n"
            "            state.mprs_dirty = True\n            state.routes_dirty = True\n",
-           "        nbrs.pop(n)\n", ("tests/test_olsr.py::TestExpire", _LAZY), True),
+           # the map's reset stays: only the dirty marks go
+           "        if nbrs.pop(n).sym:\n", ("tests/test_olsr.py::TestExpire", _LAZY), True),
+    # the kept MPR provider map: appended and trimmed where MPRs are marked
+    # dirty, reset when the symmetric set or a symmetric willingness changes
+    Mutant("provider-append-dropped", "src/olsrtune/olsr.py",
+           "                            providers.setdefault(t, []).append(sender)\n",
+           "                            pass\n", (_LAZY, _HOOD), True),
+    Mutant("provider-willingness-no-reset", "src/olsrtune/olsr.py",
+           "            if sym:\n                state.mprs_dirty = True\n"
+           "                state.providers = None\n",
+           "            if sym:\n                state.mprs_dirty = True\n", (_LAZY, _HOOD), True),
+    Mutant("provider-sym-lapse-no-reset", "src/olsrtune/olsr.py",
+           "            state.routes_dirty = True\n            state.providers = None\n\n"
+           "    batches",
+           "            state.routes_dirty = True\n\n    batches", (_LAZY, _HOOD), True),
+    Mutant("provider-lapsed-straggler-kept", "src/olsrtune/olsr.py",
+           "                    if len(ids) == 1:\n                        del providers[t]\n"
+           "                    else:\n                        ids.remove(n)\n",
+           "                    pass\n", (_LAZY, _HOOD), True),
     Mutant("mutation-moves-swapped", "src/olsrtune/evo.py",
            '    ("scale", (0,)),\n    ("scale", (2,)),\n',
            '    ("scale", (2,)),\n    ("scale", (0,)),\n',
