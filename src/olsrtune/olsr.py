@@ -112,15 +112,28 @@ neighbours), so MPRs are marked dirty exactly when:
 - expire drops such an id from a symmetric neighbour's stragglers.
 
 select_mprs reads the coverage from providers, which maps each strict
-two-hop id to the willing symmetric neighbours whose hood holds it, and
-runs the greedy target by target over these lists. The map is kept
-between calls and changes only where the last two marks above are set:
-process_hello appends a willing sender to the list of each strict id its
-hood gains, and expire removes a willing neighbour from the list of each
-strict id its stragglers drop. The first two marks change which ids are
-strict or which neighbours provide, so they reset the map to None, the
-state a fresh or hand-built state starts in, and select_mprs builds it
-again when it next runs. Between resets it runs the greedy alone.
+two-hop id to the willing symmetric neighbours (the providers) whose
+hood holds it, and runs the greedy target by target over these lists.
+Next to it, cover maps each provider to the number of strict ids it
+provides; it holds no count of 0, and every change to the lists
+updates it with them. near holds our own id and the symmetric
+neighbours, the ids that are not strict, so an edit takes a strict
+hood as one set difference. All three are None in a fresh or
+hand-built state, and select_mprs builds them when it first runs. From
+then on they stay exact, changed only where MPRs are marked dirty:
+
+- process_hello appends a willing sender to the list of each strict id
+  its hood gains, and expire takes a willing neighbour off the list of
+  each strict id its stragglers drop;
+- a link turning symmetric drops the sender's id from the map, since it
+  is no longer strict, then a willing sender is added to the list of
+  each strict id in its hood;
+- a symmetric link's lapse takes a willing neighbour off every list, and
+  its id turns strict, provided by each willing symmetric neighbour
+  whose adv or stragglers hold it;
+- a symmetric neighbour's willingness change adds it to its hood's
+  lists, or takes it off them, only when the change is from or to
+  WILL_NEVER.
 
 compute_routes reads only the symmetric neighbours and the destination
 sets of routed originators. Next to routing_table it keeps each route's
@@ -160,8 +173,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from typing import ClassVar, NamedTuple
 
 from .errors import ConfigurationError, InputError
@@ -420,8 +435,14 @@ class OlsrNodeState:
     route_last_hop: dict = field(default_factory=dict)
     routes_dirty: bool = False
     # strict two-hop id -> the willing symmetric neighbours whose hood
-    # holds it; None until select_mprs builds it, and after a reset
+    # holds it; None until select_mprs builds it
     providers: dict | None = None
+    # provider -> the number of strict ids it provides, never 0; None
+    # while providers is
+    cover: dict | None = None
+    # our own id and the symmetric neighbours, the ids that are not
+    # strict; None while providers is
+    near: set | None = None
     # heap of (expiry, neighbour), one entry per batch of stragglers
     straggler_batches: list = field(default_factory=list)
     # advertised set of the latest HELLO made
@@ -496,12 +517,14 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
                 # a kept map takes every strict id, the dirty mark the first
                 providers = state.providers if nb.will != WILL_NEVER else None
                 if providers is not None or not state.mprs_dirty:
+                    cover = state.cover
                     for t in gained:
                         if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
                             state.mprs_dirty = True
                             if providers is None:
                                 break
                             providers.setdefault(t, []).append(sender)
+                            cover[sender] = cover.get(sender, 0) + 1
             if hood:
                 for t in gained:
                     if t in hood:
@@ -516,14 +539,31 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
                 heappush(state.straggler_batches, batch)
 
         if nb.will != own_will:
+            was_never = nb.will == WILL_NEVER
             nb.will = own_will
             if sym:
                 state.mprs_dirty = True
-                state.providers = None
+                # a symmetric sender starts or stops providing only at WILL_NEVER
+                if was_sym and state.providers is not None:
+                    if was_never:
+                        _provide(state, sender, _strict_hood(nb, state.near))
+                    elif own_will == WILL_NEVER:
+                        _unprovide(state, sender, _strict_hood(nb, state.near))
         if sym and not was_sym:
             state.mprs_dirty = True
             state.routes_dirty = True
-            state.providers = None
+            if state.providers is not None:
+                # the sender's id is strict no more; a willing sender provides
+                # the strict ids of its hood
+                state.near.add(sender)
+                cover = state.cover
+                for p in state.providers.pop(sender, ()):
+                    if cover[p] == 1:
+                        del cover[p]
+                    else:
+                        cover[p] -= 1
+                if nb.will != WILL_NEVER:
+                    _provide(state, sender, _strict_hood(nb, state.near))
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -535,18 +575,44 @@ def _strict_hood(nb: Neighbor, near: set) -> frozenset:
     return hood
 
 
-def _build_providers(state: OlsrNodeState) -> dict:
-    """Each strict two-hop id mapped to the willing symmetric neighbours
-    whose hood holds it."""
-    nbrs = state.neighbors
-    near = {n for n, nb in nbrs.items() if nb.sym}
+def _provide(state: OlsrNodeState, n: int, ids) -> None:
+    """Append provider n to the list of each strict id in `ids`, none of
+    which lists it yet, and add their number to its count."""
+    providers = state.providers
+    for t in ids:
+        providers.setdefault(t, []).append(n)
+    if ids:
+        state.cover[n] = state.cover.get(n, 0) + len(ids)
+
+
+def _unprovide(state: OlsrNodeState, n: int, ids) -> None:
+    """Take provider n off the list of each strict id in `ids`, deleting a
+    list it empties, and their number off its count."""
+    providers = state.providers
+    for t in ids:
+        listed = providers[t]
+        if len(listed) == 1:
+            del providers[t]
+        else:
+            listed.remove(n)
+    if ids:
+        cover = state.cover
+        left = cover[n] - len(ids)
+        if left:
+            cover[n] = left
+        else:
+            del cover[n]
+
+
+def _build_providers(state: OlsrNodeState) -> None:
+    """Set the provider map, the coverage counts and the non-strict ids
+    afresh from the neighbour records."""
+    near = {n for n, nb in state.neighbors.items() if nb.sym}
     near.add(state.node_id)
-    providers = {}
-    for n, nb in nbrs.items():
+    state.providers, state.cover, state.near = {}, {}, near
+    for n, nb in state.neighbors.items():
         if nb.sym and nb.will != WILL_NEVER:
-            for t in _strict_hood(nb, near):
-                providers.setdefault(t, []).append(n)
-    return providers
+            _provide(state, n, _strict_hood(nb, near))
 
 
 def select_mprs(state: OlsrNodeState) -> set:
@@ -556,15 +622,17 @@ def select_mprs(state: OlsrNodeState) -> set:
     never; remaining two-hop nodes are covered by first taking sole
     providers, then repeatedly the candidate with highest willingness,
     then widest uncovered coverage, then lowest id. Reads the coverage
-    from state.providers, which it builds first when it is None.
+    from state.providers, which it builds first when it is None, with
+    state.cover. A round's gain is a provider's number of uncovered ids:
+    its count in state.cover while the base covers no id, else a count
+    over the uncovered lists.
     """
     nbrs = state.neighbors
+    if state.providers is None:
+        _build_providers(state)
     providers = state.providers
-    if providers is None:
-        providers = state.providers = _build_providers(state)
     if log.isEnabledFor(logging.DEBUG):
-        near = {n for n, nb in nbrs.items() if nb.sym}
-        near.add(state.node_id)
+        near = state.near
         dropped = set()
         for nb in nbrs.values():
             if nb.sym and nb.will == WILL_NEVER:
@@ -582,14 +650,15 @@ def select_mprs(state: OlsrNodeState) -> set:
     mprs.update([ids[0] for ids in providers.values() if len(ids) == 1])
     # the provider lists of the ids no MPR covers yet
     uncovered = [ids for ids in providers.values() if mprs.isdisjoint(ids)]
+    # every provider's gain is its count until the base or a pick covers an id
+    gain = state.cover if len(uncovered) == len(providers) else None
     while uncovered:
-        gain = {}
-        for ids in uncovered:
-            for n in ids:
-                gain[n] = gain.get(n, 0) + 1
-        best = max(gain, key=lambda n: (nbrs[n].will, gain[n], -n))
+        if gain is None:
+            gain = Counter(chain.from_iterable(uncovered))
+        best = -max([(nbrs[n].will, g, -n) for n, g in gain.items()])[2]
         mprs.add(best)
         uncovered = [ids for ids in uncovered if best not in ids]
+        gain = None
 
     state.mpr_set = mprs
     state.mprs_dirty = False
@@ -706,10 +775,23 @@ def expire(state: OlsrNodeState, now: float) -> None:
             break
         lapsed.append(n)
     for n in lapsed:
-        if nbrs.pop(n).sym:
+        nb = nbrs.pop(n)
+        if nb.sym:
             state.mprs_dirty = True
             state.routes_dirty = True
-            state.providers = None
+            if state.providers is not None:
+                state.near.discard(n)
+                if nb.will != WILL_NEVER:
+                    _unprovide(state, n, _strict_hood(nb, state.near))
+                # n's id turns strict, provided by each willing symmetric
+                # neighbour whose hood holds it
+                ids = [p for p, pb in nbrs.items()
+                       if pb.sym and pb.will != WILL_NEVER and (n in pb.adv or n in pb.stragglers)]
+                if ids:
+                    state.providers[n] = ids
+                    cover = state.cover
+                    for p in ids:
+                        cover[p] = cover.get(p, 0) + 1
 
     batches = state.straggler_batches
     while batches and batches[0][0] <= now:
@@ -732,11 +814,7 @@ def expire(state: OlsrNodeState, now: float) -> None:
                     state.mprs_dirty = True
                     if providers is None:
                         break
-                    ids = providers[t]
-                    if len(ids) == 1:
-                        del providers[t]
-                    else:
-                        ids.remove(n)
+                    _unprovide(state, n, (t,))
 
     # drop stale entries, whose batch went before it lapsed (re-listed, or
     # its link lapsed), so the first entry's expiry is the straggler bound

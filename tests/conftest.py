@@ -54,11 +54,16 @@ def assert_expiry_order(state):
 def assert_providers_fresh(state):
     """A kept MPR provider map equals one built afresh from the neighbour
     records, each id's providers compared as a set, and lists no provider
-    twice. A map of None is one that select_mprs will build."""
+    twice; the kept coverage counts equal a recount of the map's lists and
+    hold no 0, and the kept non-strict ids are our own and the symmetric
+    neighbours'. A map of None is one that select_mprs will build, and
+    its counts and non-strict ids are None too."""
     if state.providers is None:
+        assert state.cover is None and state.near is None
         return
     nbrs = state.neighbors
     near = {n for n, nb in nbrs.items() if nb.sym} | {state.node_id}
+    assert state.near == near
     fresh = {}
     for n, nb in nbrs.items():
         if nb.sym and nb.will != WILL_NEVER:
@@ -66,6 +71,11 @@ def assert_providers_fresh(state):
                 fresh.setdefault(t, set()).add(n)
     assert {t: set(ids) for t, ids in state.providers.items()} == fresh
     assert all(len(ids) == len(set(ids)) for ids in state.providers.values())
+    recount = {}
+    for ids in state.providers.values():
+        for n in ids:
+            recount[n] = recount.get(n, 0) + 1
+    assert state.cover == recount
 
 
 @pytest.fixture

@@ -308,6 +308,30 @@ class TestSelectMprs:
         s = self.state_with([1, 2], {}, {1: {2}})
         assert select_mprs(s) == set()
 
+    def test_provider_left_without_strict_ids_not_picked(self):
+        # willingness-6 neighbour 1 provides only 10 until 10 turns into a
+        # symmetric neighbour; 1 then provides nothing, and must not win a
+        # round over the willingness-3 providers 2 and 3 of 11 and 12
+        s = self.state_with([1, 2, 3], {1: 6}, {1: {10}, 2: {11, 12}, 3: {11, 12}})
+        assert select_mprs(s) == {1, 2}
+        process_hello([s], hello(10, sym=[0]), 1.0, CFG)
+        assert s.neighbors[10].sym and 10 not in s.providers
+        assert select_mprs(s) == {2}
+        assert_providers_fresh(s)
+
+        # the same, when 10 lapses from 1's stragglers
+        s = OlsrNodeState(node_id=0)
+        for t in (0.0, 1.0):
+            process_hello([s], hello(1, sym=[0, 10] if t == 0.0 else [0], will=6), t, CFG)
+            for n in (2, 3):
+                process_hello([s], hello(n, sym=[0, 11, 12], will=3), t, CFG)
+            if t == 0.0:
+                assert select_mprs(s) == {1, 2}
+        expire(s, CFG.neighb_hold_time + 0.5)
+        assert 1 in s.neighbors and 10 not in s.providers
+        assert select_mprs(s) == {2}
+        assert_providers_fresh(s)
+
 
 class TestProcessTc:
     def make_tc_msg(self, orig, seq, dests, sender=None):

@@ -684,6 +684,26 @@ class TestForwardingPath:
                 assert p_max * math.sqrt(d2) / radio_range <= sim.cut
 
 
+class TestProviderUpkeep:
+    def test_provider_map_built_once_per_node(self, monkeypatch):
+        # the kept MPR provider map stays exact through link, willingness
+        # and hood changes, so a dense mobile run builds it only at each
+        # node's first MPR selection
+        built = Counter()
+        build = olsr._build_providers
+
+        def counted(state):
+            built[state.node_id] += 1
+            return build(state)
+
+        monkeypatch.setattr(olsr, "_build_providers", counted)
+        spec = GridSpec(area=(600.0, 400.0), vehicle_count=20, speed=(2.0, 6.0), duration=60.0)
+        template = FlowTemplate(packet_size=512, rate=1.0, start=30.0, duration=20.0)
+        scn = generate_grid_scenario(spec, 5, template, seed=4, radio_range=500.0)
+        run_simulation(scn, CFG, NIC, seed=4)
+        assert len(built) == 20 and max(built.values()) == 1
+
+
 class TestMetricsSerialization:
     def test_json_none_passthrough(self):
         scn = make_static_scenario({0: (0.0, 0.0), 1: (50.0, 0.0)})

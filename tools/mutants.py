@@ -156,27 +156,68 @@ MUTANTS = (
            "selector_expiry > now\n", "selector_expiry > -math.inf\n",
            (_ENTRIES + "::test_selection_lapses_before_the_link",), True),
     Mutant("sym-link-expiry-not-dirty", "src/olsrtune/olsr.py",
-           "        if nbrs.pop(n).sym:\n"
-           "            state.mprs_dirty = True\n            state.routes_dirty = True\n",
-           # the map's reset stays: only the dirty marks go
-           "        if nbrs.pop(n).sym:\n", ("tests/test_olsr.py::TestExpire", _LAZY), True),
-    # the kept MPR provider map: appended and trimmed where MPRs are marked
-    # dirty, reset when the symmetric set or a symmetric willingness changes
+           "        if nb.sym:\n            state.mprs_dirty = True\n            state.routes_dirty = True\n"
+           "            if state.providers is not None:\n                state.near",
+           # the map's upkeep stays: only the dirty marks go
+           "        if nb.sym:\n            if state.providers is not None:\n                state.near",
+           ("tests/test_olsr.py::TestExpire", _LAZY), True),
+    # the kept MPR provider map, its coverage counts and its non-strict
+    # ids: kept exact where MPRs are marked dirty, never reset
     Mutant("provider-append-dropped", "src/olsrtune/olsr.py",
            "                            providers.setdefault(t, []).append(sender)\n",
            "                            pass\n", (_LAZY, _HOOD), True),
-    Mutant("provider-willingness-no-reset", "src/olsrtune/olsr.py",
-           "            if sym:\n                state.mprs_dirty = True\n"
-           "                state.providers = None\n",
-           "            if sym:\n                state.mprs_dirty = True\n", (_LAZY, _HOOD), True),
-    Mutant("provider-sym-lapse-no-reset", "src/olsrtune/olsr.py",
-           "            state.routes_dirty = True\n            state.providers = None\n\n"
-           "    batches",
-           "            state.routes_dirty = True\n\n    batches", (_LAZY, _HOOD), True),
-    Mutant("provider-lapsed-straggler-kept", "src/olsrtune/olsr.py",
-           "                    if len(ids) == 1:\n                        del providers[t]\n"
-           "                    else:\n                        ids.remove(n)\n",
+    Mutant("cover-append-uncounted", "src/olsrtune/olsr.py",
+           "                            cover[sender] = cover.get(sender, 0) + 1\n", "",
+           (_LAZY, _HOOD), True),
+    Mutant("provider-willingness-rise-not-provided", "src/olsrtune/olsr.py",
+           "                    if was_never:\n                        _provide(",
+           "                    if was_never:\n                        pass  # _provide(",
+           (_LAZY, _HOOD), True),
+    Mutant("provider-willingness-fall-not-removed", "src/olsrtune/olsr.py",
+           "                        _unprovide(state, sender, _strict_hood(nb, state.near))\n",
+           "                        pass\n", (_LAZY, _HOOD), True),
+    Mutant("provider-sym-turn-id-not-popped", "src/olsrtune/olsr.py",
+           "                for p in state.providers.pop(sender, ()):\n",
+           "                for p in state.providers.get(sender, ()):\n", (_LAZY, _HOOD), True),
+    Mutant("cover-sym-turn-uncounted", "src/olsrtune/olsr.py",
+           "                    if cover[p] == 1:\n                        del cover[p]\n"
+           "                    else:\n                        cover[p] -= 1\n",
            "                    pass\n", (_LAZY, _HOOD), True),
+    Mutant("cover-zero-kept-at-sym-turn", "src/olsrtune/olsr.py",
+           "                    if cover[p] == 1:\n                        del cover[p]\n",
+           "                    if cover[p] == 1:\n                        cover[p] = 0\n",
+           (_LAZY, _HOOD), True),
+    Mutant("near-sym-turn-not-added", "src/olsrtune/olsr.py",
+           "                state.near.add(sender)\n", "", (_LAZY, _HOOD), True),
+    Mutant("provider-sym-turn-hood-not-provided", "src/olsrtune/olsr.py",
+           "                if nb.will != WILL_NEVER:\n                    _provide(",
+           "                if nb.will != WILL_NEVER:\n                    pass  # _provide(",
+           (_LAZY, _HOOD), True),
+    Mutant("near-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
+           "                state.near.discard(n)\n", "", (_LAZY, _HOOD), True),
+    Mutant("provider-sym-lapse-not-unprovided", "src/olsrtune/olsr.py",
+           "                    _unprovide(state, n, _strict_hood(nb, state.near))\n",
+           "                    pass\n", (_LAZY, _HOOD), True),
+    Mutant("provider-lapsed-id-not-strict", "src/olsrtune/olsr.py",
+           "                if ids:\n                    state.providers[n] = ids\n",
+           "                if False:\n                    state.providers[n] = ids\n",
+           (_LAZY, _HOOD), True),
+    Mutant("cover-lapsed-id-uncounted", "src/olsrtune/olsr.py",
+           "                        cover[p] = cover.get(p, 0) + 1\n", "                        pass\n",
+           (_LAZY, _HOOD), True),
+    Mutant("provider-lapsed-straggler-kept", "src/olsrtune/olsr.py",
+           "                    _unprovide(state, n, (t,))\n", "                    pass\n",
+           (_LAZY, _HOOD), True),
+    Mutant("cover-provide-uncounted", "src/olsrtune/olsr.py",
+           "        state.cover[n] = state.cover.get(n, 0) + len(ids)\n", "        pass\n",
+           (_LAZY, _HOOD), True),
+    Mutant("cover-unprovide-uncounted", "src/olsrtune/olsr.py",
+           "        left = cover[n] - len(ids)\n", "        left = cover[n]\n", (_LAZY, _HOOD), True),
+    Mutant("cover-zero-kept", "src/olsrtune/olsr.py",
+           "        if left:\n            cover[n] = left\n        else:\n            del cover[n]\n",
+           "        cover[n] = left\n",
+           ("tests/test_olsr.py::TestSelectMprs::test_provider_left_without_strict_ids_not_picked",),
+           True),
     Mutant("mutation-moves-swapped", "src/olsrtune/evo.py",
            '    ("scale", (0,)),\n    ("scale", (2,)),\n',
            '    ("scale", (2,)),\n    ("scale", (0,)),\n',
