@@ -93,13 +93,21 @@ neighbour too). Its two-hop hood is stored in two parts:
   the link's previous expiry: by (a) the dict is in expiry order.
 
 A hood is the union of the two without our own id (_strict_hood).
-make_hello reuses its previous advertised set while it is equal, so a
-receiver that already stores the sender's advertised set does no hood
-work at all. The other receivers of a frame mostly store one and the
-same older set, so process_hello computes the ids gained and lost once
-per stored set, not once per receiver. Since stragglers hold no id of
-the stored set, the ids of adv to drop from them are among the gained
-ones.
+make_hello keeps the listed and advertised sets of its latest HELLO, in
+last_listed and last_adv, and sends the same objects again while
+last_listed is not None. Only a link that is added, turns symmetric or
+lapses changes a node's neighbour keys or its symmetric set, and three
+sites reset last_listed to None: process_hello where it creates a
+Neighbor and where a link turns symmetric, and expire where any link
+lapses. make_hello then builds both sets afresh, and still sends the
+previous advertised object while it is equal, so a receiver that
+already stores the sender's advertised set does no hood work at all. A
+fresh or hand-built state starts at None; a caller that edits neighbors
+by hand after a HELLO resets last_listed, as it would set providers to
+None. The other receivers of a frame mostly store one and the same
+older set, so process_hello computes the ids gained and lost once per
+stored set, not once per receiver. Since stragglers hold no id of the
+stored set, the ids of adv to drop from them are among the gained ones.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -118,22 +126,25 @@ Next to it, cover maps each provider to the number of strict ids it
 provides; it holds no count of 0, and every change to the lists
 updates it with them. near holds our own id and the symmetric
 neighbours, the ids that are not strict, so an edit takes a strict
-hood as one set difference. All three are None in a fresh or
-hand-built state, and select_mprs builds them when it first runs. From
-then on they stay exact, changed only where MPRs are marked dirty:
+hood as one set difference. always holds the symmetric neighbours of
+willingness WILL_ALWAYS, the base of every MPR set. All four are None
+in a fresh or hand-built state, and select_mprs builds them when it
+first runs. From then on they stay exact, changed only where MPRs are
+marked dirty:
 
 - process_hello appends a willing sender to the list of each strict id
   its hood gains, and expire takes a willing neighbour off the list of
   each strict id its stragglers drop;
 - a link turning symmetric drops the sender's id from the map, since it
   is no longer strict, then a willing sender is added to the list of
-  each strict id in its hood;
-- a symmetric link's lapse takes a willing neighbour off every list, and
-  its id turns strict, provided by each willing symmetric neighbour
-  whose adv or stragglers hold it;
+  each strict id in its hood, and a WILL_ALWAYS sender to always;
+- a symmetric link's lapse takes a willing neighbour off every list and
+  out of always, and its id turns strict, provided by each willing
+  symmetric neighbour whose adv or stragglers hold it;
 - a symmetric neighbour's willingness change adds it to its hood's
   lists, or takes it off them, only when the change is from or to
-  WILL_NEVER.
+  WILL_NEVER, and puts it in always exactly when the new value is
+  WILL_ALWAYS.
 
 compute_routes reads only the symmetric neighbours and the destination
 sets of routed originators. Next to routing_table it keeps each route's
@@ -443,8 +454,14 @@ class OlsrNodeState:
     # our own id and the symmetric neighbours, the ids that are not
     # strict; None while providers is
     near: set | None = None
+    # the symmetric neighbours of willingness WILL_ALWAYS, every MPR set's
+    # base; None while providers is
+    always: set | None = None
     # heap of (expiry, neighbour), one entry per batch of stragglers
     straggler_batches: list = field(default_factory=list)
+    # listed set of the latest HELLO made; None once a link is added,
+    # turns symmetric or lapses, and in a fresh or hand-built state
+    last_listed: frozenset | None = None
     # advertised set of the latest HELLO made
     last_adv: frozenset = _NO_IDS
     tc_seq: int = 0
@@ -455,15 +472,19 @@ class OlsrNodeState:
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     """Build this node's next HELLO, advertising all current links. Its
-    advertised set is the previous HELLO's object while equal."""
-    nbrs = state.neighbors
-    adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
-    if adv == state.last_adv:
-        adv = state.last_adv
-    else:
-        state.last_adv = adv
+    listed and advertised sets are the previous HELLO's objects while no
+    link was added, turned symmetric or lapsed (last_listed is not None);
+    after such a change they are built afresh, and the advertised set is
+    still the previous object while equal."""
+    listed = state.last_listed
+    if listed is None:
+        nbrs = state.neighbors
+        listed = state.last_listed = frozenset(nbrs)
+        adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
+        if adv != state.last_adv:
+            state.last_adv = adv
     return Hello(
-        state.node_id, config.willingness, frozenset(nbrs), frozenset(ensure_mprs(state)), adv
+        state.node_id, config.willingness, listed, frozenset(ensure_mprs(state)), state.last_adv
     )
 
 
@@ -497,6 +518,7 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
         nb = nbrs.pop(sender, None)
         if nb is None:
             nb = Neighbor(False, expiry, own_will)
+            state.last_listed = None
         nbrs[sender] = nb  # last: by (a) the links are in expiry order
         was_sym = nb.sym
         old_expiry = nb.expiry
@@ -549,13 +571,20 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
                         _provide(state, sender, _strict_hood(nb, state.near))
                     elif own_will == WILL_NEVER:
                         _unprovide(state, sender, _strict_hood(nb, state.near))
+                    if own_will == WILL_ALWAYS:
+                        state.always.add(sender)
+                    else:
+                        state.always.discard(sender)
         if sym and not was_sym:
             state.mprs_dirty = True
             state.routes_dirty = True
+            state.last_listed = None
             if state.providers is not None:
                 # the sender's id is strict no more; a willing sender provides
                 # the strict ids of its hood
                 state.near.add(sender)
+                if nb.will == WILL_ALWAYS:
+                    state.always.add(sender)
                 cover = state.cover
                 for p in state.providers.pop(sender, ()):
                     if cover[p] == 1:
@@ -605,11 +634,12 @@ def _unprovide(state: OlsrNodeState, n: int, ids) -> None:
 
 
 def _build_providers(state: OlsrNodeState) -> None:
-    """Set the provider map, the coverage counts and the non-strict ids
-    afresh from the neighbour records."""
+    """Set the provider map, the coverage counts, the non-strict ids and
+    the willingness-7 base afresh from the neighbour records."""
     near = {n for n, nb in state.neighbors.items() if nb.sym}
+    always = {n for n in near if state.neighbors[n].will == WILL_ALWAYS}
     near.add(state.node_id)
-    state.providers, state.cover, state.near = {}, {}, near
+    state.providers, state.cover, state.near, state.always = {}, {}, near, always
     for n, nb in state.neighbors.items():
         if nb.sym and nb.will != WILL_NEVER:
             _provide(state, n, _strict_hood(nb, near))
@@ -623,9 +653,12 @@ def select_mprs(state: OlsrNodeState) -> set:
     providers, then repeatedly the candidate with highest willingness,
     then widest uncovered coverage, then lowest id. Reads the coverage
     from state.providers, which it builds first when it is None, with
-    state.cover. A round's gain is a provider's number of uncovered ids:
+    state.cover, and starts from the kept willingness-7 base,
+    state.always. A round's gain is a provider's number of uncovered ids:
     its count in state.cover while the base covers no id, else a count
-    over the uncovered lists.
+    over the uncovered lists. A pick whose gain equals the number of
+    uncovered lists is in every one of them, since no provider appears
+    twice in a list, so the loop stops there without filtering.
     """
     nbrs = state.neighbors
     if state.providers is None:
@@ -645,7 +678,7 @@ def select_mprs(state: OlsrNodeState) -> set:
                 sorted(dropped),
             )
 
-    mprs = {n for n, nb in nbrs.items() if nb.sym and nb.will == WILL_ALWAYS}
+    mprs = set(state.always)
     # sole providers
     mprs.update([ids[0] for ids in providers.values() if len(ids) == 1])
     # the provider lists of the ids no MPR covers yet
@@ -655,8 +688,11 @@ def select_mprs(state: OlsrNodeState) -> set:
     while uncovered:
         if gain is None:
             gain = Counter(chain.from_iterable(uncovered))
-        best = -max([(nbrs[n].will, g, -n) for n, g in gain.items()])[2]
+        key = max([(nbrs[n].will, g, -n) for n, g in gain.items()])
+        best = -key[2]
         mprs.add(best)
+        if key[1] == len(uncovered):
+            break  # the pick is in every list left
         uncovered = [ids for ids in uncovered if best not in ids]
         gain = None
 
@@ -774,6 +810,8 @@ def expire(state: OlsrNodeState, now: float) -> None:
         if nb.expiry > now:
             break
         lapsed.append(n)
+    if lapsed:
+        state.last_listed = None
     for n in lapsed:
         nb = nbrs.pop(n)
         if nb.sym:
@@ -781,6 +819,7 @@ def expire(state: OlsrNodeState, now: float) -> None:
             state.routes_dirty = True
             if state.providers is not None:
                 state.near.discard(n)
+                state.always.discard(n)
                 if nb.will != WILL_NEVER:
                     _unprovide(state, n, _strict_hood(nb, state.near))
                 # n's id turns strict, provided by each willing symmetric

@@ -1,10 +1,10 @@
 """Shared builders and checks for the test suite: static topologies, tiny
-scenarios, the expiry order of a node's OLSR tables and its kept MPR
-provider map."""
+scenarios, the expiry order of a node's OLSR tables, its kept MPR
+provider map and its kept HELLO link sets."""
 
 import pytest
 
-from olsrtune.olsr import WILL_NEVER
+from olsrtune.olsr import WILL_ALWAYS, WILL_NEVER
 from olsrtune.scenario import CbrFlow, LossModel, MobilityTrace, Scenario
 
 
@@ -55,15 +55,18 @@ def assert_providers_fresh(state):
     """A kept MPR provider map equals one built afresh from the neighbour
     records, each id's providers compared as a set, and lists no provider
     twice; the kept coverage counts equal a recount of the map's lists and
-    hold no 0, and the kept non-strict ids are our own and the symmetric
-    neighbours'. A map of None is one that select_mprs will build, and
-    its counts and non-strict ids are None too."""
+    hold no 0, the kept non-strict ids are our own and the symmetric
+    neighbours', and the kept willingness-7 base is the symmetric
+    neighbours of willingness WILL_ALWAYS. A map of None is one that
+    select_mprs will build, and its counts, non-strict ids and base are
+    None too."""
     if state.providers is None:
-        assert state.cover is None and state.near is None
+        assert state.cover is None and state.near is None and state.always is None
         return
     nbrs = state.neighbors
     near = {n for n, nb in nbrs.items() if nb.sym} | {state.node_id}
     assert state.near == near
+    assert state.always == {n for n, nb in nbrs.items() if nb.sym and nb.will == WILL_ALWAYS}
     fresh = {}
     for n, nb in nbrs.items():
         if nb.sym and nb.will != WILL_NEVER:
@@ -76,6 +79,15 @@ def assert_providers_fresh(state):
         for n in ids:
             recount[n] = recount.get(n, 0) + 1
     assert state.cover == recount
+
+
+def assert_hello_fresh(state):
+    """Kept HELLO link sets equal those built afresh: while last_listed is
+    not None, it holds every neighbour and last_adv every symmetric one."""
+    if state.last_listed is None:
+        return
+    assert state.last_listed == frozenset(state.neighbors)
+    assert state.last_adv == frozenset(n for n, nb in state.neighbors.items() if nb.sym)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import assert_expiry_order, assert_providers_fresh
+from conftest import assert_expiry_order, assert_hello_fresh, assert_providers_fresh
 from olsrtune.errors import ConfigurationError
 from olsrtune.olsr import (
     GENE_NAMES,
@@ -695,12 +695,14 @@ class TestLazyEqualsEager:
         return Tc(orig, sender, seq, dests)
 
     def check(self, s, ref):
-        """Caches equal fresh evaluations, a kept MPR provider map equals
-        a fresh build, tables equal those of the full-scan reference, the
-        links and the straggler and topology dicts are in expiry order and
-        no topology record is empty."""
+        """Caches equal fresh evaluations, a kept MPR provider map and
+        kept HELLO link sets equal fresh builds, tables equal those of the
+        full-scan reference, the links and the straggler and topology
+        dicts are in expiry order and no topology record is empty."""
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert_providers_fresh(s)
+        assert_hello_fresh(s)
+        make_hello(s, CFG)  # keeps link sets for the next check to test
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
         got, want = tables(s), tables(ref)
         for name in want:
@@ -912,6 +914,7 @@ class TestHoodEqualsReference:
             wills[n] = rng.choice((0, 3, 7))
             if n in links:
                 links[n].will = wills[n]
+        sender.last_listed = None  # hand edits: make_hello rebuilds its sets
 
     def check(self, s, twin):
         hoods = {n: full_hood(s, n) for n in s.neighbors}
@@ -932,6 +935,8 @@ class TestHoodEqualsReference:
         assert s.next_expiry <= min(stored_expiries(s), default=math.inf)
         assert ensure_mprs(s) == select_mprs(copy.deepcopy(s))
         assert_providers_fresh(s)
+        assert_hello_fresh(s)
+        make_hello(s, CFG)  # keeps link sets for the next check to test
         assert ensure_mprs(s) == reference_select_mprs(twin)
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
 
@@ -1015,10 +1020,12 @@ class TestHoodEqualsReference:
         assert changed[2:] == ({0, 2}, {0}, {0})
         assert changed.adv is first.adv  # only mprs changed
         sender.neighbors[3] = nbr(False, 1e9)
+        sender.last_listed = None  # a hand edit, as process_hello would reset it
         listed = make_hello(sender, CFG)
         assert listed[2:] == ({0, 2, 3}, {0}, {0})
         assert listed.adv is first.adv  # only listed changed
         sender.neighbors[3].sym = True
+        sender.last_listed = None
         grown = make_hello(sender, CFG)
         assert grown.adv == {0, 3}
         assert grown.adv is not first.adv

@@ -19,6 +19,7 @@ import olsrtune
 
 from conftest import (
     assert_expiry_order,
+    assert_hello_fresh,
     assert_providers_fresh,
     line_positions,
     make_static_scenario,
@@ -613,6 +614,7 @@ class TestForwardingPath:
             assert all(me not in nb.stragglers for nb in state.neighbors.values())
             assert_expiry_order(state)
             assert_providers_fresh(state)
+            assert_hello_fresh(state)
 
         def checked_hello(states, msg, now, config):
             assert all(state.node_id != msg.sender for state in states)
@@ -702,6 +704,32 @@ class TestProviderUpkeep:
         scn = generate_grid_scenario(spec, 5, template, seed=4, radio_range=500.0)
         run_simulation(scn, CFG, NIC, seed=4)
         assert len(built) == 20 and max(built.values()) == 1
+
+
+class TestHelloUpkeep:
+    def test_settled_links_resend_the_kept_sets(self, monkeypatch):
+        # every node hears every other and nothing moves, so once a node's
+        # links are all symmetric none is added, turns symmetric or lapses:
+        # each later HELLO carries the very objects of the one before
+        positions = {i: (20.0 * i, 0.0) for i in range(6)}
+        flow = CbrFlow(source=0, destination=5, packet_size=256, rate=1.0, start=10.0, duration=10.0)
+        scn = make_static_scenario(positions, duration=40.0, flows=(flow,))
+        make_hello = olsr.make_hello
+        last = {}
+        resent = Counter()
+
+        def checked(state, config):
+            msg = make_hello(state, config)
+            prev = last.get(msg.sender)
+            if prev is not None and len(prev.adv) == len(positions) - 1:
+                assert msg.listed is prev.listed and msg.adv is prev.adv
+                resent[msg.sender] += 1
+            last[msg.sender] = msg
+            return msg
+
+        monkeypatch.setattr(olsr, "make_hello", checked)
+        run_simulation(scn, CFG, NIC, seed=3)
+        assert sorted(resent) == sorted(positions) and min(resent.values()) >= 10
 
 
 class TestMetricsSerialization:

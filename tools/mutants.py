@@ -78,7 +78,7 @@ MUTANTS = (
            "self.cut = self.p_max * math.sqrt(self.range2) / scenario.radio_range",
            "self.cut = 0.99 * self.p_max * math.sqrt(self.range2) / scenario.radio_range",
            (_FORWARDING + "test_loss_cut_bounds_every_in_range_threshold",), True),
-    # the per-frame HELLO path and make_hello's advertised-set reuse
+    # the per-frame HELLO path and make_hello's kept link sets
     Mutant("hello-diff-cache-stale", "src/olsrtune/olsr.py",
            "if old is not last_old:", "if last_old is None:", (_HOOD,), True),
     Mutant("hello-selector-refresh-dropped", "src/olsrtune/olsr.py",
@@ -89,8 +89,16 @@ MUTANTS = (
            "        nbrs = state.neighbors\n", "        nbrs = state.neighbors\n",
            (_HOOD, _ENTRIES), True),
     Mutant("hello-adv-reused-unequal", "src/olsrtune/olsr.py",
-           "    if adv == state.last_adv:\n", "    if state.last_adv:\n",
+           "        if adv != state.last_adv:\n", "        if not state.last_adv:\n",
            (_HOOD,), True),
+    Mutant("hello-sets-kept-at-new-link", "src/olsrtune/olsr.py",
+           "            nb = Neighbor(False, expiry, own_will)\n            state.last_listed = None\n",
+           "            nb = Neighbor(False, expiry, own_will)\n", (_LAZY, _HOOD), True),
+    Mutant("hello-sets-kept-at-sym-turn", "src/olsrtune/olsr.py",
+           "            state.routes_dirty = True\n            state.last_listed = None\n",
+           "            state.routes_dirty = True\n", (_LAZY, _HOOD), True),
+    Mutant("hello-sets-kept-at-lapse", "src/olsrtune/olsr.py",
+           "    if lapsed:\n        state.last_listed = None\n", "", (_LAZY, _HOOD), True),
     # the entries' contract: receive_tc's one-key duplicate rule, fresh MPRs
     # in HELLOs
     Mutant("duplicate-not-recorded", "src/olsrtune/olsr.py",
@@ -213,6 +221,19 @@ MUTANTS = (
            (_LAZY, _HOOD), True),
     Mutant("cover-unprovide-uncounted", "src/olsrtune/olsr.py",
            "        left = cover[n] - len(ids)\n", "        left = cover[n]\n", (_LAZY, _HOOD), True),
+    # the kept willingness-7 base, and the greedy's stop at a covering pick
+    Mutant("always-sym-turn-not-added", "src/olsrtune/olsr.py",
+           "                if nb.will == WILL_ALWAYS:\n                    state.always.add(sender)\n",
+           "", (_LAZY, _HOOD), True),
+    Mutant("always-willingness-change-ignored", "src/olsrtune/olsr.py",
+           "                    if own_will == WILL_ALWAYS:\n                        state.always.add(sender)\n"
+           "                    else:\n                        state.always.discard(sender)\n",
+           "", (_LAZY, _HOOD), True),
+    Mutant("always-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
+           "                state.always.discard(n)\n", "", (_LAZY, _HOOD), True),
+    Mutant("greedy-stops-one-short", "src/olsrtune/olsr.py",
+           "if key[1] == len(uncovered):", "if key[1] >= len(uncovered) - 1:",
+           ("tests/test_olsr.py::TestSelectMprs", _HOOD), True),
     Mutant("cover-zero-kept", "src/olsrtune/olsr.py",
            "        if left:\n            cover[n] = left\n        else:\n            del cover[n]\n",
            "        cover[n] = left\n",
