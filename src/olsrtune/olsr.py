@@ -103,11 +103,11 @@ lapses. make_hello then builds both sets afresh, and still sends the
 previous advertised object while it is equal, so a receiver that
 already stores the sender's advertised set does no hood work at all. A
 fresh or hand-built state starts at None; a caller that edits neighbors
-by hand after a HELLO resets last_listed, as it would set providers to
-None. The other receivers of a frame mostly store one and the same
-older set, so process_hello computes the ids gained and lost once per
-stored set, not once per receiver. Since stragglers hold no id of the
-stored set, the ids of adv to drop from them are among the gained ones.
+by hand after a HELLO resets last_listed. The other receivers of a frame
+mostly store one and the same older set, so process_hello computes the
+ids gained and lost once per stored set, not once per receiver. Since
+stragglers hold no id of the stored set, the ids of adv to drop from
+them are among the gained ones.
 
 select_mprs reads only the symmetric neighbours, their willingness and
 their strict hoods (hood ids that are not our own and not symmetric
@@ -127,10 +127,10 @@ provides; it holds no count of 0, and every change to the lists
 updates it with them. near holds our own id and the symmetric
 neighbours, the ids that are not strict, so an edit takes a strict
 hood as one set difference. always holds the symmetric neighbours of
-willingness WILL_ALWAYS, the base of every MPR set. All four are None
-in a fresh or hand-built state, and select_mprs builds them when it
-first runs. From then on they stay exact, changed only where MPRs are
-marked dirty:
+willingness WILL_ALWAYS, the base of every MPR set. The constructor
+builds all four from the neighbour records it is given, so a hand-built
+state passes its records to it. From then on they stay exact, changed
+only where MPRs are marked dirty:
 
 - process_hello appends a willing sender to the list of each strict id
   its hood gains, and expire takes a willing neighbour off the list of
@@ -434,7 +434,7 @@ class OlsrNodeState:
 
     node_id: int
     neighbors: dict = field(default_factory=dict)  # id -> Neighbor
-    mpr_set: set = field(default_factory=set)
+    mpr_set: frozenset = _NO_IDS
     mprs_dirty: bool = False
     # originator (last hop) -> (frozenset of dests, expiry), never empty
     topology: dict = field(default_factory=dict)
@@ -446,17 +446,14 @@ class OlsrNodeState:
     route_last_hop: dict = field(default_factory=dict)
     routes_dirty: bool = False
     # strict two-hop id -> the willing symmetric neighbours whose hood
-    # holds it; None until select_mprs builds it
-    providers: dict | None = None
-    # provider -> the number of strict ids it provides, never 0; None
-    # while providers is
-    cover: dict | None = None
-    # our own id and the symmetric neighbours, the ids that are not
-    # strict; None while providers is
-    near: set | None = None
-    # the symmetric neighbours of willingness WILL_ALWAYS, every MPR set's
-    # base; None while providers is
-    always: set | None = None
+    # holds it
+    providers: dict = field(init=False)
+    # provider -> the number of strict ids it provides, never 0
+    cover: dict = field(init=False)
+    # our own id and the symmetric neighbours, the ids that are not strict
+    near: set = field(init=False)
+    # the symmetric neighbours of willingness WILL_ALWAYS, every MPR set's base
+    always: set = field(init=False)
     # heap of (expiry, neighbour), one entry per batch of stragglers
     straggler_batches: list = field(default_factory=list)
     # listed set of the latest HELLO made; None once a link is added,
@@ -468,6 +465,9 @@ class OlsrNodeState:
     # conservative lower bound on the earliest stored expiry; lets
     # expire() return in O(1) when nothing can have lapsed
     next_expiry: float = math.inf
+
+    def __post_init__(self):
+        _build_providers(self)
 
 
 def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
@@ -483,9 +483,7 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
         adv = frozenset([n for n, nb in nbrs.items() if nb.sym])
         if adv != state.last_adv:
             state.last_adv = adv
-    return Hello(
-        state.node_id, config.willingness, listed, frozenset(ensure_mprs(state)), state.last_adv
-    )
+    return Hello(state.node_id, config.willingness, listed, ensure_mprs(state), state.last_adv)
 
 
 def make_tc(state: OlsrNodeState, selectors: tuple) -> Tc:
@@ -536,14 +534,15 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
             nb.adv = adv
             hood = nb.stragglers
             if was_sym:
-                # a kept map takes every strict id, the dirty mark the first
-                providers = state.providers if nb.will != WILL_NEVER else None
-                if providers is not None or not state.mprs_dirty:
-                    cover = state.cover
+                # a willing sender provides every strict id; the dirty mark
+                # needs only the first
+                willing = nb.will != WILL_NEVER
+                if willing or not state.mprs_dirty:
+                    providers, cover, near = state.providers, state.cover, state.near
                     for t in gained:
-                        if t != me and t not in hood and not (t in nbrs and nbrs[t].sym):
+                        if t not in near and t not in hood:
                             state.mprs_dirty = True
-                            if providers is None:
+                            if not willing:
                                 break
                             providers.setdefault(t, []).append(sender)
                             cover[sender] = cover.get(sender, 0) + 1
@@ -566,7 +565,7 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
             if sym:
                 state.mprs_dirty = True
                 # a symmetric sender starts or stops providing only at WILL_NEVER
-                if was_sym and state.providers is not None:
+                if was_sym:
                     if was_never:
                         _provide(state, sender, _strict_hood(nb, state.near))
                     elif own_will == WILL_NEVER:
@@ -579,20 +578,19 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
             state.mprs_dirty = True
             state.routes_dirty = True
             state.last_listed = None
-            if state.providers is not None:
-                # the sender's id is strict no more; a willing sender provides
-                # the strict ids of its hood
-                state.near.add(sender)
-                if nb.will == WILL_ALWAYS:
-                    state.always.add(sender)
-                cover = state.cover
-                for p in state.providers.pop(sender, ()):
-                    if cover[p] == 1:
-                        del cover[p]
-                    else:
-                        cover[p] -= 1
-                if nb.will != WILL_NEVER:
-                    _provide(state, sender, _strict_hood(nb, state.near))
+            # the sender's id is strict no more; a willing sender provides
+            # the strict ids of its hood
+            state.near.add(sender)
+            if nb.will == WILL_ALWAYS:
+                state.always.add(sender)
+            cover = state.cover
+            for p in state.providers.pop(sender, ()):
+                if cover[p] == 1:
+                    del cover[p]
+                else:
+                    cover[p] -= 1
+            if nb.will != WILL_NEVER:
+                _provide(state, sender, _strict_hood(nb, state.near))
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -645,24 +643,23 @@ def _build_providers(state: OlsrNodeState) -> None:
             _provide(state, n, _strict_hood(nb, near))
 
 
-def select_mprs(state: OlsrNodeState) -> set:
+def select_mprs(state: OlsrNodeState) -> frozenset:
     """Greedy MPR selection over the strict two-hop neighborhood.
 
     Willingness-7 neighbors are always chosen and willingness-0 ones
     never; remaining two-hop nodes are covered by first taking sole
     providers, then repeatedly the candidate with highest willingness,
     then widest uncovered coverage, then lowest id. Reads the coverage
-    from state.providers, which it builds first when it is None, with
-    state.cover, and starts from the kept willingness-7 base,
-    state.always. A round's gain is a provider's number of uncovered ids:
-    its count in state.cover while the base covers no id, else a count
-    over the uncovered lists. A pick whose gain equals the number of
-    uncovered lists is in every one of them, since no provider appears
-    twice in a list, so the loop stops there without filtering.
+    from state.providers, with state.cover, and starts from the kept
+    willingness-7 base, state.always. A round's gain is a provider's
+    number of uncovered ids: its count in state.cover while the base
+    covers no id, else a count over the uncovered lists. A pick whose
+    gain equals the number of uncovered lists is in every one of them,
+    since no provider appears twice in a list, so the loop stops there
+    without filtering. The set is stored frozen, once per selection, so
+    every HELLO until the next selection sends it as it is.
     """
     nbrs = state.neighbors
-    if state.providers is None:
-        _build_providers(state)
     providers = state.providers
     if log.isEnabledFor(logging.DEBUG):
         near = state.near
@@ -696,12 +693,12 @@ def select_mprs(state: OlsrNodeState) -> set:
         uncovered = [ids for ids in uncovered if best not in ids]
         gain = None
 
-    state.mpr_set = mprs
+    state.mpr_set = mprs = frozenset(mprs)
     state.mprs_dirty = False
     return mprs
 
 
-def ensure_mprs(state: OlsrNodeState) -> set:
+def ensure_mprs(state: OlsrNodeState) -> frozenset:
     if state.mprs_dirty:
         return select_mprs(state)
     return state.mpr_set
@@ -817,20 +814,19 @@ def expire(state: OlsrNodeState, now: float) -> None:
         if nb.sym:
             state.mprs_dirty = True
             state.routes_dirty = True
-            if state.providers is not None:
-                state.near.discard(n)
-                state.always.discard(n)
-                if nb.will != WILL_NEVER:
-                    _unprovide(state, n, _strict_hood(nb, state.near))
-                # n's id turns strict, provided by each willing symmetric
-                # neighbour whose hood holds it
-                ids = [p for p, pb in nbrs.items()
-                       if pb.sym and pb.will != WILL_NEVER and (n in pb.adv or n in pb.stragglers)]
-                if ids:
-                    state.providers[n] = ids
-                    cover = state.cover
-                    for p in ids:
-                        cover[p] = cover.get(p, 0) + 1
+            state.near.discard(n)
+            state.always.discard(n)
+            if nb.will != WILL_NEVER:
+                _unprovide(state, n, _strict_hood(nb, state.near))
+            # n's id turns strict, provided by each willing symmetric
+            # neighbour whose hood holds it
+            ids = [p for p, pb in nbrs.items()
+                   if pb.sym and pb.will != WILL_NEVER and (n in pb.adv or n in pb.stragglers)]
+            if ids:
+                state.providers[n] = ids
+                cover = state.cover
+                for p in ids:
+                    cover[p] = cover.get(p, 0) + 1
 
     batches = state.straggler_batches
     while batches and batches[0][0] <= now:
@@ -847,11 +843,11 @@ def expire(state: OlsrNodeState, now: float) -> None:
         for t in dead:
             del hood[t]
         if nb.sym:
-            providers = state.providers if nb.will != WILL_NEVER else None
+            willing = nb.will != WILL_NEVER
             for t in dead:
-                if not (t in nbrs and nbrs[t].sym):
+                if t not in state.near:
                     state.mprs_dirty = True
-                    if providers is None:
+                    if not willing:
                         break
                     _unprovide(state, n, (t,))
 

@@ -57,12 +57,7 @@ def assert_providers_fresh(state):
     twice; the kept coverage counts equal a recount of the map's lists and
     hold no 0, the kept non-strict ids are our own and the symmetric
     neighbours', and the kept willingness-7 base is the symmetric
-    neighbours of willingness WILL_ALWAYS. A map of None is one that
-    select_mprs will build, and its counts, non-strict ids and base are
-    None too."""
-    if state.providers is None:
-        assert state.cover is None and state.near is None and state.always is None
-        return
+    neighbours of willingness WILL_ALWAYS."""
     nbrs = state.neighbors
     near = {n for n, nb in nbrs.items() if nb.sym} | {state.node_id}
     assert state.near == near

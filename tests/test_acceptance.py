@@ -150,11 +150,12 @@ def test_criterion_06_mpr_coverage_property():
         for t in two_hop_nodes:
             for p in rng.sample(one_hop, k=min(len(one_hop), rng.randint(1, 3))):
                 cover[p].add(t)
-        state = OlsrNodeState(node_id=0)
+        neighbors = {}
         for n, ts in cover.items():
             # sprinkle self/one-hop ids in: select_mprs must ignore them
             adv = ts | ({0, n} if rng.random() < 0.3 else set())
-            state.neighbors[n] = Neighbor(True, 1e9, wills[n], adv=frozenset(adv))
+            neighbors[n] = Neighbor(True, 1e9, wills[n], adv=frozenset(adv))
+        state = OlsrNodeState(node_id=0, neighbors=neighbors)
 
         mprs = select_mprs(state)
 

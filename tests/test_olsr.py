@@ -181,9 +181,8 @@ class TestMessages:
         assert msg[2:] == (set(), set(), set())  # listed, mprs, adv
 
     def test_hello_size_grows_per_entry(self):
-        state = OlsrNodeState(node_id=0)
-        state.neighbors = {1: nbr(True, 99.0), 2: nbr(False, 99.0), 3: nbr(True, 99.0)}
-        state.mpr_set = {3}
+        neighbors = {1: nbr(True, 99.0), 2: nbr(False, 99.0), 3: nbr(True, 99.0)}
+        state = OlsrNodeState(node_id=0, neighbors=neighbors, mpr_set=frozenset({3}))
         msg = make_hello(state, CFG)
         assert msg.size == HELLO_HEADER_BYTES + 3 * HELLO_ENTRY_BYTES
         assert msg[2:] == ({1, 2, 3}, {3}, {1, 3})
@@ -201,8 +200,7 @@ class TestMessages:
         assert make_tc(state, ()).seq_no == 2
 
     def test_tc_lists_sorted_selectors(self):
-        state = OlsrNodeState(node_id=0)
-        state.neighbors = {n: nbr(True, 99.0) for n in (5, 3, 2)}
+        state = OlsrNodeState(node_id=0, neighbors={n: nbr(True, 99.0) for n in (5, 3, 2)})
         state.neighbors[5].selector_expiry = state.neighbors[2].selector_expiry = 99.0
         msg = next_tc(state, 0.0, CFG)
         assert msg.selectors == (2, 5)
@@ -252,11 +250,11 @@ class TestLinkSensing:
 
 class TestSelectMprs:
     def state_with(self, sym_neighbors, wills, two_hop):
-        s = OlsrNodeState(node_id=0)
+        neighbors = {}
         for n in sym_neighbors:
             hood = dict.fromkeys(two_hop.get(n, ()), 999.0)
-            s.neighbors[n] = nbr(True, 999.0, wills.get(n, WILL_DEFAULT), stragglers=hood)
-        return s
+            neighbors[n] = nbr(True, 999.0, wills.get(n, WILL_DEFAULT), stragglers=hood)
+        return OlsrNodeState(node_id=0, neighbors=neighbors)
 
     def test_greedy_prefers_wider_coverage(self):
         s = self.state_with([1, 2], {}, {1: {10, 11}, 2: {10}})
@@ -290,14 +288,16 @@ class TestSelectMprs:
         rng = random.Random(55)
         for _case in range(300):
             nbrs = range(1, rng.randint(2, 12))
-            s = OlsrNodeState(node_id=0)
             syms = {n: rng.random() < 0.8 for n in nbrs}
             wills = {n: rng.choice((0, 1, 3, 3, 6, 7)) for n in nbrs if rng.random() < 0.9}
+            neighbors = {}
             for n in nbrs:
                 ids = [t for t in range(0, 30) if t != n and rng.random() < 0.2]
                 adv = frozenset(t for t in ids if rng.random() < 0.8)
                 stragglers = {t: 999.0 for t in ids if t not in adv and t != 0}
-                s.neighbors[n] = nbr(syms[n], 999.0, wills.get(n, WILL_DEFAULT), adv, stragglers)
+                neighbors[n] = nbr(syms[n], 999.0, wills.get(n, WILL_DEFAULT), adv, stragglers)
+            s = OlsrNodeState(node_id=0, neighbors=neighbors)
+            assert_providers_fresh(s)
             ref = copy.deepcopy(s)
             for n, nb in ref.neighbors.items():
                 nb.adv, nb.stragglers = frozenset(), full_hood(s, n)
@@ -354,8 +354,7 @@ class TestProcessTc:
         assert s.topology == {}
 
     def test_newer_seq_same_set_refreshes_without_route_recompute(self):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {5: nbr(True, 999.0)}
+        s = OlsrNodeState(node_id=0, neighbors={5: nbr(True, 999.0)})
         s.routes_dirty = True  # as process_hello leaves a link turned symmetric
         process_tc(s, self.make_tc_msg(5, 1, (6, 7)), 0.0, CFG)
         assert ensure_routes(s) == {5: (5, 1), 6: (5, 2), 7: (5, 2)}
@@ -387,8 +386,7 @@ class TestRouteFilter:
     equal hop counts, a shorter route, an unrouted originator and lapses."""
 
     def clean_state(self, *neighbours):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {n: nbr(True, 999.0) for n in neighbours}
+        s = OlsrNodeState(node_id=0, neighbors={n: nbr(True, 999.0) for n in neighbours})
         s.routes_dirty = True
         ensure_routes(s)
         return s
@@ -469,26 +467,22 @@ class TestShouldForward:
 
 class TestRoutes:
     def test_bfs_over_topology(self):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {1: nbr(True, 999.0)}
+        s = OlsrNodeState(node_id=0, neighbors={1: nbr(True, 999.0)})
         s.topology = {1: (frozenset({2}), 999.0), 2: (frozenset({3}), 999.0)}
         routes = compute_routes(s)
         assert routes == {1: (1, 1), 2: (1, 2), 3: (1, 3)}
 
     def test_tie_breaks_to_lowest_next_hop(self):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {1: nbr(True, 999.0), 2: nbr(True, 999.0)}
+        s = OlsrNodeState(node_id=0, neighbors={1: nbr(True, 999.0), 2: nbr(True, 999.0)})
         s.topology = {1: (frozenset({5}), 999.0), 2: (frozenset({5}), 999.0)}
         assert compute_routes(s)[5] == (1, 2)
 
     def test_asymmetric_links_unused(self):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {1: nbr(False, 999.0)}
+        s = OlsrNodeState(node_id=0, neighbors={1: nbr(False, 999.0)})
         assert compute_routes(s) == {}
 
     def test_unreachable_absent(self):
-        s = OlsrNodeState(node_id=0)
-        s.neighbors = {1: nbr(True, 999.0)}
+        s = OlsrNodeState(node_id=0, neighbors={1: nbr(True, 999.0)})
         s.topology = {7: (frozenset({8}), 999.0)}  # island not connected to us
         assert compute_routes(s) == {1: (1, 1)}
 
@@ -889,14 +883,14 @@ class TestHoodEqualsReference:
             else:
                 links[n] = Neighbor(sym, 1e9, wills.get(n, WILL_DEFAULT))
             if not sym:
-                sender.mpr_set.discard(n)
+                sender.mpr_set -= {n}
 
         if op < 0.35:
             return  # unchanged: make_hello resends the same advertised set
         if op < 0.5 and links:
             n = rng.choice(sorted(links))
             del links[n]
-            sender.mpr_set.discard(n)
+            sender.mpr_set -= {n}
             dropped.append(n)
         elif op < 0.65 and dropped:
             put(dropped.pop(rng.randrange(len(dropped))), True)
@@ -908,7 +902,7 @@ class TestHoodEqualsReference:
                 put(n, False)  # every entry ASYM
         elif op < 0.9:
             sym = sorted(n for n, nb in links.items() if nb.sym)
-            sender.mpr_set = set(rng.sample(sym, rng.randint(0, len(sym))))
+            sender.mpr_set = frozenset(rng.sample(sym, rng.randint(0, len(sym))))
         else:
             n = rng.choice([n for n in self.IDS if n != sender.node_id])
             wills[n] = rng.choice((0, 3, 7))
@@ -1015,7 +1009,7 @@ class TestHoodEqualsReference:
         assert first[2:] == ({0, 2}, set(), {0})
         sender.neighbors[0].will = WILL_ALWAYS  # HELLOs do not carry it
         assert make_hello(sender, CFG).adv is first.adv
-        sender.mpr_set = {0}
+        sender.mpr_set = frozenset({0})
         changed = make_hello(sender, CFG)
         assert changed[2:] == ({0, 2}, {0}, {0})
         assert changed.adv is first.adv  # only mprs changed

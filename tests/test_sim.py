@@ -689,8 +689,8 @@ class TestForwardingPath:
 class TestProviderUpkeep:
     def test_provider_map_built_once_per_node(self, monkeypatch):
         # the kept MPR provider map stays exact through link, willingness
-        # and hood changes, so a dense mobile run builds it only at each
-        # node's first MPR selection
+        # and hood changes, so a dense mobile run builds it only when each
+        # node's state is made
         built = Counter()
         build = olsr._build_providers
 

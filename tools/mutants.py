@@ -111,7 +111,7 @@ MUTANTS = (
            "    if state.last_tc is not None and key[0] == state.last_tc[0]:\n",
            (_ENTRIES + "::test_receive_tc_relays_only_for_selectors",), True),
     Mutant("hello-mprs-not-ensured", "src/olsrtune/olsr.py",
-           "frozenset(ensure_mprs(state))", "frozenset(state.mpr_set)",
+           "ensure_mprs(state), state.last_adv", "state.mpr_set, state.last_adv",
            ("tests/test_olsr.py::TestMessages::test_hello_advertises_fresh_mprs",
             _FORWARDING + "test_runs_keep_the_entries_contract"), True),
     # each entry expires first
@@ -165,12 +165,12 @@ MUTANTS = (
            (_ENTRIES + "::test_selection_lapses_before_the_link",), True),
     Mutant("sym-link-expiry-not-dirty", "src/olsrtune/olsr.py",
            "        if nb.sym:\n            state.mprs_dirty = True\n            state.routes_dirty = True\n"
-           "            if state.providers is not None:\n                state.near",
+           "            state.near.discard(n)\n",
            # the map's upkeep stays: only the dirty marks go
-           "        if nb.sym:\n            if state.providers is not None:\n                state.near",
+           "        if nb.sym:\n            state.near.discard(n)\n",
            ("tests/test_olsr.py::TestExpire", _LAZY), True),
     # the kept MPR provider map, its coverage counts and its non-strict
-    # ids: kept exact where MPRs are marked dirty, never reset
+    # ids: built with the state, kept exact where MPRs are marked dirty
     Mutant("provider-append-dropped", "src/olsrtune/olsr.py",
            "                            providers.setdefault(t, []).append(sender)\n",
            "                            pass\n", (_LAZY, _HOOD), True),
@@ -185,34 +185,44 @@ MUTANTS = (
            "                        _unprovide(state, sender, _strict_hood(nb, state.near))\n",
            "                        pass\n", (_LAZY, _HOOD), True),
     Mutant("provider-sym-turn-id-not-popped", "src/olsrtune/olsr.py",
-           "                for p in state.providers.pop(sender, ()):\n",
-           "                for p in state.providers.get(sender, ()):\n", (_LAZY, _HOOD), True),
+           "            for p in state.providers.pop(sender, ()):\n",
+           "            for p in state.providers.get(sender, ()):\n", (_LAZY, _HOOD), True),
     Mutant("cover-sym-turn-uncounted", "src/olsrtune/olsr.py",
-           "                    if cover[p] == 1:\n                        del cover[p]\n"
-           "                    else:\n                        cover[p] -= 1\n",
-           "                    pass\n", (_LAZY, _HOOD), True),
+           "                if cover[p] == 1:\n                    del cover[p]\n"
+           "                else:\n                    cover[p] -= 1\n",
+           "                pass\n", (_LAZY, _HOOD), True),
     Mutant("cover-zero-kept-at-sym-turn", "src/olsrtune/olsr.py",
-           "                    if cover[p] == 1:\n                        del cover[p]\n",
-           "                    if cover[p] == 1:\n                        cover[p] = 0\n",
+           "                if cover[p] == 1:\n                    del cover[p]\n",
+           "                if cover[p] == 1:\n                    cover[p] = 0\n",
            (_LAZY, _HOOD), True),
     Mutant("near-sym-turn-not-added", "src/olsrtune/olsr.py",
-           "                state.near.add(sender)\n", "", (_LAZY, _HOOD), True),
+           "            state.near.add(sender)\n", "", (_LAZY, _HOOD), True),
     Mutant("provider-sym-turn-hood-not-provided", "src/olsrtune/olsr.py",
-           "                if nb.will != WILL_NEVER:\n                    _provide(",
-           "                if nb.will != WILL_NEVER:\n                    pass  # _provide(",
+           "            if nb.will != WILL_NEVER:\n                _provide(",
+           "            if nb.will != WILL_NEVER:\n                pass  # _provide(",
            (_LAZY, _HOOD), True),
     Mutant("near-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
-           "                state.near.discard(n)\n", "", (_LAZY, _HOOD), True),
+           "            state.near.discard(n)\n", "", (_LAZY, _HOOD), True),
     Mutant("provider-sym-lapse-not-unprovided", "src/olsrtune/olsr.py",
-           "                    _unprovide(state, n, _strict_hood(nb, state.near))\n",
-           "                    pass\n", (_LAZY, _HOOD), True),
+           "                _unprovide(state, n, _strict_hood(nb, state.near))\n",
+           "                pass\n", (_LAZY, _HOOD), True),
     Mutant("provider-lapsed-id-not-strict", "src/olsrtune/olsr.py",
-           "                if ids:\n                    state.providers[n] = ids\n",
-           "                if False:\n                    state.providers[n] = ids\n",
+           "            if ids:\n                state.providers[n] = ids\n",
+           "            if False:\n                state.providers[n] = ids\n",
            (_LAZY, _HOOD), True),
     Mutant("cover-lapsed-id-uncounted", "src/olsrtune/olsr.py",
-           "                        cover[p] = cover.get(p, 0) + 1\n", "                        pass\n",
+           "                    cover[p] = cover.get(p, 0) + 1\n", "                    pass\n",
            (_LAZY, _HOOD), True),
+    Mutant("gained-sym-id-counted-strict", "src/olsrtune/olsr.py",
+           "t not in near", "t != me", (_LAZY, _HOOD), True),
+    Mutant("lapsed-straggler-sym-id-counted-strict", "src/olsrtune/olsr.py",
+           "                if t not in state.near:\n", "                if True:\n",
+           (_LAZY, _HOOD), True),
+    Mutant("constructor-ignores-records", "src/olsrtune/olsr.py",
+           "        _build_providers(self)\n",
+           "        self.providers, self.cover, self.near, self.always = {}, {}, {self.node_id}, set()\n",
+           ("tests/test_olsr.py::TestSelectMprs",
+            "tests/test_acceptance.py::test_criterion_06_mpr_coverage_property"), True),
     Mutant("provider-lapsed-straggler-kept", "src/olsrtune/olsr.py",
            "                    _unprovide(state, n, (t,))\n", "                    pass\n",
            (_LAZY, _HOOD), True),
@@ -223,14 +233,14 @@ MUTANTS = (
            "        left = cover[n] - len(ids)\n", "        left = cover[n]\n", (_LAZY, _HOOD), True),
     # the kept willingness-7 base, and the greedy's stop at a covering pick
     Mutant("always-sym-turn-not-added", "src/olsrtune/olsr.py",
-           "                if nb.will == WILL_ALWAYS:\n                    state.always.add(sender)\n",
+           "            if nb.will == WILL_ALWAYS:\n                state.always.add(sender)\n",
            "", (_LAZY, _HOOD), True),
     Mutant("always-willingness-change-ignored", "src/olsrtune/olsr.py",
            "                    if own_will == WILL_ALWAYS:\n                        state.always.add(sender)\n"
            "                    else:\n                        state.always.discard(sender)\n",
            "", (_LAZY, _HOOD), True),
     Mutant("always-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
-           "                state.always.discard(n)\n", "", (_LAZY, _HOOD), True),
+           "            state.always.discard(n)\n", "", (_LAZY, _HOOD), True),
     Mutant("greedy-stops-one-short", "src/olsrtune/olsr.py",
            "if key[1] == len(uncovered):", "if key[1] >= len(uncovered) - 1:",
            ("tests/test_olsr.py::TestSelectMprs", _HOOD), True),
