@@ -39,7 +39,11 @@ The entries keep a contract, and the functions they call rely on it:
     and an originator's seq_no only rises: the simulator's flood delivers
     every copy of a TC at the instant it is sent, and make_tc raises
     tc_seq on every TC. So one key per node is the whole duplicate set,
-    and a TC always replaces its originator's topology record.
+    and a TC always replaces its originator's topology record;
+(e) every node of a run advertises the run's willingness: the simulator
+    gives every node the one config. So a Neighbor's will stays the
+    value its link's first HELLO carried, and a lapsed link's new record
+    takes the next HELLO's value.
 
 The parameters' names, bounds, defaults and integer flag are defined
 once, in PARAMS; GENE_NAMES, the config checks, the search space, the
@@ -114,7 +118,6 @@ their strict hoods (hood ids that are not our own and not symmetric
 neighbours), so MPRs are marked dirty exactly when:
 
 - a link turns symmetric, or a symmetric link expires;
-- a symmetric neighbour's willingness changes;
 - a symmetric neighbour's hood gains an id that is not our own and not
   a symmetric neighbour;
 - expire drops such an id from a symmetric neighbour's stragglers.
@@ -127,24 +130,21 @@ provides; it holds no count of 0, and every change to the lists
 updates it with them. near holds our own id and the symmetric
 neighbours, the ids that are not strict, so an edit takes a strict
 hood as one set difference. always holds the symmetric neighbours of
-willingness WILL_ALWAYS, the base of every MPR set. The constructor
-builds all four from the neighbour records it is given, so a hand-built
-state passes its records to it. From then on they stay exact, changed
-only where MPRs are marked dirty:
+willingness WILL_ALWAYS, the base of every MPR set. _join keeps all
+four exact as a link turns symmetric, and the constructor builds them
+from the neighbour records it is given by joining each symmetric one
+to an empty state, so a hand-built state passes its records to it.
+From then on they stay exact, changed only where MPRs are marked dirty:
 
 - process_hello appends a willing sender to the list of each strict id
   its hood gains, and expire takes a willing neighbour off the list of
   each strict id its stragglers drop;
-- a link turning symmetric drops the sender's id from the map, since it
-  is no longer strict, then a willing sender is added to the list of
-  each strict id in its hood, and a WILL_ALWAYS sender to always;
+- a link turning symmetric (_join) drops the sender's id from the map,
+  since it is no longer strict, then a willing sender is added to the
+  list of each strict id in its hood, and a WILL_ALWAYS sender to always;
 - a symmetric link's lapse takes a willing neighbour off every list and
   out of always, and its id turns strict, provided by each willing
-  symmetric neighbour whose adv or stragglers hold it;
-- a symmetric neighbour's willingness change adds it to its hood's
-  lists, or takes it off them, only when the change is from or to
-  WILL_NEVER, and puts it in always exactly when the new value is
-  WILL_ALWAYS.
+  symmetric neighbour whose adv or stragglers hold it.
 
 compute_routes reads only the symmetric neighbours and the destination
 sets of routed originators. Next to routing_table it keeps each route's
@@ -182,7 +182,6 @@ it with now.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -225,8 +224,6 @@ __all__ = [
     "ensure_routes",
     "expire",
 ]
-
-log = logging.getLogger(__name__)
 
 WILL_NEVER = 0
 WILL_DEFAULT = 3
@@ -419,7 +416,7 @@ class Neighbor:
 
     sym: bool
     expiry: float  # of the link, and of every id in adv
-    will: int  # last advertised willingness
+    will: int  # advertised willingness, fixed for the link's life by (e)
     # non-ASYM ids of its latest HELLO, shared with the other receivers
     adv: frozenset = _NO_IDS
     # id an older HELLO listed and the latest one does not -> expiry
@@ -430,7 +427,9 @@ class Neighbor:
 
 @dataclass
 class OlsrNodeState:
-    """Protocol state owned by a single node."""
+    """Protocol state owned by a single node. After construction only
+    the five entries edit neighbors: a hand edit leaves the MPR coverage
+    state (providers, cover, near, always) stale."""
 
     node_id: int
     neighbors: dict = field(default_factory=dict)  # id -> Neighbor
@@ -559,38 +558,28 @@ def process_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
                     batch = (old_expiry, sender)
                 heappush(state.straggler_batches, batch)
 
-        if nb.will != own_will:
-            was_never = nb.will == WILL_NEVER
-            nb.will = own_will
-            if sym:
-                state.mprs_dirty = True
-                # a symmetric sender starts or stops providing only at WILL_NEVER
-                if was_sym:
-                    if was_never:
-                        _provide(state, sender, _strict_hood(nb, state.near))
-                    elif own_will == WILL_NEVER:
-                        _unprovide(state, sender, _strict_hood(nb, state.near))
-                    if own_will == WILL_ALWAYS:
-                        state.always.add(sender)
-                    else:
-                        state.always.discard(sender)
         if sym and not was_sym:
             state.mprs_dirty = True
             state.routes_dirty = True
             state.last_listed = None
-            # the sender's id is strict no more; a willing sender provides
-            # the strict ids of its hood
-            state.near.add(sender)
-            if nb.will == WILL_ALWAYS:
-                state.always.add(sender)
-            cover = state.cover
-            for p in state.providers.pop(sender, ()):
-                if cover[p] == 1:
-                    del cover[p]
-                else:
-                    cover[p] -= 1
-            if nb.will != WILL_NEVER:
-                _provide(state, sender, _strict_hood(nb, state.near))
+            _join(state, sender, nb)
+
+
+def _join(state: OlsrNodeState, n: int, nb: Neighbor) -> None:
+    """Keep the coverage state exact as neighbour n's link nb turns
+    symmetric: n's id is strict no more, a WILL_ALWAYS n joins the base,
+    and a willing n provides the strict ids of its hood."""
+    state.near.add(n)
+    if nb.will == WILL_ALWAYS:
+        state.always.add(n)
+    cover = state.cover
+    for p in state.providers.pop(n, ()):
+        if cover[p] == 1:
+            del cover[p]
+        else:
+            cover[p] -= 1
+    if nb.will != WILL_NEVER:
+        _provide(state, n, _strict_hood(nb, state.near))
 
 
 def _strict_hood(nb: Neighbor, near: set) -> frozenset:
@@ -633,14 +622,12 @@ def _unprovide(state: OlsrNodeState, n: int, ids) -> None:
 
 def _build_providers(state: OlsrNodeState) -> None:
     """Set the provider map, the coverage counts, the non-strict ids and
-    the willingness-7 base afresh from the neighbour records."""
-    near = {n for n, nb in state.neighbors.items() if nb.sym}
-    always = {n for n in near if state.neighbors[n].will == WILL_ALWAYS}
-    near.add(state.node_id)
-    state.providers, state.cover, state.near, state.always = {}, {}, near, always
+    the willingness-7 base afresh from the neighbour records, joining
+    each symmetric link to an empty state."""
+    state.providers, state.cover, state.near, state.always = {}, {}, {state.node_id}, set()
     for n, nb in state.neighbors.items():
-        if nb.sym and nb.will != WILL_NEVER:
-            _provide(state, n, _strict_hood(nb, near))
+        if nb.sym:
+            _join(state, n, nb)
 
 
 def select_mprs(state: OlsrNodeState) -> frozenset:
@@ -661,20 +648,6 @@ def select_mprs(state: OlsrNodeState) -> frozenset:
     """
     nbrs = state.neighbors
     providers = state.providers
-    if log.isEnabledFor(logging.DEBUG):
-        near = state.near
-        dropped = set()
-        for nb in nbrs.values():
-            if nb.sym and nb.will == WILL_NEVER:
-                dropped |= _strict_hood(nb, near)
-        dropped.difference_update(providers)
-        if dropped:
-            log.debug(
-                "node %d: two-hop nodes %s reachable only via willingness-0 neighbors",
-                state.node_id,
-                sorted(dropped),
-            )
-
     mprs = set(state.always)
     # sole providers
     mprs.update([ids[0] for ids in providers.values() if len(ids) == 1])

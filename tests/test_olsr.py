@@ -1,7 +1,6 @@
 """Protocol-state machinery: configs, messages, MPRs, topology, routes."""
 
 import copy
-import logging
 import math
 import random
 from dataclasses import fields, replace
@@ -275,12 +274,6 @@ class TestSelectMprs:
         s = self.state_with([1, 2, 3], {}, {1: {10}, 2: {10, 11, 12}, 3: {13}})
         mprs = select_mprs(s)
         assert 3 in mprs and 2 in mprs and 1 not in mprs
-
-    def test_two_hop_reachable_only_via_will0_is_logged(self, caplog):
-        s = self.state_with([1, 2], {1: 0}, {1: {10, 11}, 2: {10}})
-        with caplog.at_level(logging.DEBUG, logger="olsrtune.olsr"):
-            assert select_mprs(s) == {2}
-        assert "two-hop nodes [11] reachable only via willingness-0 neighbors" in caplog.text
 
     def test_equals_reference_on_split_hoods(self):
         # hoods split into an advertised set (which may hold our own id)
@@ -671,7 +664,11 @@ class TestLazyEqualsEager:
             if n != sender and rng.random() < 0.4:
                 links[rng.choice(("asym", "sym", "mpr"))].append(n)
                 rng.choice((0, 3, 7))  # unused: keeps each seed's draws as they were
-        own = will if rng.random() < 0.5 else rng.choice((0, 3, 7))
+        if rng.random() >= 0.5:
+            rng.choice((0, 3, 7))  # unused, as above
+        # by contract clause (e) a sender's willingness is fixed; the odd
+        # senders keep mixed willingness covered
+        own = will if sender % 2 == 0 else (0, 3, 7)[sender % 3]
         return hello(sender, will=own, **links)
 
     def random_tc(self, rng, last_seq, last_dests=None):
@@ -937,19 +934,20 @@ class TestHoodEqualsReference:
     def make_senders(self, rng):
         """The senders' states, with the ids their links dropped and the
         willingness each advertises per id, for random_hello."""
-        senders = {k: OlsrNodeState(node_id=k) for k in self.SENDERS}
-        for k, sender in senders.items():
-            sender.neighbors = {
-                n: Neighbor(rng.random() < 0.7, 1e9, WILL_DEFAULT) for n in self.IDS if n != k
-            }
+        senders = {}
+        for k in self.SENDERS:
+            links = {n: Neighbor(rng.random() < 0.7, 1e9, WILL_DEFAULT) for n in self.IDS if n != k}
+            senders[k] = OlsrNodeState(node_id=k, neighbors=links)
         return senders, {k: [] for k in self.SENDERS}, {k: {} for k in self.SENDERS}
 
     def random_hello(self, rng, cfg, senders, dropped, wills):
         """The next HELLO of a random sender whose links mutate_sender changed."""
         k = rng.choice(self.SENDERS)
         self.mutate_sender(rng, senders[k], dropped[k], wills[k])
-        will = rng.choice((0, 3, 7)) if rng.random() < 0.2 else 3
-        msg = make_hello(senders[k], replace(cfg, willingness=will))
+        if rng.random() < 0.2:
+            rng.choice((0, 3, 7))  # unused: keeps each seed's draws as they were
+        # by contract clause (e) a sender's willingness is fixed
+        msg = make_hello(senders[k], replace(cfg, willingness=(0, 3, 7, 3, 3)[k - 1]))
         assert msg.mprs <= msg.adv <= msg.listed  # one link code per id
         if rng.random() < 0.15:
             # as a hand-built message: equal sets, fresh objects (frozenset()

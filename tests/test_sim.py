@@ -597,9 +597,10 @@ class TestForwardingPath:
         # on the runs above: no node hears its own HELLO, every HELLO's
         # MPRs are among its symmetric neighbours, no topology record or
         # straggler dict holds the owner's id, (a) the links, each straggler
-        # dict and the topology dict stay in expiry order, and (d) a node
+        # dict and the topology dict stay in expiry order, (d) a node
         # receives each TC key at one instant only and processes an
-        # originator's seq_no only rising; and a kept MPR provider map
+        # originator's seq_no only rising, and (e) every HELLO and every
+        # link carries the run's willingness; and a kept MPR provider map
         # equals a fresh build
         checked = Counter()
         process_hello, process_tc = olsr.process_hello, olsr.process_tc
@@ -619,9 +620,12 @@ class TestForwardingPath:
         def checked_hello(states, msg, now, config):
             assert all(state.node_id != msg.sender for state in states)
             assert msg.mprs <= msg.adv
+            assert msg.will == config.willingness
             process_hello(states, msg, now, config)
             for state in states:
                 check_tables(state)
+                # (e): every link stores the run's willingness
+                assert all(nb.will == msg.will for nb in state.neighbors.values())
             checked["hello"] += 1
 
         def checked_tc(state, msg, now, config):

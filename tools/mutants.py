@@ -100,7 +100,10 @@ MUTANTS = (
     Mutant("hello-sets-kept-at-lapse", "src/olsrtune/olsr.py",
            "    if lapsed:\n        state.last_listed = None\n", "", (_LAZY, _HOOD), True),
     # the entries' contract: receive_tc's one-key duplicate rule, fresh MPRs
-    # in HELLOs
+    # in HELLOs, each link's willingness from its first HELLO
+    Mutant("new-link-default-willingness", "src/olsrtune/olsr.py",
+           "Neighbor(False, expiry, own_will)", "Neighbor(False, expiry, WILL_DEFAULT)",
+           (_HOOD, _FORWARDING + "test_runs_keep_the_entries_contract"), True),
     Mutant("duplicate-not-recorded", "src/olsrtune/olsr.py",
            "    state.last_tc = key\n", "",
            # first: the run hangs once nothing suppresses duplicates
@@ -177,29 +180,24 @@ MUTANTS = (
     Mutant("cover-append-uncounted", "src/olsrtune/olsr.py",
            "                            cover[sender] = cover.get(sender, 0) + 1\n", "",
            (_LAZY, _HOOD), True),
-    Mutant("provider-willingness-rise-not-provided", "src/olsrtune/olsr.py",
-           "                    if was_never:\n                        _provide(",
-           "                    if was_never:\n                        pass  # _provide(",
-           (_LAZY, _HOOD), True),
-    Mutant("provider-willingness-fall-not-removed", "src/olsrtune/olsr.py",
-           "                        _unprovide(state, sender, _strict_hood(nb, state.near))\n",
-           "                        pass\n", (_LAZY, _HOOD), True),
+    Mutant("sym-turn-join-skipped", "src/olsrtune/olsr.py",
+           "            _join(state, sender, nb)\n", "            pass\n", (_LAZY, _HOOD), True),
     Mutant("provider-sym-turn-id-not-popped", "src/olsrtune/olsr.py",
-           "            for p in state.providers.pop(sender, ()):\n",
-           "            for p in state.providers.get(sender, ()):\n", (_LAZY, _HOOD), True),
+           "    for p in state.providers.pop(n, ()):\n",
+           "    for p in state.providers.get(n, ()):\n", (_LAZY, _HOOD), True),
     Mutant("cover-sym-turn-uncounted", "src/olsrtune/olsr.py",
-           "                if cover[p] == 1:\n                    del cover[p]\n"
-           "                else:\n                    cover[p] -= 1\n",
-           "                pass\n", (_LAZY, _HOOD), True),
+           "        if cover[p] == 1:\n            del cover[p]\n"
+           "        else:\n            cover[p] -= 1\n",
+           "        pass\n", (_LAZY, _HOOD), True),
     Mutant("cover-zero-kept-at-sym-turn", "src/olsrtune/olsr.py",
-           "                if cover[p] == 1:\n                    del cover[p]\n",
-           "                if cover[p] == 1:\n                    cover[p] = 0\n",
+           "        if cover[p] == 1:\n            del cover[p]\n",
+           "        if cover[p] == 1:\n            cover[p] = 0\n",
            (_LAZY, _HOOD), True),
     Mutant("near-sym-turn-not-added", "src/olsrtune/olsr.py",
-           "            state.near.add(sender)\n", "", (_LAZY, _HOOD), True),
+           "    state.near.add(n)\n", "", (_LAZY, _HOOD), True),
     Mutant("provider-sym-turn-hood-not-provided", "src/olsrtune/olsr.py",
-           "            if nb.will != WILL_NEVER:\n                _provide(",
-           "            if nb.will != WILL_NEVER:\n                pass  # _provide(",
+           "    if nb.will != WILL_NEVER:\n        _provide(",
+           "    if nb.will != WILL_NEVER:\n        pass  # _provide(",
            (_LAZY, _HOOD), True),
     Mutant("near-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
            "            state.near.discard(n)\n", "", (_LAZY, _HOOD), True),
@@ -233,11 +231,7 @@ MUTANTS = (
            "        left = cover[n] - len(ids)\n", "        left = cover[n]\n", (_LAZY, _HOOD), True),
     # the kept willingness-7 base, and the greedy's stop at a covering pick
     Mutant("always-sym-turn-not-added", "src/olsrtune/olsr.py",
-           "            if nb.will == WILL_ALWAYS:\n                state.always.add(sender)\n",
-           "", (_LAZY, _HOOD), True),
-    Mutant("always-willingness-change-ignored", "src/olsrtune/olsr.py",
-           "                    if own_will == WILL_ALWAYS:\n                        state.always.add(sender)\n"
-           "                    else:\n                        state.always.discard(sender)\n",
+           "    if nb.will == WILL_ALWAYS:\n        state.always.add(n)\n",
            "", (_LAZY, _HOOD), True),
     Mutant("always-sym-lapse-not-discarded", "src/olsrtune/olsr.py",
            "            state.always.discard(n)\n", "", (_LAZY, _HOOD), True),
