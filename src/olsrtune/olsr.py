@@ -398,12 +398,13 @@ class Hello(NamedTuple):
 
 class Tc(NamedTuple):
     """A TC as carried on the air: the originator's MPR selectors, relayed
-    by MPRs, each relay sending a copy with itself as sender."""
+    by MPRs, each relay sending a copy with itself as sender. Every copy
+    and every receiver that the TC does not list shares one selector set."""
 
     originator: int
     sender: int
     seq_no: int
-    selectors: tuple  # node ids, sorted
+    selectors: frozenset  # node ids
 
     @property
     def size(self) -> int:  # bytes
@@ -485,8 +486,8 @@ def make_hello(state: OlsrNodeState, config: OlsrConfig) -> Hello:
     return Hello(state.node_id, config.willingness, listed, ensure_mprs(state), state.last_adv)
 
 
-def make_tc(state: OlsrNodeState, selectors: tuple) -> Tc:
-    """Build this node's next TC, advertising its MPR selectors, sorted."""
+def make_tc(state: OlsrNodeState, selectors: frozenset) -> Tc:
+    """Build this node's next TC, advertising its MPR selectors."""
     state.tc_seq += 1
     return Tc(state.node_id, state.node_id, state.tc_seq, selectors)
 
@@ -680,13 +681,17 @@ def ensure_mprs(state: OlsrNodeState) -> frozenset:
 def process_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> None:
     """Apply a received TC: its destinations replace the originator's
     (dest, last_hop=originator) tuples, and an empty set drops them. By
-    (d) the TC is newer than the record it replaces; its record goes last."""
+    (d) the TC is newer than the record it replaces; its record goes last.
+    The record holds the TC's own selector set, or a copy without this
+    node when it is listed."""
     orig = msg.originator
     me = state.node_id
     if orig == me:
         return
     topology = state.topology
-    dests = frozenset([dest for dest in msg.selectors if dest != me])
+    dests = msg.selectors
+    if me in dests:
+        dests = dests - {me}
     rec = topology.pop(orig, None)
     old = _NO_IDS if rec is None else rec[0]
     if not state.routes_dirty and dests != old:
@@ -870,7 +875,7 @@ def receive_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> N
 
 def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
     expire(state, now)
-    selectors = tuple(sorted([n for n, nb in state.neighbors.items() if nb.selector_expiry > now]))
+    selectors = frozenset([n for n, nb in state.neighbors.items() if nb.selector_expiry > now])
     return make_tc(state, selectors) if selectors else None
 
 

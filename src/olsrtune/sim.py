@@ -40,11 +40,11 @@ The radio model, which every transmission goes through:
   per run, skips the sqrt: correctly rounded sqrt, * and / are monotone,
   so no in-range node's threshold is above cut. The draw is still taken,
   so the loss stream does not change;
-- frame_cost(nic, size_bits, scenario.bandwidth) prices a frame, looked
-  up once per frame: the sender pays its send energy, every receiver its
-  receive energy, and a data frame arrives its airtime plus the
-  processing delay later. The loop that decides who hears a frame also
-  charges them, so each frame takes one pass over the candidates.
+- frame_cost(nic, size_bits, scenario.bandwidth) prices a frame: the
+  sender pays its send energy, every receiver its receive energy, and a
+  data frame arrives its airtime plus the processing delay later. The
+  loop that decides who hears a frame also charges them, so each frame
+  takes one pass over the candidates.
 
 Changing any of these, the draw order included, changes the metrics.
 
@@ -58,6 +58,12 @@ ticks, and later events are numbered after all of them. So the pop
 order, and with it every loss draw and metric, is the same as if every
 packet were queued at the start, while the heap holds O(nodes + flows +
 frames in flight) entries.
+
+A CBR packet and a relayed data packet take the same hop block in run:
+route lookup, one transmission, and, if the next hop heard it, a data
+event at the next hop. A packet is priced once, at its source; each hop
+event carries that frame cost, so a relay does not price it again. A
+packet that has made MAX_HOPS hops is dropped.
 """
 
 from __future__ import annotations
@@ -299,7 +305,6 @@ class _Simulation:
     ):
         self.scenario = scenario
         self.config = config
-        self.on_transmit = on_transmit
 
         self.nodes = list(scenario.trace.node_ids)
         self.index = {n: i for i, n in enumerate(self.nodes)}
@@ -337,6 +342,12 @@ class _Simulation:
         self.data_delivered = 0
         self.hops_sum = 0
         self.delay_sum = 0.0
+        # what _transmit reads on every frame, fixed for the run
+        self._air = (
+            self.radio, self.index, self.range2, self.lossy, self.cut, self.nodes, self.p_max,
+            scenario.radio_range, self.loss_rng.random, math.sqrt, self.e_sent, self.e_recv,
+            on_transmit,
+        )
 
         self.hello_period = olsr.hello_emission_interval(config)
         self.tc_period = config.tc_interval
@@ -349,10 +360,6 @@ class _Simulation:
             if count:
                 heapq.heappush(self.heap, (flow.start, self._seq + 1, _EV_CBR, (flow, 0, count)))
             self._seq += count
-
-    def _push(self, t: float, kind: int, payload):
-        self._seq += 1
-        heapq.heappush(self.heap, (t, self._seq, kind, payload))
 
     def _schedule_tick(self, kind: int, node: int, k: int):
         """Queue periodic emission k for `node`; jitter in [0, period/4).
@@ -367,22 +374,22 @@ class _Simulation:
             period, rng = self.tc_period, self.tc_rng[node]
         t = k * period + rng.random() * period / 4.0
         if t <= self.scenario.sim_duration:
-            self._push(t, kind, (node, k))
+            self._seq += 1
+            heapq.heappush(self.heap, (t, self._seq, kind, (node, k)))
 
     def _transmit(self, sender: int, size_bits: int, cost: tuple, t: float):
         """Put one frame of `size_bits` on the air, priced `cost` by
         frame_cost, in one pass over the sender's candidates: the sender
         pays send energy, every node that hears it receive energy.
         Returns the receiving node ids."""
-        xs, ys, candidates = self.radio.at(t)
-        i = self.index[sender]
+        (radio, index, range2, lossy, cut, nodes, p_max, radio_range, draw, sqrt, sent, ledger,
+         on_transmit) = self._air
+        # flows are synchronised: most frames go out at the radio's last instant
+        xs, ys, candidates = radio._at if t == radio._t else radio.at(t)
+        i = index[sender]
         xi, yi = xs[i], ys[i]
-        range2, lossy, cut, nodes = self.range2, self.lossy, self.cut, self.nodes
-        p_max, radio_range, draw = self.p_max, self.scenario.radio_range, self.loss_rng.random
-        sqrt = math.sqrt
         e_send, e_recv, _airtime = cost
-        self.e_sent[i] += e_send
-        ledger = self.e_recv
+        sent[i] += e_send
         heard = []
         # under loss, one draw per in-range node other than the sender, in
         # index order; a draw r >= cut cannot lose the frame
@@ -395,8 +402,8 @@ class _Simulation:
             ):
                 ledger[j] += e_recv
                 heard.append(nodes[j])
-        if self.on_transmit is not None:
-            self.on_transmit(sender, size_bits, tuple(heard), t)
+        if on_transmit is not None:
+            on_transmit(sender, size_bits, tuple(heard), t)
         return heard
 
     def _broadcast(self, msg, t: float):
@@ -416,52 +423,57 @@ class _Simulation:
             if fwd is not None:
                 queue.extend((r, fwd) for r in self._broadcast(fwd, t))
 
-    def _send_data(self, node: int, dest: int, size_bytes: int, origin_t: float, hops: int, t: float):
-        route = olsr.routes(self.states[node], t).get(dest)
-        if route is None:
-            return  # no route: the packet dies here
-        next_hop = route[0]
-        size_bits = size_bytes * 8
-        cost = self._frame_cost(size_bits)
-        if next_hop not in self._transmit(node, size_bits, cost, t):
-            return  # next hop moved away or lost the frame
-        arrival = t + cost[2] + PROCESSING_DELAY_S
-        self._push(arrival, _EV_DATA, (next_hop, dest, size_bytes, origin_t, hops + 1))
-
     def run(self) -> SimMetrics:
         duration = self.scenario.sim_duration
-        heap, states = self.heap, self.states
+        heap, states, config = self.heap, self.states, self.config
+        heappop, heappush = heapq.heappop, heapq.heappush
+        routes, transmit, price = olsr.routes, self._transmit, self._frame_cost
         while heap:
-            t, _seq, kind, payload = heapq.heappop(heap)
+            t, seq, kind, payload = heappop(heap)
             if t > duration:
                 break
-            if kind == _EV_HELLO:
-                node, k = payload
-                hello = olsr.next_hello(states[node], t, self.config)
-                heard = self._broadcast(hello, t)  # one hop, never forwarded
-                olsr.receive_hello([states[r] for r in heard], hello, t, self.config)
-                self._schedule_tick(_EV_HELLO, node, k + 1)
-            elif kind == _EV_TC:
-                node, k = payload
-                tc = olsr.next_tc(states[node], t, self.config)
-                if tc is not None:
-                    self._flood(tc, t)
-                self._schedule_tick(_EV_TC, node, k + 1)
-            elif kind == _EV_CBR:
-                flow, i, count = payload
-                if i + 1 < count:
-                    t_next = flow.start + (i + 1) / flow.rate
-                    heapq.heappush(heap, (t_next, _seq + 1, _EV_CBR, (flow, i + 1, count)))
-                self.data_sent += 1
-                self._send_data(flow.source, flow.destination, flow.packet_size, t, 0, t)
-            else:  # _EV_DATA
-                node, dest, size_bytes, origin_t, hops = payload
+            if kind == _EV_DATA:
+                node, dest, size_bits, cost, origin_t, hops = payload
                 if node == dest:
                     self.data_delivered += 1
                     self.hops_sum += hops
                     self.delay_sum += t - origin_t
-                elif hops < MAX_HOPS:
-                    self._send_data(node, dest, size_bytes, origin_t, hops, t)
+                    continue
+                if hops >= MAX_HOPS:
+                    continue
+            elif kind == _EV_CBR:
+                flow, i, count = payload
+                if i + 1 < count:
+                    t_next = flow.start + (i + 1) / flow.rate
+                    heappush(heap, (t_next, seq + 1, _EV_CBR, (flow, i + 1, count)))
+                self.data_sent += 1
+                node, dest, origin_t, hops = flow.source, flow.destination, t, 0
+                size_bits = flow.packet_size * 8
+                cost = price(size_bits)
+            elif kind == _EV_HELLO:
+                node, k = payload
+                hello = olsr.next_hello(states[node], t, config)
+                heard = self._broadcast(hello, t)  # one hop, never forwarded
+                olsr.receive_hello([states[r] for r in heard], hello, t, config)
+                self._schedule_tick(_EV_HELLO, node, k + 1)
+                continue
+            else:  # _EV_TC
+                node, k = payload
+                tc = olsr.next_tc(states[node], t, config)
+                if tc is not None:
+                    self._flood(tc, t)
+                self._schedule_tick(_EV_TC, node, k + 1)
+                continue
+            # one data hop, from a CBR source or a relay
+            route = routes(states[node], t).get(dest)
+            if route is None:
+                continue  # no route: the packet dies here
+            next_hop = route[0]
+            if next_hop not in transmit(node, size_bits, cost, t):
+                continue  # next hop moved away or lost the frame
+            self._seq += 1
+            heappush(heap, (t + cost[2] + PROCESSING_DELAY_S, self._seq, _EV_DATA,
+                            (next_hop, dest, size_bits, cost, origin_t, hops + 1)))
         return self._metrics()
 
     def _metrics(self) -> SimMetrics:

@@ -198,11 +198,11 @@ class TestMessages:
         assert make_tc(state, ()).seq_no == 1
         assert make_tc(state, ()).seq_no == 2
 
-    def test_tc_lists_sorted_selectors(self):
+    def test_tc_lists_selectors(self):
         state = OlsrNodeState(node_id=0, neighbors={n: nbr(True, 99.0) for n in (5, 3, 2)})
         state.neighbors[5].selector_expiry = state.neighbors[2].selector_expiry = 99.0
         msg = next_tc(state, 0.0, CFG)
-        assert msg.selectors == (2, 5)
+        assert type(msg.selectors) is frozenset and msg.selectors == {2, 5}
         assert msg.size == TC_HEADER_BYTES + 2 * TC_ENTRY_BYTES
 
 
@@ -328,7 +328,7 @@ class TestSelectMprs:
 
 class TestProcessTc:
     def make_tc_msg(self, orig, seq, dests, sender=None):
-        return Tc(orig, sender if sender is not None else orig, seq, tuple(dests))
+        return Tc(orig, sender if sender is not None else orig, seq, frozenset(dests))
 
     def test_topology_recorded(self):
         s = OlsrNodeState(node_id=0)
@@ -362,6 +362,14 @@ class TestProcessTc:
         process_tc(s, self.make_tc_msg(5, 1, (0, 6)), 0.0, CFG)
         assert set(s.topology[5][0]) == {6}
 
+    def test_unlisted_receiver_keeps_the_tc_set(self):
+        # every receiver the TC does not list stores its one selector set
+        msg = self.make_tc_msg(5, 1, (6, 7))
+        for me in (0, 1):
+            s = OlsrNodeState(node_id=me)
+            process_tc(s, msg, 0.0, CFG)
+            assert s.topology[5][0] is msg.selectors
+
 
 def assert_clean_routes_exact(s):
     """A clean routing table and its last hops equal compute_routes run on
@@ -388,7 +396,7 @@ class TestRouteFilter:
         if orig is None:
             expire(s, now)
         else:
-            process_tc(s, Tc(orig, orig, seq, dests), now, CFG)
+            process_tc(s, Tc(orig, orig, seq, frozenset(dests)), now, CFG)
         assert s.routes_dirty is dirty
         assert_clean_routes_exact(s)
         return ensure_routes(s)
@@ -446,7 +454,7 @@ class TestShouldForward:
     def test_duplicate_suppressed(self):
         s = OlsrNodeState(node_id=0)
         self.hear(s, 0.0)
-        msg = Tc(9, 1, 1, (6,))
+        msg = Tc(9, 1, 1, frozenset({6}))
         assert receive_tc(s, msg, 0.0, CFG) == msg._replace(sender=0)
         assert receive_tc(s, msg, 1.0, CFG) is None
 
@@ -454,7 +462,7 @@ class TestShouldForward:
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
         assert should_forward(s, 1, 0.0) is False
-        assert receive_tc(s, Tc(9, 1, 1, (6,)), 0.0, CFG) is None
+        assert receive_tc(s, Tc(9, 1, 1, frozenset({6})), 0.0, CFG) is None
         assert s.last_tc == (9, 1)
 
 
@@ -513,7 +521,7 @@ class TestExpire:
 
     def test_topology_expiry(self):
         s = OlsrNodeState(node_id=0)
-        process_tc(s, Tc(5, 5, 1, (6,)), 0.0, CFG)
+        process_tc(s, Tc(5, 5, 1, frozenset({6})), 0.0, CFG)
         expire(s, CFG.top_hold_time + 0.01)
         assert s.topology == {}
 
@@ -543,7 +551,7 @@ class TestEntries:
         assert next_tc(s, 0.0, CFG) is None
         assert s.tc_seq == 0
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
-        assert next_tc(s, 1.0, CFG) == Tc(0, 0, 1, (1,))
+        assert next_tc(s, 1.0, CFG) == Tc(0, 0, 1, frozenset({1}))
         assert next_tc(s, self.HOLD, CFG) is None
         assert s.tc_seq == 1
         assert s.neighbors == {}  # the lapsed link went first
@@ -555,7 +563,7 @@ class TestEntries:
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(1, sym=[0]), 1.0, CFG)
         t = self.HOLD + 0.5
-        assert receive_tc(s, Tc(5, 1, 1, (6,)), t, CFG) is None
+        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), t, CFG) is None
         assert link(s, 1) == (True, 1.0 + self.HOLD)
         assert set(s.topology[5][0]) == {6}  # applied all the same
         assert next_tc(s, t, CFG) is None
@@ -563,20 +571,20 @@ class TestEntries:
     def test_receive_tc_over_lapsed_link_dropped(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
-        assert receive_tc(s, Tc(5, 1, 1, (6,)), self.HOLD, CFG) is None
+        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), self.HOLD, CFG) is None
         assert s.topology == {}
         assert s.last_tc is None
 
     def test_receive_tc_over_asymmetric_link_dropped(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1), 0.0, CFG)
-        assert receive_tc(s, Tc(5, 1, 1, (6,)), 1.0, CFG) is None
+        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), 1.0, CFG) is None
         assert s.topology == {}
 
     def test_routes_skip_lapsed_neighbour(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
-        receive_tc(s, Tc(1, 1, 1, (0, 2)), 0.0, CFG)
+        receive_tc(s, Tc(1, 1, 1, frozenset({0, 2})), 0.0, CFG)
         assert routes(s, 1.0) == {1: (1, 1), 2: (1, 2)}
         assert routes(s, self.HOLD) == {}
 
@@ -584,16 +592,16 @@ class TestEntries:
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(2, sym=[0]), 0.0, CFG)
-        msg = Tc(5, 1, 1, (6,))
+        msg = Tc(5, 1, 1, frozenset({6}))
         assert receive_tc(s, msg, 1.0, CFG) == msg._replace(sender=0)
-        assert receive_tc(s, Tc(5, 2, 2, (6, 7)), 1.0, CFG) is None
+        assert receive_tc(s, Tc(5, 2, 2, frozenset({6, 7})), 1.0, CFG) is None
         assert set(s.topology[5][0]) == {6, 7}  # applied all the same
 
     def test_second_reception_at_same_instant(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(2, mpr=[0]), 0.0, CFG)
-        msg = Tc(5, 1, 1, (6,))
+        msg = Tc(5, 1, 1, frozenset({6}))
         assert receive_tc(s, msg, 1.0, CFG) is not None
         before = copy.deepcopy(s)
         assert receive_tc(s, msg, 1.0, CFG) is None
@@ -677,7 +685,7 @@ class TestLazyEqualsEager:
         previous one half the time when `last_dests` keeps them."""
         orig = rng.randint(1, 10)
         seq = last_seq[orig] = last_seq.get(orig, 0) + 2 + rng.randint(-1, 1)
-        dests = tuple(n for n in self.IDS if rng.random() < 0.3)
+        dests = frozenset([n for n in self.IDS if rng.random() < 0.3])
         if last_dests is not None:
             if orig in last_dests and rng.random() < 0.5:
                 dests = last_dests[orig]
@@ -866,11 +874,10 @@ class TestHoodEqualsReference:
     IDS = range(10)
     SENDERS = range(1, 6)
 
-    def mutate_sender(self, rng, sender, dropped, wills):
+    def mutate_sender(self, rng, sender, dropped):
         """Change the sender's links so that its next HELLO drops, re-adds
-        or re-flags entries, or leave them as they are. `wills` keeps the
-        willingness the sender advertises for each id, linked or not. The
-        MPR set stays within the symmetric links, as select_mprs keeps it."""
+        or re-flags entries, or leave them as they are. The MPR set stays
+        within the symmetric links, as select_mprs keeps it."""
         op = rng.random()
         links = sender.neighbors
 
@@ -878,7 +885,7 @@ class TestHoodEqualsReference:
             if n in links:
                 links[n].sym = sym
             else:
-                links[n] = Neighbor(sym, 1e9, wills.get(n, WILL_DEFAULT))
+                links[n] = Neighbor(sym, 1e9, WILL_DEFAULT)
             if not sym:
                 sender.mpr_set -= {n}
 
@@ -900,11 +907,9 @@ class TestHoodEqualsReference:
         elif op < 0.9:
             sym = sorted(n for n, nb in links.items() if nb.sym)
             sender.mpr_set = frozenset(rng.sample(sym, rng.randint(0, len(sym))))
-        else:
-            n = rng.choice([n for n in self.IDS if n != sender.node_id])
-            wills[n] = rng.choice((0, 3, 7))
-            if n in links:
-                links[n].will = wills[n]
+        else:  # unused: keeps each seed's draws as they were
+            rng.choice([n for n in self.IDS if n != sender.node_id])
+            rng.choice((0, 3, 7))
         sender.last_listed = None  # hand edits: make_hello rebuilds its sets
 
     def check(self, s, twin):
@@ -932,18 +937,18 @@ class TestHoodEqualsReference:
         assert ensure_routes(s) == compute_routes(copy.deepcopy(s))
 
     def make_senders(self, rng):
-        """The senders' states, with the ids their links dropped and the
-        willingness each advertises per id, for random_hello."""
+        """The senders' states, with the ids their links dropped, for
+        random_hello."""
         senders = {}
         for k in self.SENDERS:
             links = {n: Neighbor(rng.random() < 0.7, 1e9, WILL_DEFAULT) for n in self.IDS if n != k}
             senders[k] = OlsrNodeState(node_id=k, neighbors=links)
-        return senders, {k: [] for k in self.SENDERS}, {k: {} for k in self.SENDERS}
+        return senders, {k: [] for k in self.SENDERS}
 
-    def random_hello(self, rng, cfg, senders, dropped, wills):
+    def random_hello(self, rng, cfg, senders, dropped):
         """The next HELLO of a random sender whose links mutate_sender changed."""
         k = rng.choice(self.SENDERS)
-        self.mutate_sender(rng, senders[k], dropped[k], wills[k])
+        self.mutate_sender(rng, senders[k], dropped[k])
         if rng.random() < 0.2:
             rng.choice((0, 3, 7))  # unused: keeps each seed's draws as they were
         # by contract clause (e) a sender's willingness is fixed

@@ -41,6 +41,7 @@ from olsrtune.scenario import (
 )
 from olsrtune.seeding import derive_rng
 from olsrtune.sim import (
+    MAX_HOPS,
     _RadioIndex,
     _Simulation,
     default_nic,
@@ -83,6 +84,25 @@ class TestBasicDelivery:
         m = run_simulation(scn, CFG, NIC, seed=1)
         assert m.pdr == 0.0
         assert m.e2ed_ms is None and m.hops is None
+
+    def test_routing_loop_ends_at_the_hop_limit(self, monkeypatch):
+        # 0 and 1 hear each other and route to the unreachable 2 through
+        # each other: the packet bounces until it has made MAX_HOPS hops
+        scn = make_static_scenario(
+            {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (1000.0, 0.0)},
+            radio_range=150.0,
+            flows=(CbrFlow(source=0, destination=2, packet_size=1000, rate=1.0,
+                           start=10.0, duration=1.0),),
+        )
+        monkeypatch.setattr(olsr, "routes", lambda state, now: {2: (1 - state.node_id, 2)})
+        data = []
+        m = run_simulation(
+            scn, CFG, NIC, seed=1,
+            on_transmit=lambda s, bits, rcv, t: bits == 8000 and data.append((s, rcv)),
+        )
+        assert m.data_sent == 1 and m.data_delivered == 0
+        assert len(data) == MAX_HOPS
+        assert data[:2] == [(0, (1,)), (1, (0,))]
 
     def test_nrl_is_control_per_delivered(self, pair_flow):
         m = run_simulation(pair_flow, CFG, NIC, seed=1)

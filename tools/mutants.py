@@ -46,6 +46,7 @@ _CLEAN_ROUTES = _FORWARDING + "test_clean_routes_equal_fresh_computation"
 _HOOD = "tests/test_olsr.py::TestHoodEqualsReference"
 _ENTRIES = "tests/test_olsr.py::TestEntries"
 _LAZY = "tests/test_olsr.py::TestLazyEqualsEager"
+_DELIVERY = "tests/test_sim.py::TestBasicDelivery::"
 
 MUTANTS = (
     Mutant("identity", "src/olsrtune/sim.py", "_MARGIN_SHARE = 2.0**-30",
@@ -127,8 +128,8 @@ MUTANTS = (
            "            pass\n    process_hello(states, msg, now, config)\n",
            (_ENTRIES + "::test_receive_hello_after_lapse_starts_fresh_link",), True),
     Mutant("next-tc-no-expire", "src/olsrtune/olsr.py",
-           "    expire(state, now)\n    selectors = tuple(sorted(",
-           "    selectors = tuple(sorted(",
+           "    expire(state, now)\n    selectors = frozenset(",
+           "    selectors = frozenset(",
            (_ENTRIES + "::test_next_tc_none_once_only_selector_lapsed",), True),
     Mutant("receive-tc-no-expire", "src/olsrtune/olsr.py",
            "    expire(state, now)\n    nb = state.neighbors.get(msg.sender)\n",
@@ -255,6 +256,21 @@ MUTANTS = (
            " self._seq + 1 + i, _EV_CBR, (flow, i, i + 1)))\n",
            ("tests/test_sim.py::TestEventOrder::test_queue_holds_one_pending_packet_per_flow",),
            True),
+    # the data hop block: the hop limit, the arrival time, who sends a hop
+    # and where its event goes
+    Mutant("hop-limit-one-late", "src/olsrtune/sim.py",
+           "hops >= MAX_HOPS", "hops > MAX_HOPS",
+           (_DELIVERY + "test_routing_loop_ends_at_the_hop_limit",), True),
+    Mutant("hop-arrival-without-processing", "src/olsrtune/sim.py",
+           "t + cost[2] + PROCESSING_DELAY_S", "t + cost[2]",
+           (_DELIVERY + "test_pair_delay_is_airtime_plus_processing",), True),
+    Mutant("hop-sent-by-next-hop", "src/olsrtune/sim.py",
+           "transmit(node, size_bits, cost, t)", "transmit(next_hop, size_bits, cost, t)",
+           (_DELIVERY + "test_chain_routes_two_hops",), True),
+    Mutant("hop-event-at-sender", "src/olsrtune/sim.py",
+           "(next_hop, dest, size_bits, cost, origin_t, hops + 1)",
+           "(node, dest, size_bits, cost, origin_t, hops + 1)",
+           (_DELIVERY + "test_chain_routes_two_hops",), True),
     Mutant("radio-errstate-dropped", "src/olsrtune/sim.py",
            'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
            (_LISTS + "::test_overflowing_bound_keeps_pairs",), True),
