@@ -14,11 +14,13 @@ while no neighbour selected the node as MPR), receive_hello applies one
 HELLO frame to the states of all the nodes that heard it, in one
 process_hello call, receive_tc drops a TC heard over a non-symmetric
 link, applies it, then records its key and returns the copy to relay or
-None, and routes(state, now) gives the routing table. receive_tc
-returns None at once, before expire, for a TC whose (originator, seq_no)
-key equals last_tc, the key of the latest TC the node processed: RFC
-3626 section 3.4 processes a message only once, and by (d) a duplicate
-can only be a copy of that latest TC. This is the only duplicate check.
+None, and routes(state, now) gives the routing table. routes, called
+once per data hop, makes the first tests of expire (now >= next_expiry)
+and ensure_routes (routes_dirty) itself. receive_tc returns None at
+once, before expire, for a TC whose (originator, seq_no) key equals
+last_tc, the key of the latest TC the node processed: RFC 3626 section
+3.4 processes a message only once, and by (d) a duplicate can only be a
+copy of that latest TC. This is the only duplicate check.
 The functions the entries call look one another up as module globals
 and never expire on their own.
 
@@ -75,7 +77,7 @@ neighbour's strict hood:
 The MPR set and the routing table are caches of the pure functions
 select_mprs(state) and compute_routes(state), recomputed only when read
 after an input changed. mpr_set and routing_table are valid only while
-clean, so readers go through ensure_mprs and ensure_routes.
+clean, so readers go through ensure_mprs and ensure_routes, or routes.
 
 Each message kind is one type holding only what its receivers read. A
 Hello goes one hop and is never forwarded (RFC 3626 section 6): it holds
@@ -146,9 +148,12 @@ From then on they stay exact, changed only where MPRs are marked dirty:
   out of always, and its id turns strict, provided by each willing
   symmetric neighbour whose adv or stragglers hold it.
 
-compute_routes reads only the symmetric neighbours and the destination
-sets of routed originators. Next to routing_table it keeps each route's
-last hop in route_last_hop (a neighbour is its own last hop). Routes are
+compute_routes reads only the symmetric neighbours, from near, and the
+destination sets of routed originators. Next to routing_table it keeps
+each route's last hop in route_last_hop (a neighbour is its own last
+hop). It walks each hop count's frontier as (next_hop, last_hop) pairs
+in ascending order, so the first time it sees a destination is by its
+least key, and it routes the destination then. Routes are
 marked dirty when a link turns symmetric or a symmetric link expires,
 and, while they are clean, when a change to originator o's destination
 set (process_tc's new set, expire's lapsed record) can change the table:
@@ -430,7 +435,8 @@ class Neighbor:
 class OlsrNodeState:
     """Protocol state owned by a single node. After construction only
     the five entries edit neighbors: a hand edit leaves the MPR coverage
-    state (providers, cover, near, always) stale."""
+    state (providers, cover, near, always) stale, and the routes too,
+    since compute_routes reads the symmetric neighbours from near."""
 
     node_id: int
     neighbors: dict = field(default_factory=dict)  # id -> Neighbor
@@ -733,31 +739,34 @@ def should_forward(state: OlsrNodeState, sender: int, now: float) -> bool:
 def compute_routes(state: OlsrNodeState) -> dict:
     """Minimum-hop routing table over symmetric links plus topology
     tuples; ties go to the lowest next_hop id, then lowest last hop.
-    Stores each route's last hop in route_last_hop."""
-    routes = {n: (n, 1) for n in sorted(n for n, nb in state.neighbors.items() if nb.sym)}
-    last_hops = {n: n for n in routes}
-    frontier = list(routes)
+    Stores each route's last hop in route_last_hop. A destination is
+    routed when first seen, by the module docstring's frontier rule."""
+    me = state.node_id
+    routes = {}
+    last_hops = {}
+    frontier = []
+    for n in sorted(state.near):
+        if n != me:
+            routes[n] = (n, 1)
+            last_hops[n] = n
+            frontier.append((n, n))
+    topology = state.topology
     hops = 1
     while frontier:
-        candidates = {}
-        for last_hop in frontier:
-            rec = state.topology.get(last_hop)
+        hops += 1
+        new = []
+        for next_hop, last_hop in frontier:
+            rec = topology.get(last_hop)
             if rec is None:
                 continue
-            next_hop = routes[last_hop][0]
+            route = (next_hop, hops)
             for dest in rec[0]:
-                if dest in routes:
-                    continue
-                cand = (next_hop, last_hop)
-                cur = candidates.get(dest)
-                if cur is None or cand < cur:
-                    candidates[dest] = cand
-        hops += 1
-        frontier = []
-        for dest in sorted(candidates):
-            next_hop, last_hops[dest] = candidates[dest]
-            routes[dest] = (next_hop, hops)
-            frontier.append(dest)
+                if dest not in routes:
+                    routes[dest] = route
+                    last_hops[dest] = last_hop
+                    new.append((next_hop, dest))
+        new.sort()
+        frontier = new
     state.routing_table = routes
     state.route_last_hop = last_hops
     state.routes_dirty = False
@@ -898,5 +907,10 @@ def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) ->
 
 
 def routes(state: OlsrNodeState, now: float) -> dict:
-    expire(state, now)
-    return ensure_routes(state)
+    """The routing table at `now`; expire and compute_routes are called
+    only when they have work."""
+    if now >= state.next_expiry:
+        expire(state, now)
+    if state.routes_dirty:
+        return compute_routes(state)
+    return state.routing_table

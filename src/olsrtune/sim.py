@@ -28,10 +28,15 @@ The radio model, which every transmission goes through:
   displacement over the interval and the margin is 2**-30 of the
   coordinates' magnitude plus the range, far above float64 rounding.
   Two points moving linearly never come closer than their start
-  distance less both moves, so a list never drops a receiver. Otherwise
-  every other node is a candidate. An interval's lists are built when a
-  run first reaches it and live as long as the Scenario object, so
-  every run on that object shares them;
+  distance less both moves, so a list never drops a receiver. Nor do
+  they get farther apart than their start distance plus both moves, so
+  j goes on the list as ~j, surely in range, when hypot(start offset)
+  + (|move_i| + |move_j|) is finite and below radio_range - margin: ~j
+  is in i's range at every instant of the interval, so its distance is
+  computed only for a loss threshold. Otherwise every other node is a
+  candidate. An interval's lists are built when a run first reaches it
+  and live as long as the Scenario object, so every run on that object
+  shares them;
 - under bernoulli loss, every in-range node other than the sender, in
   node-index order, takes exactly one draw r = loss_rng.random() from
   the run's derive_rng(seed, "loss") stream and loses the frame when
@@ -195,9 +200,10 @@ def metrics_to_json(metrics: SimMetrics) -> dict:
     return {name: get(metrics) for name, get in _METRIC_FIELDS}
 
 
-# Two points moving linearly never come closer than their start distance
-# less both moves. That bound is widened by this share of the coordinates'
-# magnitude plus the range, many times the few float64 roundings in it.
+# Two points moving linearly stay within their start distance plus or
+# minus both moves. Both bounds are moved outward by this share of the
+# coordinates' magnitude plus the range, many times the few float64
+# roundings in them.
 _MARGIN_SHARE = 2.0**-30
 
 
@@ -207,12 +213,12 @@ class _RadioIndex:
     On a shared time grid (every generated trace) it keeps one (2, n)
     snapshot per sample and its difference to the next (0 from the last
     sample on), so a position is xy[k] + f * dxy[k] as in position_at,
-    and one candidate list per node and sample interval: j is on i's
-    list unless their start distance less both moves (the hypot of each
-    dxy[k] column) is above the range plus the margin, by the module
-    docstring's rule. An interval's lists are built when a run first
-    reaches it and kept; a row equal to the previous interval's is that
-    same list object. An irregular trace falls back to per-node
+    and one candidate list per node and sample interval, by the module
+    docstring's rule: j, or ~j when surely in range, taken from one
+    table of both so the lists share their int objects. A move is the
+    hypot of a dxy[k] column. An interval's lists are built when a run
+    first reaches it and kept; a row equal to the previous interval's is
+    that same list object. An irregular trace falls back to per-node
     position_at, every other node a candidate.
     """
 
@@ -222,6 +228,7 @@ class _RadioIndex:
         per_node = trace._per_node
         times0 = per_node[self.node_ids[0]][0]
         self.shared = all(per_node[n][0] == times0 for n in self.node_ids)
+        n = len(self.node_ids)
         if self.shared:
             self.times = [float(x) for x in times0]
             rows = [[per_node[n][axis] for n in self.node_ids] for axis in (1, 2)]
@@ -230,9 +237,12 @@ class _RadioIndex:
             self.dxy = list(np.diff(xy, axis=0, append=xy[-1:]))
             self.lists = [None] * len(self.times)
             mag = float(np.abs(xy).max())
-            self.reach = radio_range + _MARGIN_SHARE * (mag + radio_range)
+            margin = _MARGIN_SHARE * (mag + radio_range)
+            self.reach = radio_range + margin
+            self.inner = radio_range - margin
+            # candidate j as it goes on a list: j, or ~j when surely in range
+            self.codes = np.array([*range(n), *(~j for j in range(n))], dtype=object)
         else:
-            n = len(self.node_ids)
             self.times = [0.0]
             self.lists = [[[j for j in range(n) if j != i] for i in range(n)]]
         self._t = None
@@ -260,14 +270,17 @@ class _RadioIndex:
     def _build(self, k: int) -> list:
         """Each node's candidates over sample interval k, in index order."""
         x, y = self.xy[k]
-        # an overflow gives inf or nan, which keeps the pair
+        # an overflow gives inf or nan, which keeps the pair and marks it
+        # not surely in range
         with np.errstate(over="ignore", invalid="ignore"):
             move = np.hypot(*self.dxy[k])
             gap = np.hypot(x[None, :] - x[:, None], y[None, :] - y[:, None])
             lower = gap - (move[None, :] + move[:, None])
+            upper = gap + (move[None, :] + move[:, None])
         near = ~(np.isfinite(lower) & (lower > self.reach))
         np.fill_diagonal(near, False)
-        cols = near.nonzero()[1].tolist()
+        sure = np.isfinite(upper) & (upper < self.inner)
+        cols = self.codes[near.nonzero()[1] + len(x) * sure[near]].tolist()
         ends = near.sum(axis=1).cumsum().tolist()
         rows = [cols[a:b] for a, b in zip([0] + ends, ends)]
         prev = self.lists[k - 1] if k > 0 else None
@@ -394,14 +407,24 @@ class _Simulation:
         # under loss, one draw per in-range node other than the sender, in
         # index order; a draw r >= cut cannot lose the frame
         for j in candidates[i]:
-            dx = xs[j] - xi
-            dy = ys[j] - yi
-            d2 = dx * dx + dy * dy
-            if d2 <= range2 and not (
-                lossy and (r := draw()) < cut and r < p_max * sqrt(d2) / radio_range
-            ):
-                ledger[j] += e_recv
-                heard.append(nodes[j])
+            if j < 0:  # ~j is surely in range: no distance unless the draw needs it
+                j = ~j
+                if lossy and (r := draw()) < cut:
+                    dx = xs[j] - xi
+                    dy = ys[j] - yi
+                    if r < p_max * sqrt(dx * dx + dy * dy) / radio_range:
+                        continue
+            else:
+                dx = xs[j] - xi
+                dy = ys[j] - yi
+                d2 = dx * dx + dy * dy
+                # not <=, so a nan distance is out of range
+                if not d2 <= range2 or (
+                    lossy and (r := draw()) < cut and r < p_max * sqrt(d2) / radio_range
+                ):
+                    continue
+            ledger[j] += e_recv
+            heard.append(nodes[j])
         if on_transmit is not None:
             on_transmit(sender, size_bits, tuple(heard), t)
         return heard
@@ -416,10 +439,12 @@ class _Simulation:
         """Broadcast a TC and run the synchronous flood: receptions are
         processed FIFO at the same instant, and MPR forwarders re-broadcast
         within the cascade."""
+        states, config, receive_tc = self.states, self.config, olsr.receive_tc
         queue = deque((r, msg) for r in self._broadcast(msg, t))
+        popleft = queue.popleft
         while queue:
-            node, m = queue.popleft()
-            fwd = olsr.receive_tc(self.states[node], m, t, self.config)
+            node, m = popleft()
+            fwd = receive_tc(states[node], m, t, config)
             if fwd is not None:
                 queue.extend((r, fwd) for r in self._broadcast(fwd, t))
 

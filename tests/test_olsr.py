@@ -478,6 +478,15 @@ class TestRoutes:
         s.topology = {1: (frozenset({5}), 999.0), 2: (frozenset({5}), 999.0)}
         assert compute_routes(s)[5] == (1, 2)
 
+    def test_tie_breaks_to_lowest_last_hop_past_two_hops(self):
+        # 7 is three hops away through 1, with last hop 4 or 9; a set
+        # iterates 9 before 4, so the layer of two-hop ids must be sorted
+        s = OlsrNodeState(node_id=0, neighbors={1: nbr(True, 999.0)})
+        s.topology = {1: (frozenset({4, 9}), 999.0), 4: (frozenset({7}), 999.0),
+                      9: (frozenset({7}), 999.0)}
+        assert compute_routes(s)[7] == (1, 3)
+        assert s.route_last_hop[7] == 4
+
     def test_asymmetric_links_unused(self):
         s = OlsrNodeState(node_id=0, neighbors={1: nbr(False, 999.0)})
         assert compute_routes(s) == {}

@@ -460,6 +460,18 @@ class TestCandidateLists:
         # left off its list; its offset to 5 overflows, which keeps 5 on it
         assert sim.radio.lists[-1][0] == [1, 5]
 
+    def test_static_pairs_at_the_range_edge(self):
+        # 1 sits a hair past the range from 0, 2 exactly at it; nobody moves
+        r = 250.0
+        scn = make_static_scenario({0: (0.0, 0.0), 1: (r * (1 + 2.0**-40), 0.0), 2: (0.0, r)},
+                                   radio_range=r)
+        sim = _Simulation(scn, CFG, NIC, 9, None)
+        cost = sim._frame_cost(8)
+        for t in (0.0, 0.5, 7.25, 30.0):
+            assert sim._transmit(0, 8, cost, t) == [2]
+            assert sim._transmit(1, 8, cost, t) == []
+            assert sim._transmit(2, 8, cost, t) == [0]
+
     def test_second_run_builds_no_list(self, monkeypatch):
         built = []
         build = _RadioIndex._build

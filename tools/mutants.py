@@ -60,6 +60,16 @@ MUTANTS = (
     Mutant("one-move-subtracted", "src/olsrtune/sim.py",
            "lower = gap - (move[None, :] + move[:, None])", "lower = gap - move[None, :]",
            (_LISTS, _RADIO_REFERENCE), True),
+    # the radio model's surely-in-range mark
+    Mutant("sure-bound-without-moves", "src/olsrtune/sim.py",
+           "upper = gap + (move[None, :] + move[:, None])", "upper = gap",
+           (_LISTS, _RADIO_REFERENCE), True),
+    Mutant("sure-margin-flipped", "src/olsrtune/sim.py",
+           "self.inner = radio_range - margin", "self.inner = radio_range + margin",
+           (_LISTS + "::test_static_pairs_at_the_range_edge",), True),
+    Mutant("sure-skips-loss-draw", "src/olsrtune/sim.py",
+           "                if lossy and (r := draw()) < cut:\n", "                if False:\n",
+           (_LISTS, _RADIO_REFERENCE), True),
     # the forwarding path's route filter, TC duplicate skip and loss cut
     Mutant("route-tie-reversed", "src/olsrtune/olsr.py",
            "(cur[0], last_hop[dest]) > key", "(cur[0], last_hop[dest]) < key",
@@ -69,6 +79,8 @@ MUTANTS = (
            "        pass\n", (_ROUTE_FILTER, _CLEAN_ROUTES), True),
     Mutant("longer-route-by-two", "src/olsrtune/olsr.py",
            "cur[1] > hops or", "cur[1] > hops + 1 or", (_ROUTE_FILTER, _CLEAN_ROUTES), True),
+    Mutant("frontier-not-sorted", "src/olsrtune/olsr.py", "        new.sort()\n", "",
+           ("tests/test_olsr.py::TestRoutes", _CLEAN_ROUTES), True),
     Mutant("tc-duplicate-skip-dropped", "src/olsrtune/olsr.py",
            "    if key == state.last_tc:\n        return None\n    expire(state, now)\n",
            "    expire(state, now)\n",
@@ -136,8 +148,12 @@ MUTANTS = (
            "    nb = state.neighbors.get(msg.sender)\n",
            (_ENTRIES + "::test_receive_tc_over_lapsed_link_dropped",), True),
     Mutant("routes-no-expire", "src/olsrtune/olsr.py",
-           "    expire(state, now)\n    return ensure_routes(state)\n",
-           "    return ensure_routes(state)\n",
+           "    if now >= state.next_expiry:\n        expire(state, now)\n    if state.routes_dirty:\n",
+           "    if state.routes_dirty:\n",
+           (_ENTRIES + "::test_routes_skip_lapsed_neighbour",), True),
+    Mutant("routes-expire-strict", "src/olsrtune/olsr.py",
+           "    if now >= state.next_expiry:\n        expire(state, now)\n    if state.routes_dirty:\n",
+           "    if now > state.next_expiry:\n        expire(state, now)\n    if state.routes_dirty:\n",
            (_ENTRIES + "::test_routes_skip_lapsed_neighbour",), True),
     # expiry bookkeeping: tables in expiry order, the MPR selection's lapse;
     # the mutation catalogue, the CBR queue and the radio model's errstate
