@@ -71,7 +71,7 @@ def _parse_list(text: str, what: str, cast) -> list:
         raise InputError(f"bad {what} list: {text!r}") from None
 
 
-def _grid_flags(args) -> tuple:
+def _grid_flags(args, settings) -> tuple:
     """The p_c and p_m candidate lists and the repetitions of `tune --grid`."""
     pc_values = _parse_list(args.grid_pc, "p_c", float)
     pm_values = _parse_list(args.grid_pm, "p_m", float)
@@ -79,6 +79,7 @@ def _grid_flags(args) -> tuple:
         raise InputError("--grid-pc and --grid-pm need at least one value each")
     if args.reps < 1:
         raise InputError("--reps must be >= 1")
+    evo.grid_cells(pc_values, pm_values, settings)  # an illegal cell fails before any run
     return pc_values, pm_values, args.reps
 
 
@@ -281,7 +282,7 @@ def cmd_tune(args) -> int:
         master_seed=args.seed,
         elitism=args.elitism,
     )
-    grid = _grid_flags(args) if args.grid else None
+    grid = _grid_flags(args, settings) if args.grid else None
     ctx = evo.calibrate_context(scenario, nic, settings.master_seed)
     manifest.setting(
         scenario=scenario_id,

@@ -52,6 +52,7 @@ __all__ = [
     "MUTATION_MOVES",
     "tournament_select",
     "evolve",
+    "grid_cells",
     "parameter_setting_grid",
     "GRID_COLUMNS",
 ]
@@ -415,6 +416,12 @@ GRID_COLUMNS = (
 )
 
 
+def grid_cells(pc_values, pm_values, base: GaSettings) -> list:
+    """The settings of every (p_c, p_m) cell, in row order; an illegal
+    cell raises ConfigurationError before any run."""
+    return [replace(base, p_c=p_c, p_m=p_m) for p_c in pc_values for p_m in pm_values]
+
+
 def parameter_setting_grid(
     pc_values,
     pm_values,
@@ -432,33 +439,32 @@ def parameter_setting_grid(
 
     if not pc_values or not pm_values or repetitions < 1:
         raise ConfigurationError("grid needs candidates and repetitions >= 1")
+    cells = grid_cells(pc_values, pm_values, base)
     if ctx is None:
         ctx = calibrate_context(scenario, nic, base.master_seed)
     rows = []
-    for p_c in pc_values:
-        for p_m in pm_values:
-            finals = []
-            energies = []
-            pdrs = []
-            for rep in range(repetitions):
-                seed = derive_seed(base.master_seed, "grid", p_c, p_m, rep)
-                settings = replace(base, p_c=p_c, p_m=p_m, master_seed=seed)
-                best, _history = evolve(settings, space, scenario, nic, ctx)
-                finals.append(best.fitness.f)
-                energies.append(best.fitness.energy)
-                pdrs.append(best.fitness.pdr)
-            avg_e = float(np.mean(energies))
-            avg_pdr = float(np.mean(pdrs))
-            values = (
-                p_c,
-                p_m,
-                float(np.mean(finals)),
-                float(np.std(finals, ddof=1)) if repetitions > 1 else 0.0,
-                float(min(finals)),
-                avg_e,
-                avg_pdr,
-                gap_energy(avg_e, ctx.e_rfc),
-                gap_pdr(avg_pdr, ctx.pdr_rfc),
-            )
-            rows.append(dict(zip(GRID_COLUMNS, values)))
+    for cell in cells:
+        finals = []
+        energies = []
+        pdrs = []
+        for rep in range(repetitions):
+            seed = derive_seed(base.master_seed, "grid", cell.p_c, cell.p_m, rep)
+            best, _history = evolve(replace(cell, master_seed=seed), space, scenario, nic, ctx)
+            finals.append(best.fitness.f)
+            energies.append(best.fitness.energy)
+            pdrs.append(best.fitness.pdr)
+        avg_e = float(np.mean(energies))
+        avg_pdr = float(np.mean(pdrs))
+        values = (
+            cell.p_c,
+            cell.p_m,
+            float(np.mean(finals)),
+            float(np.std(finals, ddof=1)) if repetitions > 1 else 0.0,
+            float(min(finals)),
+            avg_e,
+            avg_pdr,
+            gap_energy(avg_e, ctx.e_rfc),
+            gap_pdr(avg_pdr, ctx.pdr_rfc),
+        )
+        rows.append(dict(zip(GRID_COLUMNS, values)))
     return rows

@@ -10,19 +10,20 @@ OlsrConfig.
 A simulator drives a node only through five entries. Each drops lapsed
 state (expire) first, then follows RFC 3626 section 3.4's order:
 next_hello and next_tc build the node's messages (next_tc gives None
-while no neighbour selected the node as MPR), receive_hello applies one
-HELLO frame to the states of all the nodes that heard it, in one
-process_hello call, receive_tc drops a TC heard over a non-symmetric
-link, applies it, then records its key and returns the copy to relay or
-None, and routes(state, now) gives the routing table. routes, called
-once per data hop, makes the first tests of expire (now >= next_expiry)
-and ensure_routes (routes_dirty) itself. receive_tc returns None at
-once, before expire, for a TC whose (originator, seq_no) key equals
-last_tc, the key of the latest TC the node processed: RFC 3626 section
-3.4 processes a message only once, and by (d) a duplicate can only be a
-copy of that latest TC. This is the only duplicate check.
-The functions the entries call look one another up as module globals
-and never expire on their own.
+while no neighbour selected the node as MPR), routes(state, now) gives
+the routing table, and receive_hello and receive_tc apply one frame to
+the states of the nodes that heard it and return their relays, in
+receiver order. receive_hello makes one process_hello call and relays
+nothing. receive_tc takes the receivers in turn: each drops a TC heard
+over a non-symmetric link, applies it, records its key and relays it if
+should_forward says so. It skips a receiver at once, before expire,
+when the TC's (originator, seq_no) key is last_tc, that of the latest
+TC the node processed: RFC 3626 section 3.4 processes a message only
+once, and by (d) a duplicate can only be a copy of that latest TC. This
+is the only duplicate check. routes, called once per data hop, makes
+the first tests of expire (now >= next_expiry) and ensure_routes
+(routes_dirty) itself. The functions the entries call look one another
+up as module globals and never expire on their own.
 
 The entries keep a contract, and the functions they call rely on it:
 
@@ -38,7 +39,7 @@ The entries keep a contract, and the functions they call rely on it:
 (c) no node hears its own frame, and no topology record or straggler
     dict holds the owner's id: process_tc and process_hello filter it out;
 (d) a node receives each (originator, seq_no) TC at one instant only,
-    and an originator's seq_no only rises: the simulator's flood delivers
+    and an originator's seq_no only rises: the simulator's flood applies
     every copy of a TC at the instant it is sent, and make_tc raises
     tc_seq on every TC. So one key per node is the whole duplicate set,
     and a TC always replaces its originator's topology record;
@@ -871,15 +872,15 @@ def next_hello(state: OlsrNodeState, now: float, config: OlsrConfig) -> Hello:
     return make_hello(state, config)
 
 
-def receive_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> None:
-    """Apply one HELLO frame to the states of every node that heard it.
-    Their states are disjoint, so expiring them all first is the same as
-    expiring each just before its own reception."""
+def receive_hello(states: list, msg: Hello, now: float, config: OlsrConfig) -> list:
+    """Apply one HELLO frame, never relayed, to its receivers' states. They
+    are disjoint, so expiring all first equals expiring each at its turn."""
     for state in states:
         # expire's own first test, inline: most receivers have nothing lapsed
         if now >= state.next_expiry:
             expire(state, now)
     process_hello(states, msg, now, config)
+    return []
 
 
 def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
@@ -888,22 +889,24 @@ def next_tc(state: OlsrNodeState, now: float, config: OlsrConfig) -> Tc | None:
     return make_tc(state, selectors) if selectors else None
 
 
-def receive_tc(state: OlsrNodeState, msg: Tc, now: float, config: OlsrConfig) -> Tc | None:
-    """The copy of `msg` to relay, or None; a TC already processed (its
-    key is last_tc) or heard over a link that is not symmetric is dropped
-    unprocessed (RFC 3626 sections 3.4 and 9.5)."""
+def receive_tc(states: list, msg: Tc, now: float, config: OlsrConfig) -> list:
+    """Apply one TC frame to each receiver's state in turn; return their
+    relays, in order. A receiver drops a TC it already processed (its key
+    is last_tc) or heard over a non-symmetric link (RFC 3626 3.4 and 9.5)."""
     key = (msg.originator, msg.seq_no)
-    if key == state.last_tc:
-        return None
-    expire(state, now)
-    nb = state.neighbors.get(msg.sender)
-    if nb is None or not nb.sym:
-        return None
-    process_tc(state, msg, now, config)
-    state.last_tc = key
-    if should_forward(state, msg.sender, now):
-        return msg._replace(sender=state.node_id)
-    return None
+    relays = []
+    for state in states:
+        if key == state.last_tc:
+            continue
+        expire(state, now)
+        nb = state.neighbors.get(msg.sender)
+        if nb is None or not nb.sym:
+            continue
+        process_tc(state, msg, now, config)
+        state.last_tc = key
+        if should_forward(state, msg.sender, now):
+            relays.append(msg._replace(sender=state.node_id))
+    return relays
 
 
 def routes(state: OlsrNodeState, now: float) -> dict:

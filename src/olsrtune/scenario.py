@@ -282,10 +282,10 @@ class GridSpec:
             raise ConfigurationError("sample_step must be positive")
         if not 0 < self.duration <= MAX_DURATION_S:
             raise ConfigurationError(f"duration must be in (0, {MAX_DURATION_S:g}] s")
-        # samples per vehicle: duration / sample_step, plus the one at t=0
-        if self.vehicle_count > MAX_TRACE_SAMPLES / (self.duration / self.sample_step + 1):
+        if not (self.duration / self.sample_step < MAX_TRACE_SAMPLES  # else round() may overflow
+                and self.vehicle_count * self.samples_per_vehicle <= MAX_TRACE_SAMPLES):
             raise ConfigurationError(
-                f"vehicle_count x (duration / sample_step + 1) must be at most "
+                f"vehicle_count x (round(duration / sample_step) + 1) must be at most "
                 f"{MAX_TRACE_SAMPLES} trace samples"
             )
         # a leg takes at least the shortest block at speed_max, plus the
@@ -297,6 +297,11 @@ class GridSpec:
                 f"vehicle_count x duration / (shortest block / speed_max + pause_time) "
                 f"must be at most {MAX_WALK_LEGS} street legs"
             )
+
+    @property
+    def samples_per_vehicle(self) -> int:
+        """Trace samples per vehicle that generate_grid_scenario makes."""
+        return round(self.duration / self.sample_step) + 1
 
 
 def _neighbors(r: int, c: int, rows: int, cols: int) -> list:
@@ -385,8 +390,7 @@ def generate_grid_scenario(
     w, h = spec.area
     xs = [j * w / (cols - 1) for j in range(cols)]
     ys = [i * h / (rows - 1) for i in range(rows)]
-    step, duration = spec.sample_step, spec.duration
-    times = [min(i * step, duration) for i in range(int(round(duration / step)) + 1)]
+    times = [min(i * spec.sample_step, spec.duration) for i in range(spec.samples_per_vehicle)]
     samples = []
     for node in range(n):
         walk = _sample_walk(_walk(spec, xs, ys, mob_rng), times)

@@ -4,11 +4,16 @@ Nodes run the OLSR state machine over an ideal broadcast medium (unit
 disk, optional distance-scaled Bernoulli loss, no MAC contention).
 Every transmission charges the sender its send energy and every in-range
 node the receive energy, data or control alike. Data packets travel
-hop-by-hop along the routing tables. A HELLO reaches one hop in one
-pass: its receivers process it in the order the radio model returns
-them. Only TCs flood, relayed under the MPR forwarding rule. Runs are
-fully deterministic in (scenario, config, nic, seed) and independent of
-host scheduling.
+hop-by-hop along the routing tables. Every control frame, HELLO or TC,
+takes one path, _flood: a FIFO of frames at one instant, each counted
+in control_tx, priced, put on the air and applied to the states of its
+receivers in radio order, whose relays (a TC's, by the MPR rule) join
+the queue, as in RFC 3626 section 3.4. That is the same as applying
+each reception in turn and sending each relay at once: the frames go
+on the air in the same breadth-first order, and no receive entry
+touches the radio model or the loss stream, so no loss draw, ledger
+addition or on_transmit call moves. Runs are fully deterministic in
+(scenario, config, nic, seed) and independent of host scheduling.
 
 This module holds the radio model, the event queue and the energy
 ledger. It reaches a node's OLSR state only through olsr's five entries
@@ -86,7 +91,7 @@ import numpy as np
 
 from . import olsr
 from .errors import ConfigurationError
-from .olsr import OlsrConfig, OlsrNodeState, Tc
+from .olsr import OlsrConfig, OlsrNodeState
 from .scenario import MobilityTrace, Scenario, position_at
 from .seeding import derive_rng
 
@@ -328,14 +333,14 @@ class _Simulation:
         # jitter streams are keyed by each vehicle's initial position so
         # behaviour does not depend on how node ids were assigned
         seen_pos: dict = {}
-        self.hello_rng = {}
-        self.tc_rng = {}
+        hello_rng = {}
+        tc_rng = {}
         for n in self.nodes:
             x0, y0 = position_at(scenario.trace, n, 0.0)
             rank = seen_pos.get((x0, y0), 0)
             seen_pos[(x0, y0)] = rank + 1
-            self.hello_rng[n] = derive_rng(seed, "jitter", "hello", x0, y0, rank)
-            self.tc_rng[n] = derive_rng(seed, "jitter", "tc", x0, y0, rank)
+            hello_rng[n] = derive_rng(seed, "jitter", "hello", x0, y0, rank)
+            tc_rng[n] = derive_rng(seed, "jitter", "tc", x0, y0, rank)
         self.loss_rng = derive_rng(seed, "loss")
         self.lossy = scenario.loss_model.kind == "bernoulli"
         self.p_max = scenario.loss_model.p_at_max_range
@@ -362,12 +367,16 @@ class _Simulation:
             on_transmit,
         )
 
-        self.hello_period = olsr.hello_emission_interval(config)
-        self.tc_period = config.tc_interval
+        # per tick kind: period, jitter streams, make and receive entries (bound now: patches apply)
+        self.ticks = {
+            _EV_HELLO: (olsr.hello_emission_interval(config), hello_rng, olsr.next_hello,
+                        olsr.receive_hello),
+            _EV_TC: (config.tc_interval, tc_rng, olsr.next_tc, olsr.receive_tc),
+        }
 
         for n in self.nodes:
-            self._schedule_tick(_EV_HELLO, n, 0)
-            self._schedule_tick(_EV_TC, n, 0)
+            for kind in self.ticks:  # a HELLO tick, then a TC tick
+                self._schedule_tick(kind, n, 0)
         for flow in scenario.flows:  # packet i is numbered self._seq + 1 + i
             count = flow.packet_count
             if count:
@@ -381,11 +390,8 @@ class _Simulation:
         on the air, so emission instants are a fixed function of the
         period: larger intervals can never emit more often.
         """
-        if kind == _EV_HELLO:
-            period, rng = self.hello_period, self.hello_rng[node]
-        else:
-            period, rng = self.tc_period, self.tc_rng[node]
-        t = k * period + rng.random() * period / 4.0
+        period, rngs, _make, _receive = self.ticks[kind]
+        t = k * period + rngs[node].random() * period / 4.0
         if t <= self.scenario.sim_duration:
             self._seq += 1
             heapq.heappush(self.heap, (t, self._seq, kind, (node, k)))
@@ -429,28 +435,21 @@ class _Simulation:
             on_transmit(sender, size_bits, tuple(heard), t)
         return heard
 
-    def _broadcast(self, msg, t: float):
-        """Put a Hello or Tc on the air. Returns the receiving node ids."""
-        self.control_tx += 1
-        size_bits = msg.size * 8
-        return self._transmit(msg.sender, size_bits, self._frame_cost(size_bits), t)
-
-    def _flood(self, msg: Tc, t: float):
-        """Broadcast a TC and run the synchronous flood: receptions are
-        processed FIFO at the same instant, and MPR forwarders re-broadcast
-        within the cascade."""
-        states, config, receive_tc = self.states, self.config, olsr.receive_tc
-        queue = deque((r, msg) for r in self._broadcast(msg, t))
-        popleft = queue.popleft
+    def _flood(self, msg, receive, t: float):
+        """Put a HELLO or TC on the air at t and run its flood, by the module
+        docstring's rule: `receive` applies each frame and returns its relays."""
+        states, config, transmit, price = self.states, self.config, self._transmit, self._frame_cost
+        queue = deque([msg])
         while queue:
-            node, m = popleft()
-            fwd = receive_tc(states[node], m, t, config)
-            if fwd is not None:
-                queue.extend((r, fwd) for r in self._broadcast(fwd, t))
+            msg = queue.popleft()
+            self.control_tx += 1
+            size_bits = msg.size * 8
+            heard = transmit(msg.sender, size_bits, price(size_bits), t)
+            queue.extend(receive([states[r] for r in heard], msg, t, config))
 
     def run(self) -> SimMetrics:
         duration = self.scenario.sim_duration
-        heap, states, config = self.heap, self.states, self.config
+        heap, states, config, ticks = self.heap, self.states, self.config, self.ticks
         heappop, heappush = heapq.heappop, heapq.heappush
         routes, transmit, price = olsr.routes, self._transmit, self._frame_cost
         while heap:
@@ -475,19 +474,13 @@ class _Simulation:
                 node, dest, origin_t, hops = flow.source, flow.destination, t, 0
                 size_bits = flow.packet_size * 8
                 cost = price(size_bits)
-            elif kind == _EV_HELLO:
+            else:  # _EV_HELLO or _EV_TC
                 node, k = payload
-                hello = olsr.next_hello(states[node], t, config)
-                heard = self._broadcast(hello, t)  # one hop, never forwarded
-                olsr.receive_hello([states[r] for r in heard], hello, t, config)
-                self._schedule_tick(_EV_HELLO, node, k + 1)
-                continue
-            else:  # _EV_TC
-                node, k = payload
-                tc = olsr.next_tc(states[node], t, config)
-                if tc is not None:
-                    self._flood(tc, t)
-                self._schedule_tick(_EV_TC, node, k + 1)
+                _period, _rngs, make, receive = ticks[kind]
+                msg = make(states[node], t, config)
+                if msg is not None:  # next_tc gives None while no node selected this one
+                    self._flood(msg, receive, t)
+                self._schedule_tick(kind, node, k + 1)
                 continue
             # one data hop, from a CBR source or a relay
             route = routes(states[node], t).get(dest)

@@ -449,6 +449,21 @@ class TestTune:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_illegal_grid_cell_exits_3_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        scn = run_gen(tmp_path)
+
+        def no_simulation(*_args):
+            raise AssertionError("calibrated before every grid cell was checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_simulation)
+        capsys.readouterr()
+        argv = self.tune_argv(scn, tmp_path / "grid") + [
+            "--grid", "--grid-pc", "0.5,2", "--grid-pm", "0.1,0.2", "--reps", "2"]
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "grid" / "grid.csv").exists()
+
     def test_odd_population_exits_3(self, tmp_path):
         scn = run_gen(tmp_path)
         argv = ["tune", "--scenario", str(scn), "--pop", "5", "--gens", "1",

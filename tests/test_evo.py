@@ -340,6 +340,17 @@ class TestParameterGrid:
         )
         assert rows == again
 
+    def test_illegal_cell_rejected_before_any_run(self, monkeypatch):
+        def no_run(*_args):
+            raise AssertionError("ran before every cell was checked")
+
+        monkeypatch.setattr(evo, "calibrate_context", no_run)
+        monkeypatch.setattr(evo, "evolve", no_run)
+        with pytest.raises(ConfigurationError):
+            parameter_setting_grid([0.5, 2.0], [0.25], 1,
+                                   GaSettings(pop_size=4, generations=1),
+                                   SPACE, tiny_scenario(), default_nic())
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             parameter_setting_grid([], [0.25], 1,

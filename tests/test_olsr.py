@@ -455,14 +455,14 @@ class TestShouldForward:
         s = OlsrNodeState(node_id=0)
         self.hear(s, 0.0)
         msg = Tc(9, 1, 1, frozenset({6}))
-        assert receive_tc(s, msg, 0.0, CFG) == msg._replace(sender=0)
-        assert receive_tc(s, msg, 1.0, CFG) is None
+        assert receive_tc([s], msg, 0.0, CFG) == [msg._replace(sender=0)]
+        assert receive_tc([s], msg, 1.0, CFG) == []
 
     def test_non_selector_not_forwarded_but_recorded(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
         assert should_forward(s, 1, 0.0) is False
-        assert receive_tc(s, Tc(9, 1, 1, frozenset({6})), 0.0, CFG) is None
+        assert receive_tc([s], Tc(9, 1, 1, frozenset({6})), 0.0, CFG) == []
         assert s.last_tc == (9, 1)
 
 
@@ -572,7 +572,7 @@ class TestEntries:
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(1, sym=[0]), 1.0, CFG)
         t = self.HOLD + 0.5
-        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), t, CFG) is None
+        assert receive_tc([s], Tc(5, 1, 1, frozenset({6})), t, CFG) == []
         assert link(s, 1) == (True, 1.0 + self.HOLD)
         assert set(s.topology[5][0]) == {6}  # applied all the same
         assert next_tc(s, t, CFG) is None
@@ -580,20 +580,20 @@ class TestEntries:
     def test_receive_tc_over_lapsed_link_dropped(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
-        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), self.HOLD, CFG) is None
+        assert receive_tc([s], Tc(5, 1, 1, frozenset({6})), self.HOLD, CFG) == []
         assert s.topology == {}
         assert s.last_tc is None
 
     def test_receive_tc_over_asymmetric_link_dropped(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1), 0.0, CFG)
-        assert receive_tc(s, Tc(5, 1, 1, frozenset({6})), 1.0, CFG) is None
+        assert receive_tc([s], Tc(5, 1, 1, frozenset({6})), 1.0, CFG) == []
         assert s.topology == {}
 
     def test_routes_skip_lapsed_neighbour(self):
         s = OlsrNodeState(node_id=0)
         receive_hello([s], hello(1, sym=[0]), 0.0, CFG)
-        receive_tc(s, Tc(1, 1, 1, frozenset({0, 2})), 0.0, CFG)
+        receive_tc([s], Tc(1, 1, 1, frozenset({0, 2})), 0.0, CFG)
         assert routes(s, 1.0) == {1: (1, 1), 2: (1, 2)}
         assert routes(s, self.HOLD) == {}
 
@@ -602,8 +602,8 @@ class TestEntries:
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(2, sym=[0]), 0.0, CFG)
         msg = Tc(5, 1, 1, frozenset({6}))
-        assert receive_tc(s, msg, 1.0, CFG) == msg._replace(sender=0)
-        assert receive_tc(s, Tc(5, 2, 2, frozenset({6, 7})), 1.0, CFG) is None
+        assert receive_tc([s], msg, 1.0, CFG) == [msg._replace(sender=0)]
+        assert receive_tc([s], Tc(5, 2, 2, frozenset({6, 7})), 1.0, CFG) == []
         assert set(s.topology[5][0]) == {6, 7}  # applied all the same
 
     def test_second_reception_at_same_instant(self):
@@ -611,11 +611,25 @@ class TestEntries:
         receive_hello([s], hello(1, mpr=[0]), 0.0, CFG)
         receive_hello([s], hello(2, mpr=[0]), 0.0, CFG)
         msg = Tc(5, 1, 1, frozenset({6}))
-        assert receive_tc(s, msg, 1.0, CFG) is not None
+        assert receive_tc([s], msg, 1.0, CFG) == [msg._replace(sender=0)]
         before = copy.deepcopy(s)
-        assert receive_tc(s, msg, 1.0, CFG) is None
-        assert receive_tc(s, msg._replace(sender=2), 1.0, CFG) is None
+        assert receive_tc([s], msg, 1.0, CFG) == []
+        assert receive_tc([s], msg._replace(sender=2), 1.0, CFG) == []
         assert s == before
+
+    def test_one_frame_mixed_receivers(self):
+        # one frame from 1, heard in order by 0, which already processed
+        # it, by 2 over an asymmetric link, and by 3, which 1 selected as
+        # MPR: only 3 relays, and the first two states are untouched
+        msg = Tc(5, 1, 1, frozenset({6}))
+        a, b, c = (OlsrNodeState(node_id=n) for n in (0, 2, 3))
+        receive_hello([a, c], hello(1, mpr=[0, 3]), 0.0, CFG)
+        a.last_tc = (5, 1)
+        receive_hello([b], hello(1), 0.0, CFG)
+        before = copy.deepcopy([a, b])
+        assert receive_tc([a, b, c], msg, 1.0, CFG) == [msg._replace(sender=3)]
+        assert [a, b] == before
+        assert set(c.topology[5][0]) == {6}
 
 
 def full_hood(s, n):

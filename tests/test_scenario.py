@@ -211,8 +211,13 @@ class TestGridGenerator:
         assert self.spec(vehicle_count=fits, sample_step=0.5).vehicle_count == fits
         with pytest.raises(ConfigurationError):
             self.spec(vehicle_count=fits + 1, sample_step=0.5)
-        with pytest.raises(ConfigurationError):
-            self.spec(vehicle_count=10**400)
+        # 1.6 s at 1 s steps rounds to 3 samples per vehicle, not 2.6
+        over = dict(area=(200.0, 200.0), duration=1.6, sample_step=1.0)
+        assert GridSpec(vehicle_count=MAX_TRACE_SAMPLES // 3, **over).samples_per_vehicle == 3
+        for kw in (dict(vehicle_count=10**400), dict(vehicle_count=384_615, **over),
+                   dict(sample_step=1e-310)):
+            with pytest.raises(ConfigurationError):
+                self.spec(**kw)
         assert self.spec(streets=(MAX_STREETS, 2)).streets == (MAX_STREETS, 2)
         for streets in ((MAX_STREETS + 1, 2), (2, MAX_STREETS + 1), (1, 3)):
             with pytest.raises(ConfigurationError):

@@ -604,21 +604,23 @@ class TestForwardingPath:
         # a deep copy of the state
         checked = Counter()
 
-        def check(name, entry):
-            def wrapper(state, *args):
-                out = entry(state, *args)
-                if not state.routes_dirty:
-                    fresh = copy.deepcopy(state)
-                    olsr.compute_routes(fresh)
-                    assert state.routing_table == fresh.routing_table
-                    assert state.route_last_hop == fresh.route_last_hop
-                    checked[name] += 1
+        def check(name, entry, frame=False):
+            def wrapper(first, *args):
+                out = entry(first, *args)
+                for state in first if frame else (first,):
+                    if not state.routes_dirty:
+                        fresh = copy.deepcopy(state)
+                        olsr.compute_routes(fresh)
+                        assert state.routing_table == fresh.routing_table
+                        assert state.route_last_hop == fresh.route_last_hop
+                        checked[name] += 1
                 return out
 
             monkeypatch.setattr(olsr, name, wrapper)
 
-        for name in ("routes", "receive_tc", "expire"):
+        for name in ("routes", "expire"):
             check(name, getattr(olsr, name))
+        check("receive_tc", olsr.receive_tc, frame=True)
         scn, config = filter_run(k)
         run_simulation(scn, config, NIC, seed=k)
         assert checked["routes"] > 0 and checked["receive_tc"] > 0 and checked["expire"] > 0
@@ -668,11 +670,12 @@ class TestForwardingPath:
             check_tables(state)
             checked["tc"] += 1
 
-        def checked_receive(state, msg, now, config):
-            key = (state.node_id, msg.originator, msg.seq_no)
-            assert heard_at.setdefault(key, now) == now
-            checked["receive"] += 1
-            return receive_tc(state, msg, now, config)
+        def checked_receive(states, msg, now, config):
+            for state in states:
+                key = (state.node_id, msg.originator, msg.seq_no)
+                assert heard_at.setdefault(key, now) == now
+                checked["receive"] += 1
+            return receive_tc(states, msg, now, config)
 
         monkeypatch.setattr(olsr, "process_hello", checked_hello)
         monkeypatch.setattr(olsr, "process_tc", checked_tc)
@@ -690,9 +693,10 @@ class TestForwardingPath:
             processed[state.node_id, msg.originator, msg.seq_no] += 1
             return process_tc(state, msg, now, config)
 
-        def counted_receive(state, msg, now, config):
-            received[state.node_id, msg.originator, msg.seq_no] += 1
-            return receive_tc(state, msg, now, config)
+        def counted_receive(states, msg, now, config):
+            for state in states:
+                received[state.node_id, msg.originator, msg.seq_no] += 1
+            return receive_tc(states, msg, now, config)
 
         monkeypatch.setattr(olsr, "process_tc", counted_process)
         monkeypatch.setattr(olsr, "receive_tc", counted_receive)

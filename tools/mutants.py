@@ -82,8 +82,8 @@ MUTANTS = (
     Mutant("frontier-not-sorted", "src/olsrtune/olsr.py", "        new.sort()\n", "",
            ("tests/test_olsr.py::TestRoutes", _CLEAN_ROUTES), True),
     Mutant("tc-duplicate-skip-dropped", "src/olsrtune/olsr.py",
-           "    if key == state.last_tc:\n        return None\n    expire(state, now)\n",
-           "    expire(state, now)\n",
+           "        if key == state.last_tc:\n            continue\n        expire(state, now)\n",
+           "        expire(state, now)\n",
            # first: the run hangs once nothing suppresses duplicates
            (_ENTRIES + "::test_second_reception_at_same_instant",
             _FORWARDING + "test_each_tc_processed_once_per_node"), True),
@@ -118,14 +118,26 @@ MUTANTS = (
            "Neighbor(False, expiry, own_will)", "Neighbor(False, expiry, WILL_DEFAULT)",
            (_HOOD, _FORWARDING + "test_runs_keep_the_entries_contract"), True),
     Mutant("duplicate-not-recorded", "src/olsrtune/olsr.py",
-           "    state.last_tc = key\n", "",
+           "        state.last_tc = key\n", "",
            # first: the run hangs once nothing suppresses duplicates
            (_ENTRIES + "::test_second_reception_at_same_instant",
             _FORWARDING + "test_each_tc_processed_once_per_node"), True),
     Mutant("tc-key-originator-only", "src/olsrtune/olsr.py",
-           "    if key == state.last_tc:\n",
-           "    if state.last_tc is not None and key[0] == state.last_tc[0]:\n",
+           "        if key == state.last_tc:\n",
+           "        if state.last_tc is not None and key[0] == state.last_tc[0]:\n",
            (_ENTRIES + "::test_receive_tc_relays_only_for_selectors",), True),
+    # one TC frame, receiver by receiver: a skipped receiver leaves the
+    # rest of the frame to run; and the flood's frames go FIFO
+    Mutant("tc-frame-stops-at-duplicate", "src/olsrtune/olsr.py",
+           "        if key == state.last_tc:\n            continue\n",
+           "        if key == state.last_tc:\n            break\n",
+           (_ENTRIES + "::test_one_frame_mixed_receivers",), True),
+    Mutant("tc-frame-stops-at-asym", "src/olsrtune/olsr.py",
+           "        if nb is None or not nb.sym:\n            continue\n",
+           "        if nb is None or not nb.sym:\n            break\n",
+           (_ENTRIES + "::test_one_frame_mixed_receivers",), True),
+    Mutant("flood-frames-lifo", "src/olsrtune/sim.py", "queue.popleft()", "queue.pop()",
+           ("tests/test_sim.py::TestEventOrder::test_exact_time_ties_keep_their_order",), True),
     Mutant("hello-mprs-not-ensured", "src/olsrtune/olsr.py",
            "ensure_mprs(state), state.last_adv", "state.mpr_set, state.last_adv",
            ("tests/test_olsr.py::TestMessages::test_hello_advertises_fresh_mprs",
@@ -144,8 +156,8 @@ MUTANTS = (
            "    selectors = frozenset(",
            (_ENTRIES + "::test_next_tc_none_once_only_selector_lapsed",), True),
     Mutant("receive-tc-no-expire", "src/olsrtune/olsr.py",
-           "    expire(state, now)\n    nb = state.neighbors.get(msg.sender)\n",
-           "    nb = state.neighbors.get(msg.sender)\n",
+           "        expire(state, now)\n        nb = state.neighbors.get(msg.sender)\n",
+           "        nb = state.neighbors.get(msg.sender)\n",
            (_ENTRIES + "::test_receive_tc_over_lapsed_link_dropped",), True),
     Mutant("routes-no-expire", "src/olsrtune/olsr.py",
            "    if now >= state.next_expiry:\n        expire(state, now)\n    if state.routes_dirty:\n",
